@@ -150,8 +150,7 @@ def cmd_verify(args) -> int:
         import os
         jobs = min(4, os.cpu_count() or 1)
     results = verify.run_checks(scope=args.scope, max_rank=args.max_rank,
-                                seed=args.seed, samples=args.samples,
-                                golden=golden, jobs=jobs)
+                                seed=args.seed, golden=golden, jobs=jobs)
     failures = [r for r in results if not r.ok]
     report = {
         "scope": args.scope,
@@ -237,7 +236,14 @@ def cmd_contact_eq(args) -> int:
         },
     }
     sys.stdout.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0 if rep.clean else 1
+    return 0 if rep.clean and rep.cubic_zero_hits > 0 else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("all", "rootcore", "symdata", "lunavust",
                             "conicatlas", "chevalley"))
     v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    v.add_argument("--samples", type=int, default=100_000,
-                   help="Jacobi sample count for rank > 4")
-    v.add_argument("--jobs", type=int, default=None,
+    v.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: up to 4)")
     v.add_argument("--bless", action="store_true",
                    help="rewrite the golden files from the reference tables")
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("contact-eq", help="tangent-direction equation report")
     c.add_argument("g")
     c.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    c.add_argument("--samples", type=int, default=10_000)
+    c.add_argument("--samples", type=_positive_int, default=10_000)
     c.set_defaults(func=cmd_contact_eq)
     return p
 

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from . import fixtures
 from .linalg import identity, qvec
-from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, colored_faces,
-                       cone_contains, extremal_rays, is_colored_cone,
+from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
+                       colored_faces, cone_contains, extremal_rays, is_colored_cone,
                        is_colored_fan, is_complete, maximal_cones, orbit_poset,
                        valuation_cone)
 from .rootcore import (InvalidTypeError, ParabolicSubset, RootDatum,
@@ -50,12 +50,6 @@ class AdjointData:
     pss: RootDatum
     pss_map: tuple[tuple[int, int], ...]   # ambient node -> node of pss
     q_crossed: ParabolicSubset             # crossed nodes of Q inside pss
-
-    def pss_index(self, ambient: int) -> int:
-        for a, b in self.pss_map:
-            if a == ambient:
-                return b
-        raise KeyError(ambient)
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +217,7 @@ def build_entry(label: str) -> ConicAtlasEntry:
 
     chow_colors = solve_colors(rrd, stab_lists, line_stabilizer(ad), theta)
     chow_max = ColoredCone(
-        QCone.of([lunavust_color(rrd, i) for i in sorted(chow_colors)]
+        QCone.of([color_point(rrd, i) for i in sorted(chow_colors)]
                  + list(valuation_cone(rrd).generators)),
         chow_colors)
     check = is_colored_cone(chow_max, rrd, strict=True)
@@ -262,11 +256,6 @@ def build_entry(label: str) -> ConicAtlasEntry:
     return ConicAtlasEntry(label, series, rank, kind, ad, sd, rrd,
                            tuple(sorted(theta.items())), chow_colors, chow_fan,
                            tuple(hilb_colors), hilb_fan, count)
-
-
-def lunavust_color(rrd, i):
-    from .lunavust import color_point
-    return color_point(rrd, i)
 
 
 def _closed_orbit_targets(ad: AdjointData, planes) -> list[frozenset[int]]:

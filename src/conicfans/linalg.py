@@ -18,27 +18,6 @@ def qvec(xs) -> Vec:
     return tuple(Q(x) for x in xs)
 
 
-def zero_vec(n: int) -> Vec:
-    return tuple(Q(0) for _ in range(n))
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = Q(c)
-    return tuple(c * x for x in a)
-
-
 def vdot(a: Vec, b: Vec) -> Q:
     return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))
 

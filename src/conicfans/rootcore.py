@@ -298,7 +298,8 @@ class RootDatum:
     @cached_property
     def killing(self) -> tuple[tuple[Q, ...], ...]:
         """Killing pairings of the simple roots."""
-        e = identity(self.rank)
+        # integer unit vectors keep killing_pair on its integer fast path
+        e = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
         return tuple(tuple(self.killing_pair(e[i], e[j]) for j in range(self.rank))
                      for i in range(self.rank))
 
@@ -319,8 +320,7 @@ class RootDatum:
     def coroot(self, root) -> Vec:
         """Coroot coordinates of root^vee in the simple-coroot basis."""
         n = self.norm(root)
-        e = identity(self.rank)
-        return qvec(root[k] * self.norm(e[k]) / n for k in range(self.rank))
+        return qvec(root[k] * self.killing[k][k] / n for k in range(self.rank))
 
     @cached_property
     def half_sum_positive(self) -> Vec:
@@ -458,11 +458,6 @@ def longest_element(rd: RootDatum) -> WeylWord:
     if len(word) != len(rd.positive_roots):
         raise StructureError("longest element length != number of positive roots")
     return WeylWord(tuple(word))
-
-
-def weyl_equal(rd: RootDatum, w1: WeylWord, w2: WeylWord) -> bool:
-    v = rd.half_sum_positive
-    return weyl_apply(rd, w1, v) == weyl_apply(rd, w2, v)
 
 
 def duality_involution(rd: RootDatum) -> dict[int, int]:

@@ -173,23 +173,9 @@ class RestrictedRootDatum:
     def reps_of(self, i: int) -> tuple[int, ...]:
         return tuple(w for w, l in self.restriction_map if l == i)
 
-    def lambda_index_of(self, white: int) -> int:
-        for w, l in self.restriction_map:
-            if w == white:
-                return l
-        raise KeyError(white)
-
     @property
     def space_label(self) -> str:
         return f"coroot({self.restricted.label})"
-
-
-def restricted_vector(rrd: RestrictedRootDatum, white: int):
-    """Projection of a white simple root to the split part, ambient coords."""
-    sd = rrd.satake
-    unit = tuple(1 if k == white - 1 else 0 for k in range(sd.base.rank))
-    img = sigma_on_characters(sd, unit)
-    return tuple(Q(a - b, 2) for a, b in zip(unit, img))
 
 
 @lru_cache(maxsize=None)

@@ -432,14 +432,13 @@ def _anticanonical_checks(label: str, entry, golden) -> list[CheckResult]:
     return out
 
 
-def chevalley_checks(label: str, seed: int, samples: int) -> list[CheckResult]:
+def chevalley_checks(label: str, seed: int) -> list[CheckResult]:
     series, rank = conicatlas.parse_label(label)
     rd = build_root_datum(series, rank)
     out = []
-    policy = "full" if rank <= 4 else f"sample:{samples}"
     local_seed = seed + zlib.crc32(label.encode()) % 1000
     try:
-        sc = chevalley.build_structure_constants(rd, verify=policy, seed=local_seed)
+        sc = chevalley.build_structure_constants(rd, verify="full")
         out.append(_res(True, f"chevalley.jacobi.{label}"))
     except StructureError as exc:
         return [_res(False, f"chevalley.jacobi.{label}", str(exc))]
@@ -484,23 +483,29 @@ def chevalley_checks(label: str, seed: int, samples: int) -> list[CheckResult]:
     return out
 
 
-def checks_for_label(label: str, scope: str, golden: dict, seed: int,
-                     samples: int) -> list[CheckResult]:
+def checks_for_label(label: str, scope: str, golden: dict,
+                     seed: int) -> list[CheckResult]:
     out = []
     if scope in ("all", "rootcore"):
         out.extend(rootcore_checks(label))
-    if scope in ("all", "symdata"):
-        out.extend(symdata_checks(label, golden))
-    if scope in ("all", "lunavust", "conicatlas"):
-        out.extend(atlas_checks(label, golden))
+    if scope in ("all", "symdata", "lunavust", "conicatlas"):
+        missing = [name for name in GOLDEN_FILES
+                   if name != "gamma" and label not in golden[name]]
+        if missing:
+            out.append(_res(False, f"golden.missing.{label}",
+                            f"no entry in {', '.join(missing)}"))
+        else:
+            if scope in ("all", "symdata"):
+                out.extend(symdata_checks(label, golden))
+            if scope in ("all", "lunavust", "conicatlas"):
+                out.extend(atlas_checks(label, golden))
     if scope in ("all", "chevalley"):
-        out.extend(chevalley_checks(label, seed, samples))
+        out.extend(chevalley_checks(label, seed))
     return out
 
 
 def run_checks(scope: str = "all", max_rank: int = 8, seed: int = 0,
-               samples: int = 100_000, golden: dict | None = None,
-               jobs: int = 1) -> list[CheckResult]:
+               golden: dict | None = None, jobs: int = 1) -> list[CheckResult]:
     if scope not in ("all", "rootcore", "symdata", "lunavust", "conicatlas",
                      "chevalley"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -509,7 +514,7 @@ def run_checks(scope: str = "all", max_rank: int = 8, seed: int = 0,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_worker, label, scope, seed, samples,
+            futures = [pool.submit(_worker, label, scope, seed,
                                    os.environ.get(GOLDEN_ENV))
                        for label in labels]
             results = [f.result() for f in futures]
@@ -519,13 +524,13 @@ def run_checks(scope: str = "all", max_rank: int = 8, seed: int = 0,
         return out
     out = []
     for label in labels:
-        out.extend(checks_for_label(label, scope, golden, seed, samples))
+        out.extend(checks_for_label(label, scope, golden, seed))
     return out
 
 
-def _worker(label, scope, seed, samples, golden_env):
+def _worker(label, scope, seed, golden_env):
     if golden_env:
         os.environ[GOLDEN_ENV] = golden_env
     golden = load_golden()
     return [(c.name, c.ok, c.detail)
-            for c in checks_for_label(label, scope, golden, seed, samples)]
+            for c in checks_for_label(label, scope, golden, seed)]

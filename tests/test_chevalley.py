@@ -185,16 +185,18 @@ def test_contact_dimension_matches_half_dimension():
         assert len(dom) == 2 * ad.n
 
 
-def test_jacobi_failure_detection():
-    # corrupting one structure constant must break the exhaustive sweep
-    rd = rc.build_root_datum("B", 3)
+@pytest.mark.parametrize("series,rank", [("B", 3), ("E", 6)], ids=["B3", "E6"])
+def test_jacobi_failure_detection(series, rank):
+    # corrupting one structure constant must break the exhaustive sweep,
+    # also above rank 4
+    rd = rc.build_root_datum(series, rank)
     sc = ch.build_structure_constants(rd, verify="none")
     pair = next(iter(sc._special))
     corrupted = dict(sc._special)
     corrupted[pair] = -corrupted[pair]
     bad = ch.StructureConstants(rd, tuple(sorted(corrupted.items())))
     with pytest.raises(rc.StructureError):
-        ch._verify_jacobi(bad, "full", 0)
+        ch._verify_jacobi(bad)
 
 
 def test_constants_csv_rows():

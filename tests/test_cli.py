@@ -87,12 +87,35 @@ def test_contact_eq_report(capsys):
     assert data["witnesses"]["general_direction_cubic_vanishes"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("contact-eq", "G2", "--samples", "-1"),
+    ("verify", "rootcore", "--jobs", "0"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_contact_eq_fails_without_cubic_zero(capsys):
+    code, out = run(capsys, "contact-eq", "G2", "--samples", "1")
+    assert code == 1
+    assert json.loads(out)["counts"]["cubic_zero_hits"] == 0
+
+
+def test_rank_beyond_goldens_is_a_named_failure(capsys):
+    code, out = run(capsys, "--max-rank", "9", "verify", "symdata", "--jobs", "1")
+    assert code == 1
+    assert "FAIL golden.missing.B9" in out and "FAIL golden.missing.D9" in out
+    assert "Traceback" not in out
+
+
 def test_verify_scope_and_determinism(capsys):
     code, out1 = run(capsys, "--format", "json", "--max-rank", "4", "verify",
-                     "chevalley", "--seed", "7", "--samples", "1000")
+                     "chevalley", "--seed", "7")
     assert code == 0
     code, out2 = run(capsys, "--format", "json", "--max-rank", "4", "verify",
-                     "chevalley", "--seed", "7", "--samples", "1000")
+                     "chevalley", "--seed", "7")
     assert code == 0
     assert out1 == out2
 
