@@ -8,26 +8,64 @@ propagating through the Jacobi relations, following the sign identities for
 N_{alpha,beta} in Carter, *Simple Groups of Lie Type*, ch. 4.  Unless asked
 not to, the construction then certifies the Jacobi identity with one
 exhaustive sweep over every root-vector triple whose Jacobi sum can be
-nonzero, on integer tables indexed by root.  Triples holding a Cartan element
-need no sweep: they hold because the root pairing is linear, with
-[e_alpha, e_-alpha] = h_alpha and (alpha+beta)(h) = alpha(h) + beta(h); the
-proof is in `_verify_jacobi`.  All coefficients stay in Q.
+nonzero.  Triples holding a Cartan element need no sweep: they hold because
+the root pairing is linear, with [e_alpha, e_-alpha] = h_alpha and
+(alpha+beta)(h) = alpha(h) + beta(h); the proof is in `_verify_jacobi`.
+
+Integer core.  Every structure constant, root pairing and coroot coordinate is
+an integer, so the bracket of two integer elements is an integer element.
+Each `StructureConstants` builds one set of root-index tables on first use
+(`RootTables`); the Jacobi sweep and the single bracket `_int_bracket` both
+read them.  Rational elements enter the core by clearing denominators: if d x
+and d' y are integral, [x, y] = [d x, d' y] / (d d').  `LieElement` and the
+public `bracket` are the exact rational view on top of that.  The hot callers
+need no rational arithmetic at all: extremality of x is a projective
+property, and the contact cubic and quadratic are homogeneous of degree 3 and
+2 in v, so whether they vanish does not change when x or v is scaled by its
+common denominator.  Proportionality of integer vectors is then the vanishing
+of every 2x2 minor.
 """
 
 from __future__ import annotations
 
+import itertools as it
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import factorial, lcm
+from operator import mul
+from typing import NamedTuple
 
 from .rootcore import RootDatum, StructureError
 
 Root = tuple[int, ...]
+# integer element: (coroot coordinates of the Cartan part, root index -> coefficient),
+# with no zero coefficient stored
+IntElement = tuple[tuple[int, ...], dict[int, int]]
+
+ZERO = -1
+"""Sum index of a pair of opposite roots in `RootTables.rows`."""
 
 
 def _height(v: Root) -> int:
     return sum(v)
+
+
+class RootTables(NamedTuple):
+    """Integer tables on root indices, the positions of the roots in `rd.roots`.
+
+    rows[i] maps every j with roots[i] + roots[j] in Phi u {0} to the pair
+    (index of the sum, N_{i,j}), or (ZERO, 0) when the roots are opposite;
+    pairing[i] holds roots[i](h_k) for the simple coroots h_k, and coroot[i]
+    the coroot of roots[i] in simple-coroot coordinates.
+    """
+
+    roots: tuple[Root, ...]
+    index: dict[Root, int]
+    rows: tuple[dict[int, tuple[int, int]], ...]
+    pairing: tuple[tuple[int, ...], ...]
+    coroot: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -117,6 +155,34 @@ class StructureConstants:
                 raise StructureError("non-integer structure constant")
             return int(val)
         return -self.n(tuple(-x for x in alpha), tuple(-x for x in beta))
+
+    @cached_property
+    def tables(self) -> RootTables:
+        """The root-index tables, built on first use from `n` (see `RootTables`)."""
+        roots = self.rd.roots
+        # a linear key, key(a + b) = key(a) + key(b), read in base 6M + 1 for
+        # the largest root coordinate M: a root minus a sum of two roots has
+        # coordinates of size at most 3M, so equal keys mean equal vectors
+        base = 6 * max(abs(x) for g in roots for x in g) + 1
+        key = [sum(x * base ** k for k, x in enumerate(g)) for g in roots]
+        at = {kk: i for i, kk in enumerate(key)}
+        at[0] = ZERO
+        # rows[j][i] comes from rows[i][j] by N_{b,a} = -N_{a,b}; filling both
+        # for i < j keeps every row in ascending partner order
+        rows = [{} for _ in roots]
+        for i, (a, ka) in enumerate(zip(roots, key)):
+            for j in range(i + 1, len(roots)):
+                s = at.get(ka + key[j])
+                if s is not None:
+                    n = 0 if s == ZERO else self.n(a, roots[j])
+                    rows[i][j] = (s, n)
+                    rows[j][i] = (s, -n)
+        # the rows hold every N now; the memo only served their build, and
+        # keeping both alive for every cached label would double the memory
+        self._memo.clear()
+        return RootTables(roots, {g: i for i, g in enumerate(roots)}, tuple(rows),
+                          tuple(self.pairing_vec(g) for g in roots),
+                          tuple(self.coroot_int(g) for g in roots))
 
 
 def _special_pairs(rd: RootDatum):
@@ -221,50 +287,40 @@ def _verify_jacobi(sc: StructureConstants) -> None:
     weight a+b+c, so J is zero unless a+b+c is in Phi u {0} and some pairwise
     sum is in Phi u {0}.  The sweep lists exactly those triples: each pair
     with a root-or-zero sum, then each c that lands in Phi u {0}, counting a
-    triple only from its first such pair in index order.  The tables (sums and constants on
-    root indices, integer coroots) are locals, so nothing grows on `sc`.
+    triple only from its first such pair in index order.  It reads the same
+    `sc.tables` as the bracket.
     """
     rd = sc.rd
-    roots = rd.roots
-    m = len(roots)
-    index = {g: i for i, g in enumerate(roots)}
-    zero = -1
-    add = [[index.get(s, zero if not any(s) else None)
-            for s in (tuple(x + y for x, y in zip(a, b)) for b in roots)]
-           for a in roots]
-    n = [[sc.n(roots[i], roots[j]) if s is not None and s >= 0 else 0
-          for j, s in enumerate(row)] for i, row in enumerate(add)]
-    coroot = [sc.coroot_int(g) for g in roots]
-    pairing = [sc.pairing_vec(g) for g in roots]
-    partners = [[k for k, s in enumerate(row) if s is not None] for row in add]
-    everyone = range(m)
+    tab = sc.tables
+    roots, rows, coroot, pairing = tab.roots, tab.rows, tab.coroot, tab.pairing
+    everyone = range(len(roots))
 
     def term(x: int, y: int, z: int) -> int:
         """Coefficient of [e_x, [e_y, e_z]] on the root x+y+z."""
-        s = add[y][z]
-        if s is None:
+        hit = rows[y].get(z)
+        if hit is None:
             return 0
-        if s == zero:
-            return -sum(p * c for p, c in zip(pairing[x], coroot[y]))
-        return n[y][z] * n[x][s]
+        s, n_yz = hit
+        if s == ZERO:
+            return -sum(map(mul, pairing[x], coroot[y]))
+        return n_yz * rows[x][s][1]
 
-    for i in range(m):
-        row = add[i]
-        for j in range(i + 1, m):
-            s = row[j]
-            if s is None:
+    for i, row in enumerate(rows):
+        for j, (s, n_ij) in row.items():
+            if j <= i:
                 continue
-            for k in (everyone if s == zero else partners[s]):
+            for k in (everyone if s == ZERO else rows[s]):
                 if k == i or k == j:
                     continue
                 # count each triple once, from its first pair with a sum
-                if i < k < j and row[k] is not None:
+                if i < k < j and k in row:
                     continue
-                if k < i and (add[k][i] is not None or add[k][j] is not None):
+                if k < i and (i in rows[k] or j in rows[k]):
                     continue
-                d = k if s == zero else add[s][k]
-                if d == zero:
-                    ok = not any(n[j][k] * a + n[k][i] * b + n[i][j] * c
+                d = k if s == ZERO else rows[s][k][0]
+                if d == ZERO:
+                    n_jk, n_ki = rows[j][k][1], rows[k][i][1]
+                    ok = not any(n_jk * a + n_ki * b + n_ij * c
                                  for a, b, c in zip(coroot[i], coroot[j], coroot[k]))
                 else:
                     ok = term(i, j, k) + term(j, k, i) + term(k, i, j) == 0
@@ -272,6 +328,76 @@ def _verify_jacobi(sc: StructureConstants) -> None:
                     raise StructureError(
                         f"{rd.label}: Jacobi fails on roots {roots[i]}, "
                         f"{roots[j]}, {roots[k]}")
+
+
+# ---------------------------------------------------------------------------
+# The integer bracket
+
+def _int_bracket(tab: RootTables, x: IntElement, y: IntElement) -> IntElement:
+    """[x, y] of two integer elements."""
+    (xh, xe), (yh, ye) = x, y
+    rows, pairing, coroot = tab.rows, tab.pairing, tab.coroot
+    h = [0] * len(xh)
+    e: dict[int, int] = {}
+    if any(xh):
+        for j, c in ye.items():
+            e[j] = c * sum(map(mul, xh, pairing[j]))
+    if any(yh):
+        for i, c in xe.items():
+            e[i] = e.get(i, 0) - c * sum(map(mul, yh, pairing[i]))
+    for i, a in xe.items():
+        row = rows[i]
+        for j, b in ye.items():
+            hit = row.get(j)
+            if hit is None:
+                continue
+            s, n = hit
+            if s == ZERO:
+                ab = a * b
+                for k, v in enumerate(coroot[i]):
+                    h[k] += ab * v
+            else:
+                e[s] = e.get(s, 0) + a * b * n
+    return tuple(h), {k: v for k, v in e.items() if v}
+
+
+def _int_is_zero(x: IntElement) -> bool:
+    return not x[1] and not any(x[0])
+
+
+def _root_element(rank: int, i: int) -> IntElement:
+    """The root vector of root index i."""
+    return (0,) * rank, {i: 1}
+
+
+def _combine(terms: list[tuple[int, IntElement]]) -> IntElement:
+    """The integer linear combination sum of c * x over the pairs (c, x)."""
+    h = [0] * len(terms[0][1][0])
+    e: dict[int, int] = {}
+    for c, (xh, xe) in terms:
+        for k, v in enumerate(xh):
+            h[k] += c * v
+        for i, v in xe.items():
+            e[i] = e.get(i, 0) + c * v
+    return tuple(h), {i: v for i, v in e.items() if v}
+
+
+def _proportional(z: IntElement, x: IntElement) -> bool:
+    """Whether z lies on the line through the nonzero x: all 2x2 minors vanish.
+
+    With a pivot coordinate p where x_p != 0, z is a multiple of x exactly
+    when z_a x_p = z_p x_a for every coordinate a.
+    """
+    (zh, ze), (xh, xe) = z, x
+    p = next((k for k, v in enumerate(xh) if v), None)
+    if p is None:
+        p = next(iter(xe))
+        xp, zp = xe[p], ze.get(p, 0)
+    else:
+        xp, zp = xh[p], zh[p]
+    return (ze.keys() <= xe.keys()
+            and all(a * xp == zp * b for a, b in zip(zh, xh))
+            and all(ze.get(k, 0) * xp == zp * v for k, v in xe.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +443,30 @@ class LieElement:
                                {r: c * v for r, v in self.e})
 
 
+def _to_int(tab: RootTables, x: LieElement) -> tuple[IntElement, int]:
+    """(d x, d) for the least common denominator d of x's coefficients."""
+    d = lcm(*(c.denominator for c in x.h), *(c.denominator for _, c in x.e))
+    try:
+        e = {tab.index[r]: c.numerator * (d // c.denominator) for r, c in x.e}
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not a root") from None
+    return (tuple(c.numerator * (d // c.denominator) for c in x.h), e), d
+
+
+def _to_lie(tab: RootTables, z: IntElement, d: int) -> LieElement:
+    """The rational element z / d."""
+    h, e = z
+    roots = tab.roots
+    return LieElement(tuple(Q(c, d) for c in h),
+                      tuple(sorted((roots[i], Q(c, d)) for i, c in e.items())))
+
+
 def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
-    rank = sc.rank
-    h_out = [Q(0)] * rank
-    e_out: dict = {}
-
-    def add_e(root, coeff):
-        if coeff:
-            e_out[root] = e_out.get(root, Q(0)) + coeff
-            if e_out[root] == 0:
-                del e_out[root]
-
-    if any(x.h):
-        for r, c in y.e:
-            pv = sc.pairing_vec(r)
-            add_e(r, c * sum(x.h[i] * pv[i] for i in range(rank) if x.h[i]))
-    if any(y.h):
-        for r, c in x.e:
-            pv = sc.pairing_vec(r)
-            add_e(r, -c * sum(y.h[i] * pv[i] for i in range(rank) if y.h[i]))
-    for ra, ca in x.e:
-        for rb, cb in y.e:
-            s = tuple(a + b for a, b in zip(ra, rb))
-            if all(v == 0 for v in s):
-                for i, cr in enumerate(sc.coroot_int(ra)):
-                    h_out[i] += ca * cb * cr
-            elif sc.rd.is_root(s):
-                add_e(s, ca * cb * sc.n(ra, rb))
-    return LieElement.make(rank, h_out, e_out)
+    """The exact bracket [x, y]: [d x, d' y] / (d d') on the integer core."""
+    tab = sc.tables
+    xi, dx = _to_int(tab, x)
+    yi, dy = _to_int(tab, y)
+    return _to_lie(tab, _int_bracket(tab, xi, yi), dx * dy)
 
 
 def ad_power(sc: StructureConstants, x: LieElement, y: LieElement, k: int) -> LieElement:
@@ -357,85 +479,70 @@ def ad_power(sc: StructureConstants, x: LieElement, y: LieElement, k: int) -> Li
 
 
 def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
-    """Whether [x, [x, -]] lands in the line through x for every basis vector."""
+    """Whether [x, [x, -]] lands in the line through x for every basis vector.
+
+    The test is projective, so it runs on x times its common denominator.
+    """
     if x.is_zero():
         raise ValueError("the zero element is not projective")
-    probes = [LieElement.cartan(sc.rank, [1 if i == j else 0 for j in range(sc.rank)])
-              for i in range(sc.rank)]
-    probes += [LieElement.root_vector(sc.rank, g) for g in sc.rd.roots]
-    for y in probes:
-        z = bracket(sc, x, bracket(sc, x, y))
-        if not _proportional(z, x):
-            return False
-    return True
-
-
-def _proportional(z: LieElement, x: LieElement) -> bool:
-    if z.is_zero():
-        return True
-    ratio = None
-    xe = x.e_dict()
-    for i, v in enumerate(z.h):
-        xv = x.h[i]
-        if xv == 0:
-            if v != 0:
-                return False
-        elif ratio is None:
-            ratio = v / xv
-        elif v != ratio * xv:
-            return False
-    for r, v in z.e:
-        xv = xe.get(r, Q(0))
-        if xv == 0:
-            return False
-        if ratio is None:
-            ratio = v / xv
-        elif v != ratio * xv:
-            return False
-    if ratio is None:
-        return False
-    # remaining x-components must also scale consistently: check the reverse
-    for r, xv in x.e:
-        zv = dict(z.e).get(r, Q(0))
-        if zv != ratio * xv:
-            return False
-    for i, xv in enumerate(x.h):
-        if z.h[i] != ratio * xv:
-            return False
-    return True
+    tab = sc.tables
+    xi, _ = _to_int(tab, x)
+    rank = sc.rank
+    probes = [(tuple(int(i == j) for j in range(rank)), {}) for i in range(rank)]
+    probes += [((0,) * rank, {j: 1}) for j in range(len(tab.roots))]
+    return all(_proportional(_int_bracket(tab, xi, _int_bracket(tab, xi, y)), xi)
+               for y in probes)
 
 
 def twistor_conic_sample(sc: StructureConstants, rho: Root, t) -> LieElement:
-    """Projective representative of the standard transverse conic at time t."""
+    """Projective representative of the standard transverse conic at time t.
+
+    The point is e_rho + t [e_-rho, e_rho] + t^2/2 [e_-rho, [e_-rho, e_rho]];
+    with t = p/q it is computed as 2q^2 times that, divided out at the end.
+    """
     t = Q(t)
-    e_rho = LieElement.root_vector(sc.rank, rho)
-    e_neg = LieElement.root_vector(sc.rank, tuple(-x for x in rho))
-    first = bracket(sc, e_neg, e_rho)
-    second = bracket(sc, e_neg, first)
-    return e_rho.add(first.scale(t)).add(second.scale(t * t / 2))
+    p, q = t.numerator, t.denominator
+    tab = sc.tables
+    e_rho = _root_element(sc.rank, tab.index[rho])
+    e_neg = _root_element(sc.rank, tab.index[tuple(-x for x in rho)])
+    first = _int_bracket(tab, e_neg, e_rho)
+    second = _int_bracket(tab, e_neg, first)
+    return _to_lie(tab, _combine([(2 * q * q, e_rho), (2 * p * q, first),
+                                  (p * p, second)]), 2 * q * q)
 
 
 class ContactDomainError(ValueError):
     """Element not supported on the contact hyperplane."""
 
 
-def contact_hyperplane_roots(rd: RootDatum, rho: Root, j0: int) -> tuple[Root, ...]:
+def contact_hyperplane_roots(rd: RootDatum, j0: int) -> tuple[Root, ...]:
+    """The roots of grade -1 for the contact node j0, a basis of the hyperplane."""
     return tuple(g for g in rd.roots if g[j0 - 1] == -1)
+
+
+def _contact_quadratic(tab: RootTables, rho_i: int, v: IntElement) -> IntElement:
+    """[v, [v, e_rho]]; the cubic is [v, _contact_quadratic(...)]."""
+    e_rho = _root_element(len(v[0]), rho_i)
+    return _int_bracket(tab, v, _int_bracket(tab, v, e_rho))
 
 
 def contact_cubic(sc: StructureConstants, rho: Root, j0: int,
                   v: LieElement) -> LieElement:
-    dom = set(contact_hyperplane_roots(sc.rd, rho, j0))
-    if any(x != 0 for x in v.h) or any(r not in dom for r, _ in v.e):
+    """[v, [v, [v, e_rho]]] for v on the contact hyperplane, exactly."""
+    tab = sc.tables
+    if any(v.h) or any(r[j0 - 1] != -1 or r not in tab.index for r, _ in v.e):
         raise ContactDomainError("vector is not supported on the contact hyperplane")
-    e_rho = LieElement.root_vector(sc.rank, rho)
-    return bracket(sc, v, bracket(sc, v, bracket(sc, v, e_rho)))
+    vi, d = _to_int(tab, v)
+    quad = _contact_quadratic(tab, tab.index[rho], vi)
+    return _to_lie(tab, _int_bracket(tab, vi, quad), d ** 3)
 
 
 def contact_quadratic(sc: StructureConstants, rho: Root,
                       v: LieElement) -> LieElement:
-    e_rho = LieElement.root_vector(sc.rank, rho)
-    return bracket(sc, v, bracket(sc, v, e_rho))
+    """[v, [v, e_rho]], exactly."""
+    tab = sc.tables
+    vi, d = _to_int(tab, v)
+    return _to_lie(tab, _contact_quadratic(tab, tab.index[rho], vi), d ** 2)
 
 
 @dataclass(frozen=True)
@@ -450,10 +557,29 @@ class ImplicationReport:
         return not self.violations
 
 
-def _random_q(rng: random.Random) -> Q:
+def _random_q(rng: random.Random) -> tuple[int, int]:
+    """A random rational as (numerator, denominator)."""
     num = rng.randint(-20, 20)
     den = rng.randint(1, 20)
-    return Q(num, den)
+    return num, den
+
+
+def _flow(tab: RootTables, root: int, c: tuple[int, int], v: IntElement) -> IntElement:
+    """exp(ad(c e_root)) v up to a positive factor, for c = p/q.
+
+    The series stops at the first zero power.  Multiplied by q^K K!, where K
+    is the last nonzero power, every term c^k/k! ad(e_root)^k v is integral.
+    """
+    p, q = c
+    if p == 0:
+        return v
+    u = _root_element(len(v[0]), root)
+    powers = [v]
+    while not _int_is_zero(w := _int_bracket(tab, u, powers[-1])):
+        powers.append(w)
+    top = len(powers) - 1
+    return _combine([(p ** k * q ** (top - k) * factorial(top) // factorial(k), w)
+                     for k, w in enumerate(powers)])
 
 
 def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
@@ -463,63 +589,61 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
     Random vectors rarely meet the cubic's zero locus, so the sample set is
     padded with structured vectors: all coordinate pairs with small rational
     weights, and the orbit of a line direction under a nilpotent flow (which
-    certifies the easy direction: quadratic zero implies cubic zero).
+    certifies the easy direction: quadratic zero implies cubic zero).  Both
+    forms are homogeneous, so each vector is tested times its common
+    denominator, on the integer core.
     """
     rng = random.Random(seed)
-    dom = contact_hyperplane_roots(sc.rd, rho, j0)
-    rank = sc.rank
+    tab = sc.tables
+    dom = contact_hyperplane_roots(sc.rd, j0)
+    dom_i = [tab.index[g] for g in dom]
+    rho_i = tab.index[rho]
+    no_h = (0,) * sc.rank
     violations: list[str] = []
     cubic_zero_hits = 0
     easy = 0
 
-    def run(v: LieElement, tag: str):
+    def run(e: dict[int, int], tag: str):
         nonlocal cubic_zero_hits
-        if v.is_zero():
+        if not e:
             return
-        cubic = contact_cubic(sc, rho, j0, v)
-        if cubic.is_zero():
+        v = (no_h, e)
+        quad = _contact_quadratic(tab, rho_i, v)
+        if _int_is_zero(_int_bracket(tab, v, quad)):
             cubic_zero_hits += 1
-            quad = contact_quadratic(sc, rho, v)
-            if not quad.is_zero():
+            if not _int_is_zero(quad):
                 violations.append(f"{tag}: cubic vanishes but quadratic does not")
 
     tested = 0
+    # {a: 1, b: c} runs as {a: den(c), b: num(c)}
+    weights = [(c.denominator, c.numerator, c) for c in (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2))]
     for a in range(len(dom)):
         for b in range(a + 1, len(dom)):
-            for c in (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2)):
-                v = LieElement.make(rank, None, {dom[a]: Q(1), dom[b]: c})
-                run(v, f"pair({a},{b},{c})")
+            for ca, cb, c in weights:
+                run({dom_i[a]: ca, dom_i[b]: cb}, f"pair({a},{b},{c})")
                 tested += 1
     while tested < samples:
-        v = LieElement.make(rank, None,
-                            {g: _random_q(rng) for g in dom if rng.random() < 0.7})
-        run(v, "random")
+        draws = [(i, _random_q(rng)) for i in dom_i if rng.random() < 0.7]
+        d = lcm(*(den for _, (_, den) in draws))
+        run({i: num * (d // den) for i, (num, den) in draws if num}, "random")
         tested += 1
 
     # easy direction along deformed line directions
-    line = LieElement.root_vector(rank, min(dom, key=lambda g: (-sum(g), g)))
-    flows = [g for g in sc.rd.roots if g[j0 - 1] == 0 and sum(g) != 0]
+    line = tab.index[min(dom, key=lambda g: (-sum(g), g))]
+    flows = [tab.index[g] for g in sc.rd.roots if g[j0 - 1] == 0 and sum(g) != 0]
+    in_dom = set(dom_i)
     for _ in range(min(40, samples)):
-        v = line
+        v = _root_element(sc.rank, line)
         for _ in range(2):
-            u = LieElement.root_vector(rank, flows[rng.randrange(len(flows))],
-                                       _random_q(rng))
+            root = flows[rng.randrange(len(flows))]
             # one exp(ad u) step truncated at nilpotency inside the hyperplane
-            term, acc, k = v, v, 1
-            while True:
-                term = bracket(sc, u, term).scale(Q(1, k))
-                if term.is_zero():
-                    break
-                acc = acc.add(term)
-                k += 1
-            v = acc
-        if any(r not in set(dom) for r, _ in v.e):
+            v = _flow(tab, root, _random_q(rng), v)
+        if not v[1].keys() <= in_dom:
             continue
-        quad = contact_quadratic(sc, rho, v)
-        if quad.is_zero():
+        quad = _contact_quadratic(tab, rho_i, v)
+        if _int_is_zero(quad):
             easy += 1
-            cubic = contact_cubic(sc, rho, j0, v)
-            if not cubic.is_zero():
+            if not _int_is_zero(_int_bracket(tab, v, quad)):
                 violations.append("flowed line direction: quadratic vanishes, cubic does not")
     return ImplicationReport(tested, cubic_zero_hits, easy, tuple(violations))
 
@@ -536,26 +660,30 @@ def g2_contact_implication_check(samples: int, seed: int) -> ImplicationReport:
 def find_cubic_zero_quadratic_nonzero(sc: StructureConstants, rho: Root, j0: int,
                                       max_support: int = 3) -> LieElement | None:
     """Deterministic search for a contact direction of a genuine smooth conic."""
-    import itertools as it
-    dom = contact_hyperplane_roots(sc.rd, rho, j0)
-    coeffs = [Q(1), Q(-1), Q(2), Q(-2), Q(3), Q(-3), Q(1, 2), Q(-1, 2)]
+    tab = sc.tables
+    dom = contact_hyperplane_roots(sc.rd, j0)
+    rho_i = tab.index[rho]
+    no_h = (0,) * sc.rank
+    coeffs = [(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 2), (-1, 2)]
     for size in range(2, max_support + 1):
         for support in it.combinations(dom, size):
+            first, *rest = (tab.index[g] for g in support)
             for cs in it.product(coeffs, repeat=size - 1):
-                weights = {support[0]: Q(1)}
-                weights.update(zip(support[1:], cs))
-                v = LieElement.make(sc.rank, None, weights)
-                cubic = contact_cubic(sc, rho, j0, v)
-                if cubic.is_zero():
-                    if not contact_quadratic(sc, rho, v).is_zero():
-                        return v
+                d = lcm(*(den for _, den in cs))
+                v = (no_h, {first: d, **{i: num * (d // den)
+                                         for i, (num, den) in zip(rest, cs)}})
+                quad = _contact_quadratic(tab, rho_i, v)
+                if not _int_is_zero(quad) and _int_is_zero(_int_bracket(tab, v, quad)):
+                    weights = {support[0]: 1}
+                    weights.update((g, Q(num, den)) for g, (num, den) in zip(support[1:], cs))
+                    return LieElement.make(sc.rank, None, weights)
     return None
 
 
 def constants_csv_rows(sc: StructureConstants):
     """Rows (alpha, beta, N) over all pairs with alpha+beta a root."""
-    for a in sc.rd.roots:
-        for b in sc.rd.roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if any(s) and sc.rd.is_root(s):
-                yield (a, b, sc.n(a, b))
+    tab = sc.tables
+    for a, row in zip(tab.roots, tab.rows):
+        for j, (s, n) in row.items():
+            if s != ZERO:
+                yield (a, tab.roots[j], n)

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import chevalley, conicatlas, fixtures, lunavust, verify
-from .rootcore import InvalidTypeError, UnsupportedAlgebraError, build_root_datum
+from .rootcore import InvalidTypeError, UnsupportedAlgebraError
 
 TABLES = ("satake", "chow", "hilb", "planes", "cosets", "colors")
 
@@ -172,9 +172,14 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+def _adjoint_data(label: str) -> conicatlas.AdjointData:
+    return conicatlas.adjoint_data(*conicatlas.parse_label(label))
+
+
 def cmd_export(args) -> int:
+    build = _adjoint_data if args.kind == "constants-csv" else conicatlas.build_entry
     try:
-        entry = conicatlas.build_entry(args.g)
+        entry = build(args.g)
     except (UnsupportedAlgebraError, InvalidTypeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -187,8 +192,7 @@ def cmd_export(args) -> int:
         text = lunavust.poset_to_dot(rep.poset, labels=rep.types,
                                      name=f"{args.g}_{args.which}") + "\n"
     elif args.kind == "constants-csv":
-        sc = chevalley.build_structure_constants(
-            build_root_datum(entry.series, entry.rank), verify="none")
+        sc = chevalley.build_structure_constants(entry.g, verify="none")
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["alpha", "beta", "n"])
@@ -207,13 +211,13 @@ def cmd_export(args) -> int:
 
 def cmd_contact_eq(args) -> int:
     try:
-        entry = conicatlas.build_entry(args.g)
+        ad = _adjoint_data(args.g)
     except (UnsupportedAlgebraError, InvalidTypeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    rd = build_root_datum(entry.series, entry.rank)
+    rd = ad.g
     sc = chevalley.build_structure_constants(rd, verify="none")
-    rho, j0 = entry.ad.rho, entry.ad.j0
+    rho, j0 = ad.rho, ad.j0
     rep = chevalley.contact_implication_check(sc, rho, j0, args.samples, args.seed)
     mink = tuple(-1 if k == j0 - 1 else 0 for k in range(rd.rank))
     wit = tuple(-a - r for a, r in zip(mink, rho))
@@ -246,14 +250,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _max_rank(text: str) -> int:
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 3, the rank of B3, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="conicfans",
         description="Exact tables, colored fans, and conic orbit structure "
                     "for adjoint varieties outside types A and C.")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--max-rank", type=int, default=8,
-                   help="rank cap for the B and D families")
+    p.add_argument("--max-rank", type=_max_rank, default=8,
+                   help="rank cap for the B and D families (at least 3)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all sampled checks")
     sub = p.add_subparsers(dest="command", required=True)

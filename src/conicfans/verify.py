@@ -467,7 +467,7 @@ def chevalley_checks(label: str, seed: int) -> list[CheckResult]:
     out.append(_res(not chevalley.contact_cubic(sc, rho, ad.j0, v_wit).is_zero(),
                     f"chevalley.general-direction-witness.{label}"))
 
-    dim_do = len(chevalley.contact_hyperplane_roots(rd, rho, ad.j0))
+    dim_do = len(chevalley.contact_hyperplane_roots(rd, ad.j0))
     out.append(_res(dim_do == 2 * ad.n, f"chevalley.contact-dimension.{label}"))
 
     if label == "G2":

@@ -43,6 +43,28 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("export", "constants-csv", "C3"),
+    ("export", "constants-csv", "X3"),
+    ("contact-eq", "B2"),
+    ("contact-eq", "G9"),
+])
+def test_bad_labels_without_atlas_entry_are_usage_errors(capsys, monkeypatch, argv):
+    # these commands read only the adjoint data, never the whole atlas entry
+    monkeypatch.setattr(cli.conicatlas, "build_entry", None)
+    code, _ = run(capsys, *argv)
+    assert code == 2
+
+
+@pytest.mark.parametrize("rank", ["2", "-1"])
+def test_max_rank_below_three_is_a_usage_error(capsys, rank):
+    # below B3 the cap would silently drop every B and D label
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--max-rank", rank, "verify", "rootcore", "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "--max-rank" in capsys.readouterr().err
+
+
 def test_csv_and_json_formats(capsys):
     code, out = run(capsys, "--format", "csv", "table", "cosets")
     assert code == 0 and out.splitlines()[0] == "g,double_cosets"
@@ -70,7 +92,8 @@ def test_export_hasse_dot_g2(capsys):
     assert out.count("->") == 2 and "Twistor" in out and "NPD" in out
 
 
-def test_export_constants_csv(capsys):
+def test_export_constants_csv(capsys, monkeypatch):
+    monkeypatch.setattr(cli.conicatlas, "build_entry", None)
     code, out = run(capsys, "export", "constants-csv", "G2")
     assert code == 0
     lines = out.strip().splitlines()
@@ -78,7 +101,8 @@ def test_export_constants_csv(capsys):
     assert all(line.split(",")[2].lstrip("-").isdigit() for line in lines[1:])
 
 
-def test_contact_eq_report(capsys):
+def test_contact_eq_report(capsys, monkeypatch):
+    monkeypatch.setattr(cli.conicatlas, "build_entry", None)
     code, out = run(capsys, "contact-eq", "G2", "--samples", "400", "--seed", "3")
     assert code == 0
     data = json.loads(out)
