@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .linalg import (Vec, det, feasible, inverse, is_zero, nullspace_basis,
-                     primitive, qvec, rank, rref, solve, transpose)
+                     primitive, qvec, rank, rref, solve, transpose, vdot)
 from .rootcore import StructureError
 
 Ray = tuple[int, ...]
@@ -71,6 +71,10 @@ class ColoredFan:
 # ---------------------------------------------------------------------------
 # H-representation / V-representation conversion
 
+def _rows_str(rows) -> str:
+    return "[" + ", ".join("(" + ", ".join(map(str, r)) + ")" for r in rows) + "]"
+
+
 def _rays_of_hcone(equalities, inequalities, dim) -> tuple[Ray, ...]:
     """Extremal rays of a pointed cone {x : E x = 0, M x >= 0}.
 
@@ -81,7 +85,9 @@ def _rays_of_hcone(equalities, inequalities, dim) -> tuple[Ray, ...]:
     eqs = [list(map(Q, r)) for r in equalities]
     ineqs = [list(map(Q, r)) for r in inequalities]
     if nullspace_basis(eqs + ineqs, dim):
-        raise StructureError("cone is not pointed; extremal rays undefined")
+        raise StructureError(
+            f"cone {{x : E x = 0, M x >= 0}} with E = {_rows_str(equalities)}, "
+            f"M = {_rows_str(inequalities)} is not pointed; extremal rays undefined")
     sdim = dim - (len(rref(eqs)[1]) if eqs else 0)
     if sdim == 0:
         return ()
@@ -131,17 +137,30 @@ def cone_equal(c1: QCone, c2: QCone) -> bool:
             and all(cone_contains(c1, g) for g in c2.generators))
 
 
-@lru_cache(maxsize=None)
-def _extremal_cached(gens: tuple[Vec, ...], dim: int) -> tuple[Ray, ...]:
-    eqs, facets = _hrep_cached(gens, dim)
-    return _rays_of_hcone(eqs, facets, dim)
+_rays_memo: dict = {}   # {(generators, ambient dim): extremal rays}
 
 
 def extremal_rays(cone: QCone) -> tuple[Ray, ...]:
     """Minimal primitive generating rays, canonically sorted."""
     if not cone.generators:
         return ()
-    return _extremal_cached(cone.generators, cone.ambient_dim)
+    key = (cone.generators, cone.ambient_dim)
+    if key not in _rays_memo:
+        eqs, facets = hrep(cone)
+        _rays_memo[key] = _rays_of_hcone(eqs, facets, cone.ambient_dim)
+    return _rays_memo[key]
+
+
+def _cone_on_rays(rays) -> QCone:
+    """The cone spanned by rays already known to be its extremal rays.
+
+    A face of a pointed cone is spanned by the cone's extremal rays that lie
+    on it, and those are exactly its own extremal rays; recording them spares
+    the face an H-representation just to compute its key.
+    """
+    cone = QCone.of(rays)
+    _rays_memo.setdefault((cone.generators, cone.ambient_dim), tuple(rays))
+    return cone
 
 
 def is_pointed(cone: QCone) -> bool:
@@ -238,8 +257,33 @@ class ConeCheck:
         return self.ok
 
 
+# ---------------------------------------------------------------------------
+# Cone-layer answers, memoized per restricted datum.  Each of them depends on
+# the datum only through `rrd.restricted.cartan` (the valuation cone and the
+# color points are read off it) and on its cones only through their keys, so
+# labels sharing a restricted Cartan matrix share every answer.
+
+_faces_memo: dict = {}   # {restricted cartan: {(kind, cone keys...): answer}}
+
+
+def _memo(rrd, key, compute):
+    cache = _faces_memo.setdefault(rrd.restricted.cartan, {})
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
+def _fan_key(fan) -> tuple:
+    return tuple(c.key() for c in fan)
+
+
 def is_colored_cone(cc: ColoredCone, rrd, strict: bool = False) -> ConeCheck:
     """Validity of (C, F): generation from colors plus V, relint meeting V."""
+    return _memo(rrd, ("cone", cc.key(), strict),
+                 lambda: _check_colored_cone(cc, rrd, strict))
+
+
+def _check_colored_cone(cc: ColoredCone, rrd, strict: bool) -> ConeCheck:
     diags = []
     cone = cc.cone
     eps = {i: color_point(rrd, i) for i in sorted(cc.colors)}
@@ -263,44 +307,49 @@ def is_colored_cone(cc: ColoredCone, rrd, strict: bool = False) -> ConeCheck:
 
 def colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
     """All colored faces of a colored cone, the cone itself and 0 included."""
-    return _colored_faces_cached(cc.key(), cc.cone.generators,
-                                 frozenset(cc.colors), rrd)
+    return _memo(rrd, ("faces", cc.key()), lambda: _colored_faces(cc, rrd))
 
 
-def _colored_faces_cached(key, gens, colors, rrd):
-    cache = _faces_memo.setdefault(rrd.restricted.cartan, {})
-    if key in cache:
-        return cache[key]
-    out = {}
+def _colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
+    """Faces read off the ray-facet incidence of the pointed cone.
+
+    A nonzero face is the set of extremal rays on which some set of facets
+    vanishes, i.e. an intersection of the facets' ray sets; the cone itself
+    is the empty intersection.  A color lies on a face when it lies in the
+    cone and on every facet that vanishes on the whole face.
+    """
     zero = ColoredCone(QCone(()), frozenset())
-    out[zero.key()] = zero
-    if gens:
-        cone = QCone(gens)
-        dim = cone.ambient_dim
-        eqs, facets = hrep(cone)
-        for k in range(len(facets) + 1):
-            for subset in itertools.combinations(range(len(facets)), k):
-                sys_eqs = [list(e) for e in eqs] + [list(facets[j]) for j in subset]
-                rest = [list(facets[j]) for j in range(len(facets)) if j not in subset]
-                rays = _rays_of_hcone(sys_eqs, rest, dim)
-                face = QCone.of(rays)
-                if not face.generators:
-                    continue
-                if not relint_meets_valuation(rrd, face):
-                    continue
-                fcolors = frozenset(i for i in colors
-                                    if cone_contains(face, color_point(rrd, i)))
-                fc = ColoredCone(face, fcolors)
-                out.setdefault(fc.key(), fc)
-    result = tuple(out[k] for k in sorted(out))
-    cache[key] = result
-    return result
-
-
-_faces_memo: dict = {}
+    out = {zero.key(): zero}
+    cone = cc.cone
+    if cone.generators:
+        rays = extremal_rays(cone)
+        _, facets = hrep(cone)
+        tight = [frozenset(i for i, r in enumerate(rays) if vdot(f, r) == 0)
+                 for f in facets]
+        faces = {frozenset(range(len(rays)))}
+        for t in tight:
+            faces |= {s & t for s in faces}
+        points = {i: color_point(rrd, i) for i in cc.colors}
+        inside = [i for i, x in points.items() if cone_contains(cone, x)]
+        for s in faces:
+            if not s:
+                continue
+            face = _cone_on_rays([rays[i] for i in sorted(s)])
+            if not relint_meets_valuation(rrd, face):
+                continue
+            walls = [f for f, t in zip(facets, tight) if s <= t]
+            fcolors = frozenset(i for i in inside
+                                if all(vdot(f, points[i]) == 0 for f in walls))
+            fc = ColoredCone(face, fcolors)
+            out[fc.key()] = fc
+    return tuple(out[k] for k in sorted(out))
 
 
 def is_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
+    return _memo(rrd, ("fan", _fan_key(fan)), lambda: _check_colored_fan(fan, rrd))
+
+
+def _check_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
     diags = []
     keys = {c.key() for c in fan}
     for c in fan:
@@ -316,18 +365,29 @@ def is_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
     return ConeCheck(not diags, tuple(diags))
 
 
+def _face_order(fan: ColoredFan, rrd) -> frozenset[tuple[int, int]]:
+    """Pairs (i, j) of fan positions: cone i is a proper colored face of cone j."""
+    def compute():
+        keys = [c.key() for c in fan]
+        less = set()
+        for j, c in enumerate(fan):
+            below = {f.key() for f in colored_faces(c, rrd)} - {keys[j]}
+            less.update((i, j) for i, k in enumerate(keys) if k in below)
+        return frozenset(less)
+    return _memo(rrd, ("order", _fan_key(fan)), compute)
+
+
 def maximal_cones(fan: ColoredFan, rrd) -> tuple[ColoredCone, ...]:
-    out = []
-    for c in fan:
-        below = any(c.key() in {f.key() for f in colored_faces(d, rrd)}
-                    for d in fan if d.key() != c.key())
-        if not below:
-            out.append(c)
-    return tuple(out)
+    below = {i for i, _ in _face_order(fan, rrd)}
+    return tuple(c for i, c in enumerate(fan) if i not in below)
 
 
 def is_complete(fan: ColoredFan, rrd) -> bool:
     """Exact covering test: V contained in the union of the fan's cones."""
+    return _memo(rrd, ("complete", _fan_key(fan)), lambda: _covers_valuation(fan, rrd))
+
+
+def _covers_valuation(fan: ColoredFan, rrd) -> bool:
     maxc = [c for c in maximal_cones(fan, rrd) if c.cone.generators]
     if not maxc:
         return False
@@ -376,13 +436,7 @@ def orbit_poset(fan: ColoredFan, rrd) -> Poset:
     the open orbit and maximal cones are the closed ones.
     """
     nodes = list(fan)
-    keyidx = {c.key(): i for i, c in enumerate(nodes)}
-    less = set()
-    for j, c in enumerate(nodes):
-        for f in colored_faces(c, rrd):
-            i = keyidx.get(f.key())
-            if i is not None and i != j:
-                less.add((i, j))
+    less = _face_order(fan, rrd)
     covers = {(i, j) for (i, j) in less
               if not any((i, k) in less and (k, j) in less for k in range(len(nodes)))}
     return Poset(tuple(nodes), tuple(sorted(less)), tuple(sorted(covers)))
@@ -473,7 +527,9 @@ def _factor_fundamental_weights(rrd, order) -> list[Vec]:
         b = [Q(1) if k == i else Q(0) for k in range(len(order))]
         c = solve(a, b)
         if c is None:
-            raise StructureError("factor Cartan is singular")
+            raise StructureError(
+                f"factor Cartan on restricted nodes {list(order)} is singular "
+                f"(restricted Cartan {_rows_str(cart)})")
         w = [Q(0)] * m
         for coef, row in zip(c, span_rows):
             for k in range(m):
@@ -544,10 +600,15 @@ def _ruzzi_condition3(rrd, cc, prim, factors, detail) -> bool:
     for yi, y in enumerate(duals):
         for bj, b in enumerate(basis_vecs):
             if sum(y[k] * b[k] for k in range(m)) != (1 if yi == bj else 0):
-                raise StructureError("dual basis construction failed")
+                raise StructureError(
+                    f"dual basis construction failed for rays {_rows_str(prim)} "
+                    f"(doubled) over restricted Cartan {_rows_str(rrd.restricted.cartan)}")
         for x in y:
             if x.denominator != 1 or x.numerator % 2:
-                raise StructureError("dual basis left the doubled weight lattice")
+                raise StructureError(
+                    f"dual basis of rays {_rows_str(prim)} (doubled) left the doubled "
+                    f"weight lattice over restricted Cartan "
+                    f"{_rows_str(rrd.restricted.cartan)}")
 
     selected = sorted(set().union(*factors)) if factors else []
     pair = {yi: {col: sum(duals[yi][k] * color_point(rrd, col)[k] for k in range(m))

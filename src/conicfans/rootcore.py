@@ -306,14 +306,21 @@ class RootDatum:
     def norm(self, v) -> Q:
         return self.killing_pair(v, v)
 
+    @cached_property
+    def _component_max_norm(self) -> tuple[tuple[frozenset[int], Q], ...]:
+        """(0-based node set, largest root norm) for each irreducible component."""
+        out = []
+        for nodes in self.component_nodes:
+            idx = frozenset(i - 1 for i in nodes)
+            out.append((idx, max(self.norm(g) for g in self.roots
+                                 if {k for k, x in enumerate(g) if x != 0} <= idx)))
+        return tuple(out)
+
     def is_long(self, root) -> bool:
         """Maximal length within the root's own irreducible component."""
         support = {k for k, x in enumerate(root) if x != 0}
-        for nodes in self.component_nodes:
-            if support <= {i - 1 for i in nodes}:
-                comp_roots = [g for g in self.roots
-                              if {k for k, x in enumerate(g) if x != 0} <= {i - 1 for i in nodes}]
-                m = max(self.norm(g) for g in comp_roots)
+        for idx, m in self._component_max_norm:
+            if support <= idx:
                 return self.norm(root) == m
         raise StructureError("root support crosses components")
 

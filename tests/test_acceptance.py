@@ -5,14 +5,17 @@ tolerances are the stated wall-clock budgets.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import conicfans
 from conicfans import chevalley, conicatlas, fixtures, lunavust, symdata, verify
 from conicfans.linalg import identity
 from conicfans.rootcore import ParabolicSubset, build_root_datum, duality_involution
@@ -195,10 +198,14 @@ def test_criterion_10_chevalley_suite():
 
 
 def test_criterion_11_end_to_end(tmp_path):
+    # the children import the package from the same source tree as this test
+    src = str(Path(conicfans.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "conicfans.cli", "verify", "all", "--jobs", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     elapsed = time.monotonic() - t0
     ok = proc.returncode == 0 and elapsed < 180.0
     lastline = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
@@ -215,6 +222,6 @@ def test_criterion_11_end_to_end(tmp_path):
         [sys.executable, "-m", "conicfans.cli", "--max-rank", "4",
          "verify", "conicatlas"],
         capture_output=True, text=True,
-        env={**__import__("os").environ, verify.GOLDEN_ENV: str(work)})
+        env={**env, verify.GOLDEN_ENV: str(work)})
     ok &= proc2.returncode == 1
     _report(11, f"verify all: {count} checks in {elapsed:.0f}s, fault flips", ok)

@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
+from conicfans import conicatlas
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
+from conicfans.linalg import feasible
 from conicfans.rootcore import StructureError
 
 
@@ -169,3 +172,80 @@ def test_dot_export_mentions_all_nodes():
     dot = lv.poset_to_dot(poset, name="g2")
     assert dot.count("label=") == 3
     assert dot.count("->") == 2
+
+
+def _faces_by_facet_subsets(cc, rrd):
+    """Reference: one H-system per subset of facets, relint meeting V by `feasible`."""
+    out = [lv.ColoredCone(lv.QCone(()), frozenset()).key()]
+    if not cc.cone.generators:
+        return out
+    dim = cc.cone.ambient_dim
+    eqs, facets = lv.hrep(cc.cone)
+    cartan = rrd.restricted.cartan
+    for k in range(len(facets) + 1):
+        for subset in itertools.combinations(range(len(facets)), k):
+            rays = lv._rays_of_hcone(
+                list(eqs) + [facets[j] for j in subset],
+                [facets[j] for j in range(len(facets)) if j not in subset], dim)
+            if not rays:
+                continue
+            # x = sum t_i r_i with every t_i >= 1 and A x <= 0
+            ineqs = [[Q(int(i == j)) for j in range(len(rays))] + [Q(-1)]
+                     for i in range(len(rays))]
+            ineqs += [[-sum(Q(row[c]) * r[c] for c in range(dim)) for r in rays] + [Q(0)]
+                      for row in cartan]
+            if not feasible([], ineqs, len(rays)):
+                continue
+            face = lv.QCone.of(rays)
+            colors = tuple(sorted(i for i in cc.colors
+                                  if lv.cone_contains(face, lv.color_point(rrd, i))))
+            out.append((rays, colors))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("label", ["B3", "B4", "D4", "E6", "G2"])
+def test_colored_faces_match_facet_subset_enumeration(label):
+    entry = conicatlas.build_entry(label)
+    for fan in (entry.chow_fan, entry.hilb_fan):
+        for cc in fan:
+            got = [f.key() for f in lv.colored_faces(cc, entry.rrd)]
+            assert got == _faces_by_facet_subsets(cc, entry.rrd)
+
+
+def test_colored_faces_solve_no_h_system(monkeypatch):
+    rrd = rrd_of("D", 4)
+    cc = lv.ColoredCone(
+        lv.QCone.of([neg(v) for v in rrd.gamma] + [unit(2, 4)]), frozenset({2}))
+    monkeypatch.setattr(lv, "_faces_memo", {})
+    monkeypatch.setattr(lv, "_rays_memo", {})
+    lv.extremal_rays(cc.cone)
+    lv.hrep(cc.cone)
+
+    def solve(*args):
+        raise AssertionError("colored_faces solved an H-system")
+
+    monkeypatch.setattr(lv, "_rays_of_hcone", solve)
+    assert len(lv.colored_faces(cc, rrd)) == 15
+
+
+def test_fan_memo_keys_hold_every_cone():
+    b4, b5 = conicatlas.build_entry("B4"), conicatlas.build_entry("B5")
+    assert b4.rrd.restricted.cartan == b5.rrd.restricted.cartan
+    assert lv.is_colored_fan(b4.hilb_fan, b4.rrd).ok
+    maxkeys = {c.key() for c in lv.maximal_cones(b5.hilb_fan, b5.rrd)}
+    dropped = next(c for c in b5.hilb_fan
+                   if c.cone.generators and c.key() not in maxkeys)
+    holed = lv.ColoredFan.of([c for c in b5.hilb_fan if c is not dropped])
+    check = lv.is_colored_fan(holed, b5.rrd)
+    assert not check.ok
+    assert any(d.startswith("missing colored face") for d in check.diagnostics)
+
+
+def test_structure_errors_name_their_object():
+    with pytest.raises(StructureError, match=r"M = \[\(0, 1\)\] is not pointed"):
+        lv.extremal_rays(lv.QCone.of([(1, 0), (-1, 0), (0, 1)]))
+    rrd = rrd_of("G", 2)
+    with pytest.raises(StructureError,
+                       match=r"restricted nodes \[1, 1\] is singular "
+                             r"\(restricted Cartan \[\(2, -1\), \(-3, 2\)\]\)"):
+        lv._factor_fundamental_weights(rrd, [1, 1])
