@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -469,15 +469,6 @@ def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
     return _to_lie(tab, _int_bracket(tab, xi, yi), dx * dy)
 
 
-def ad_power(sc: StructureConstants, x: LieElement, y: LieElement, k: int) -> LieElement:
-    out = y
-    for _ in range(k):
-        if out.is_zero():
-            return out
-        out = bracket(sc, x, out)
-    return out
-
-
 def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
     """Whether [x, [x, -]] lands in the line through x for every basis vector.
 
@@ -549,7 +540,6 @@ def contact_quadratic(sc: StructureConstants, rho: Root,
 class ImplicationReport:
     samples: int
     cubic_zero_hits: int
-    easy_direction_checked: int
     violations: tuple[str, ...]
 
     @property
@@ -564,33 +554,14 @@ def _random_q(rng: random.Random) -> tuple[int, int]:
     return num, den
 
 
-def _flow(tab: RootTables, root: int, c: tuple[int, int], v: IntElement) -> IntElement:
-    """exp(ad(c e_root)) v up to a positive factor, for c = p/q.
-
-    The series stops at the first zero power.  Multiplied by q^K K!, where K
-    is the last nonzero power, every term c^k/k! ad(e_root)^k v is integral.
-    """
-    p, q = c
-    if p == 0:
-        return v
-    u = _root_element(len(v[0]), root)
-    powers = [v]
-    while not _int_is_zero(w := _int_bracket(tab, u, powers[-1])):
-        powers.append(w)
-    top = len(powers) - 1
-    return _combine([(p ** k * q ** (top - k) * factorial(top) // factorial(k), w)
-                     for k, w in enumerate(powers)])
-
-
 def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
                               samples: int, seed: int) -> ImplicationReport:
     """Sampled check that a vanishing cubic forces a vanishing quadratic.
 
     Random vectors rarely meet the cubic's zero locus, so the sample set is
     padded with structured vectors: all coordinate pairs with small rational
-    weights, and the orbit of a line direction under a nilpotent flow (which
-    certifies the easy direction: quadratic zero implies cubic zero).  Both
-    forms are homogeneous, so each vector is tested times its common
+    weights.  The converse needs no samples: the cubic is [v, quadratic].
+    Both forms are homogeneous, so each vector is tested times its common
     denominator, on the integer core.
     """
     rng = random.Random(seed)
@@ -601,7 +572,6 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
     no_h = (0,) * sc.rank
     violations: list[str] = []
     cubic_zero_hits = 0
-    easy = 0
 
     def run(e: dict[int, int], tag: str):
         nonlocal cubic_zero_hits
@@ -627,45 +597,18 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
         d = lcm(*(den for _, (_, den) in draws))
         run({i: num * (d // den) for i, (num, den) in draws if num}, "random")
         tested += 1
-
-    # easy direction along deformed line directions
-    line = tab.index[min(dom, key=lambda g: (-sum(g), g))]
-    flows = [tab.index[g] for g in sc.rd.roots if g[j0 - 1] == 0 and sum(g) != 0]
-    in_dom = set(dom_i)
-    for _ in range(min(40, samples)):
-        v = _root_element(sc.rank, line)
-        for _ in range(2):
-            root = flows[rng.randrange(len(flows))]
-            # one exp(ad u) step truncated at nilpotency inside the hyperplane
-            v = _flow(tab, root, _random_q(rng), v)
-        if not v[1].keys() <= in_dom:
-            continue
-        quad = _contact_quadratic(tab, rho_i, v)
-        if _int_is_zero(quad):
-            easy += 1
-            if not _int_is_zero(_int_bracket(tab, v, quad)):
-                violations.append("flowed line direction: quadratic vanishes, cubic does not")
-    return ImplicationReport(tested, cubic_zero_hits, easy, tuple(violations))
+    return ImplicationReport(tested, cubic_zero_hits, tuple(violations))
 
 
-def g2_contact_implication_check(samples: int, seed: int) -> ImplicationReport:
-    """The G2 equivalence of the cubic and quadratic vanishing loci, sampled."""
-    from .rootcore import build_root_datum, highest_root
-    rd = build_root_datum("G", 2)
-    sc = build_structure_constants(rd, verify="none")
-    rho = highest_root(rd)
-    return contact_implication_check(sc, rho, 2, samples, seed)
-
-
-def find_cubic_zero_quadratic_nonzero(sc: StructureConstants, rho: Root, j0: int,
-                                      max_support: int = 3) -> LieElement | None:
+def find_cubic_zero_quadratic_nonzero(sc: StructureConstants, rho: Root,
+                                      j0: int) -> LieElement | None:
     """Deterministic search for a contact direction of a genuine smooth conic."""
     tab = sc.tables
     dom = contact_hyperplane_roots(sc.rd, j0)
     rho_i = tab.index[rho]
     no_h = (0,) * sc.rank
     coeffs = [(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 2), (-1, 2)]
-    for size in range(2, max_support + 1):
+    for size in (2, 3):
         for support in it.combinations(dom, size):
             first, *rest = (tab.index[g] for g in support)
             for cs in it.product(coeffs, repeat=size - 1):

@@ -203,7 +203,11 @@ def cmd_export(args) -> int:
         print(f"unknown export kind {args.kind!r}", file=sys.stderr)
         return 2
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -236,7 +240,6 @@ def cmd_contact_eq(args) -> int:
         "counts": {
             "samples": rep.samples,
             "cubic_zero_hits": rep.cubic_zero_hits,
-            "quadratic_zero_directions_checked": rep.easy_direction_checked,
         },
     }
     sys.stdout.write(json.dumps(report, indent=1, sort_keys=True) + "\n")

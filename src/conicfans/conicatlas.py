@@ -220,7 +220,7 @@ def build_entry(label: str) -> ConicAtlasEntry:
         QCone.of([color_point(rrd, i) for i in sorted(chow_colors)]
                  + list(valuation_cone(rrd).generators)),
         chow_colors)
-    check = is_colored_cone(chow_max, rrd, strict=True)
+    check = is_colored_cone(chow_max, rrd)
     if not check:
         raise StructureError(f"{label}: transverse-family cone invalid: {check.diagnostics}")
     chow_fan = fan_with_faces(rrd, [chow_max])
@@ -242,7 +242,7 @@ def build_entry(label: str) -> ConicAtlasEntry:
                 f"{label}: colors from the isotropy equation {sorted(f)} differ "
                 f"from the table {sorted(spec_colors)}")
         cc = resolve_cone(rrd, symbols, f)
-        check = is_colored_cone(cc, rrd, strict=True)
+        check = is_colored_cone(cc, rrd)
         if not check:
             raise StructureError(f"{label}: tabulated cone invalid: {check.diagnostics}")
         hilb_cones.append(cc)
@@ -267,11 +267,6 @@ def reducible_divisor_ray(entry: ConicAtlasEntry):
     return resolve_ray(entry.rrd, fixtures.REDUCIBLE_RAY[entry.kind])
 
 
-def double_coset_table(max_rank: int = 8) -> dict[str, int]:
-    return {label: build_entry(label).double_cosets
-            for label in fixtures.supported_labels(max_rank)}
-
-
 # ---------------------------------------------------------------------------
 # labeled orbit structure
 
@@ -287,20 +282,6 @@ class OrbitReport:
         for t in self.types:
             out[t] = out.get(t, 0) + 1
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.label,
-            "scheme": self.scheme,
-            "orbits": [
-                {"type": self.types[i],
-                 "dim": c.cone.dim(),
-                 "rays": [list(r) for r in extremal_rays(c.cone)],
-                 "colors": sorted(c.colors)}
-                for i, c in enumerate(self.poset.nodes)
-            ],
-            "closure_edges": [[i, j] for i, j in self.poset.covers],
-        }
 
 
 def _symbol_key_map(entry: ConicAtlasEntry, scheme: str) -> dict:
@@ -390,18 +371,3 @@ def _check_labels(entry, scheme, poset, types) -> None:
         raise StructureError(
             "reducible-conic classes must be one less than the double cosets")
 
-
-def entry_to_json_dict(entry: ConicAtlasEntry) -> dict:
-    from .lunavust import fan_to_json_dict
-    return {
-        "g": entry.label,
-        "j0": entry.ad.j0,
-        "n": entry.ad.n,
-        "chow": fan_to_json_dict(entry.chow_fan, entry.rrd.space_label),
-        "hilb": fan_to_json_dict(entry.hilb_fan, entry.rrd.space_label),
-        "orbits": {
-            "chow": orbit_report(entry, "chow").to_json_dict(),
-            "hilb": orbit_report(entry, "hilb").to_json_dict(),
-        },
-        "double_cosets": entry.double_cosets,
-    }

@@ -153,7 +153,8 @@ def primitive(v) -> tuple[int, ...]:
 def fm_feasible(ineqs, nvars: int) -> bool:
     """Fourier-Motzkin feasibility of {x : row[:n] . x + row[n] >= 0}.
 
-    Rows are affine: the last entry is the constant term.
+    Rows are affine: the last entry is the constant term.  Each derived row
+    is scaled to its `primitive` integer form, so equal half-spaces dedupe.
     """
     rows = {tuple(map(Q, r)) for r in ineqs}
     for v in range(nvars):
@@ -176,22 +177,8 @@ def fm_feasible(ineqs, nvars: int) -> bool:
                 if r[-1] < 0:
                     return False
             else:
-                rows.add(tuple(primitive_affine(r)))
+                rows.add(primitive(r))
     return all(r[-1] >= 0 for r in rows if all(x == 0 for x in r[:-1]))
-
-
-def primitive_affine(r):
-    """Normalize an inequality row by a positive scalar (for dedup only)."""
-    denom_lcm = 1
-    for x in r:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in r]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return [Q(0)] * len(r)
-    return [Q(x, g) for x in ints]
 
 
 def feasible(eqs, ineqs, nvars: int) -> bool:

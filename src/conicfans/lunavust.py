@@ -4,7 +4,10 @@ All cone arithmetic happens in the basis of restricted simple coroots; a
 vector (c_1, ..., c_m) stands for sum c_i lambda_i^vee.  The valuation cone
 is the negative Weyl chamber {c : A c <= 0} for the restricted Cartan matrix
 A, and the color points are the halved basis vectors e_i / 2.  Everything is
-exact; feasibility questions run through Fourier-Motzkin elimination.
+exact.  Every yes/no question (generation by colors and V, relative interiors
+meeting V, pointedness, completeness) is one or more `linalg.feasible` calls,
+i.e. Fourier-Motzkin elimination; the exponential H/V conversion
+`_rays_of_hcone` serves only `hrep` and `extremal_rays`.
 """
 
 from __future__ import annotations
@@ -130,13 +133,6 @@ def cone_contains(cone: QCone, x) -> bool:
             and all(sum(f[k] * x[k] for k in range(n)) >= 0 for f in facets))
 
 
-def cone_equal(c1: QCone, c2: QCone) -> bool:
-    if not c1.generators or not c2.generators:
-        return not c1.generators and not c2.generators
-    return (all(cone_contains(c2, g) for g in c1.generators)
-            and all(cone_contains(c1, g) for g in c2.generators))
-
-
 _rays_memo: dict = {}   # {(generators, ambient dim): extremal rays}
 
 
@@ -164,22 +160,10 @@ def _cone_on_rays(rays) -> QCone:
 
 
 def is_pointed(cone: QCone) -> bool:
+    """Whether the cone holds no line: some linear form is >= 1 on every generator."""
     if not cone.generators:
         return True
-    eqs, facets = hrep(cone)
-    lin = nullspace_basis([list(r) for r in eqs] + [list(r) for r in facets],
-                          cone.ambient_dim)
-    return not lin
-
-
-def intersect(c1: QCone, c2: QCone) -> QCone:
-    if not c1.generators or not c2.generators:
-        return QCone(())
-    e1, f1 = hrep(c1)
-    e2, f2 = hrep(c2)
-    rays = _rays_of_hcone([list(r) for r in e1 + e2],
-                          [list(r) for r in f1 + f2], c1.ambient_dim)
-    return QCone.of(rays)
+    return feasible([], [list(g) + [Q(-1)] for g in cone.generators], cone.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -201,51 +185,36 @@ def in_valuation_cone(rrd, x) -> bool:
     return all(sum(row[k] * x[k] for k in range(len(x))) <= 0 for row in _vrows(rrd))
 
 
-@lru_cache(maxsize=None)
-def _negative_chamber_rays_cached(cartan) -> tuple[Ray, ...]:
-    rows = [[-Q(x) for x in row] for row in cartan]
-    return _rays_of_hcone([], rows, len(cartan))
-
-
 def valuation_cone(rrd) -> QCone:
-    """The negative Weyl chamber as a generator cone (spanned by -gamma_j)."""
-    return QCone.of(_negative_chamber_rays_cached(rrd.restricted.cartan))
+    """The negative Weyl chamber as a generator cone (spanned by -gamma_j).
+
+    V = {c : A c <= 0} = {-A^-1 y : y >= 0}, so the -gamma_j are the columns
+    of -A^-1; they are read off the restricted Cartan matrix A alone.
+    """
+    ainv = inverse(rrd.restricted.cartan)
+    return QCone.of(sorted(primitive([-row[j] for row in ainv])
+                           for j in range(len(ainv))))
 
 
-def relint_meets_valuation(rrd, cone: QCone) -> bool:
-    """Exact test that the relative interior of the cone meets V."""
-    if not cone.generators:
-        return True  # relint({0}) = {0}, and 0 lies in V
-    gens = [qvec(g) for g in cone.generators]
-    n = len(gens)
-    ineqs = []
-    for idx in range(n):
-        row = [Q(0)] * (n + 1)
-        row[idx], row[-1] = Q(1), Q(-1)
-        ineqs.append(row)  # t_idx >= 1
-    for vr in _vrows(rrd):
-        ineqs.append([-sum(vr[k] * g[k] for k in range(len(vr))) for g in gens] + [Q(0)])
-    return feasible([], ineqs, n)
+def relints_meet_in_valuation(rrd, *cones: QCone) -> bool:
+    """Exact test that the relative interiors of the cones share a point of V.
 
-
-def relint_pair_disjoint_in_valuation(rrd, c1: QCone, c2: QCone) -> bool:
-    """True when relint(c1) and relint(c2) share no valuation."""
-    if not c1.generators or not c2.generators:
-        return not (not c1.generators and not c2.generators)
-    g1 = [qvec(g) for g in c1.generators]
-    g2 = [qvec(g) for g in c2.generators]
-    n1, n2 = len(g1), len(g2)
-    dim = len(g1[0])
-    eqs = [[g[k] for g in g1] + [-g[k] for g in g2] + [Q(0)] for k in range(dim)]
-    ineqs = []
-    for idx in range(n1 + n2):
-        row = [Q(0)] * (n1 + n2 + 1)
-        row[idx], row[-1] = Q(1), Q(-1)
-        ineqs.append(row)
-    for vr in _vrows(rrd):
-        ineqs.append([-sum(vr[k] * g[k] for k in range(dim)) for g in g1]
-                     + [Q(0)] * n2 + [Q(0)])
-    return not feasible(eqs, ineqs, n1 + n2)
+    A point of relint(cone(g_1, ..., g_n)) is sum t_i g_i with every t_i > 0,
+    scaled here to t_i >= 1.  The cones' points are set equal and the first
+    one is asked to satisfy A x <= 0.  relint({0}) = {0} lies in V and, by
+    convention, meets no relative interior of a nonzero cone.
+    """
+    gens = [[qvec(g) for g in c.generators] for c in cones]
+    if not all(gens):
+        return not any(gens)
+    flat = [(j, g) for j, gs in enumerate(gens) for g in gs]   # one t per (cone, g)
+    n = len(flat)
+    eqs = [[g[k] if c == 0 else -g[k] if c == j else Q(0) for c, g in flat] + [Q(0)]
+           for j in range(1, len(gens)) for k in range(len(flat[0][1]))]
+    ineqs = [[Q(int(i == j)) for j in range(n)] + [Q(-1)] for i in range(n)]  # t_i >= 1
+    ineqs += [[-vdot(vr, g) if c == 0 else Q(0) for c, g in flat] + [Q(0)]
+              for vr in _vrows(rrd)]
+    return feasible(eqs, ineqs, n)
 
 
 @dataclass(frozen=True)
@@ -277,13 +246,12 @@ def _fan_key(fan) -> tuple:
     return tuple(c.key() for c in fan)
 
 
-def is_colored_cone(cc: ColoredCone, rrd, strict: bool = False) -> ConeCheck:
-    """Validity of (C, F): generation from colors plus V, relint meeting V."""
-    return _memo(rrd, ("cone", cc.key(), strict),
-                 lambda: _check_colored_cone(cc, rrd, strict))
+def is_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
+    """Validity of (C, F): generated by colors plus V, relint meeting V, pointed."""
+    return _memo(rrd, ("cone", cc.key()), lambda: _check_colored_cone(cc, rrd))
 
 
-def _check_colored_cone(cc: ColoredCone, rrd, strict: bool) -> ConeCheck:
+def _check_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
     diags = []
     cone = cc.cone
     eps = {i: color_point(rrd, i) for i in sorted(cc.colors)}
@@ -292,17 +260,34 @@ def _check_colored_cone(cc: ColoredCone, rrd, strict: bool) -> ConeCheck:
             diags.append(f"color D{i} not inside the cone")
         if not cone.generators:
             diags.append(f"color D{i} attached to the zero cone")
-    if cone.generators and not diags:
-        vpart = intersect(cone, valuation_cone(rrd))
-        regen = QCone.of(list(eps.values()) + list(vpart.generators))
-        if not cone_equal(cone, regen):
-            diags.append("cone is not generated by its colors and its valuation part")
-    if not relint_meets_valuation(rrd, cone):
+    if cone.generators and not diags and not _generated_by_colors_and_valuations(
+            rrd, cone, list(eps.values())):
+        diags.append("cone is not generated by its colors and its valuation part")
+    if not relints_meet_in_valuation(rrd, cone):
         diags.append("relative interior misses the valuation cone")
-    if strict:
-        if cone.generators and not is_pointed(cone):
-            diags.append("cone is not strictly convex")
+    if not is_pointed(cone):
+        diags.append("cone is not strictly convex")
     return ConeCheck(not diags, tuple(diags))
+
+
+def _generated_by_colors_and_valuations(rrd, cone: QCone, eps) -> bool:
+    """Whether C = cone(eps) + (C cap V), for colors eps already inside C.
+
+    That holds exactly when every generator g of C is sum lam_D eps_D + w with
+    every lam_D >= 0 and w in C cap V: one feasibility question per g, on the
+    unknowns lam_D, with w = g - sum lam_D eps_D held to C's facets and to
+    A w <= 0.  C's span equations hold for w already, since g and the eps_D
+    lie in C, and nothing here asks C to be pointed.
+    """
+    _, facets = hrep(cone)
+    vrows = _vrows(rrd)
+    signs = [[Q(int(i == j)) for j in range(len(eps))] + [Q(0)]
+             for i in range(len(eps))]                                    # lam_D >= 0
+    return all(feasible([], signs
+                        + [[-vdot(f, e) for e in eps] + [vdot(f, g)] for f in facets]
+                        + [[vdot(a, e) for e in eps] + [-vdot(a, g)] for a in vrows],
+                        len(eps))
+               for g in cone.generators)
 
 
 def colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
@@ -335,7 +320,7 @@ def _colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
             if not s:
                 continue
             face = _cone_on_rays([rays[i] for i in sorted(s)])
-            if not relint_meets_valuation(rrd, face):
+            if not relints_meet_in_valuation(rrd, face):
                 continue
             walls = [f for f, t in zip(facets, tight) if s <= t]
             fcolors = frozenset(i for i in inside
@@ -358,7 +343,7 @@ def _check_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
                 diags.append(f"missing colored face {f.key()} of {c.key()}")
     cones = list(fan)
     for a, b in itertools.combinations(range(len(cones)), 2):
-        if not relint_pair_disjoint_in_valuation(rrd, cones[a].cone, cones[b].cone):
+        if relints_meet_in_valuation(rrd, cones[a].cone, cones[b].cone):
             diags.append(
                 f"relative interiors of cones {cones[a].key()} and "
                 f"{cones[b].key()} meet inside the valuation cone")
@@ -418,15 +403,6 @@ class Poset:
     nodes: tuple[ColoredCone, ...]
     less: tuple[tuple[int, int], ...]   # (i, j): node i is a proper face of node j
     covers: tuple[tuple[int, int], ...]
-
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def levels_by_dim(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.nodes:
-            out[c.cone.dim()] = out.get(c.cone.dim(), 0) + 1
-        return out
 
 
 def orbit_poset(fan: ColoredFan, rrd) -> Poset:
@@ -538,7 +514,7 @@ def _factor_fundamental_weights(rrd, order) -> list[Vec]:
     return out
 
 
-def ruzzi_smooth(cc: ColoredCone, rrd, levi_roots=None) -> RuzziReport:
+def ruzzi_smooth(cc: ColoredCone, rrd) -> RuzziReport:
     """Smoothness of the simple embedding defined by a strictly convex cone.
 
     Condition 1 asks the Levi subsystem spanned by the selected colors to be
@@ -549,8 +525,7 @@ def ruzzi_smooth(cc: ColoredCone, rrd, levi_roots=None) -> RuzziReport:
     """
     m = rrd.restricted.rank
     detail: list[str] = []
-    factors = (levi_subsystem_factors(rrd, cc.colors)
-               if levi_roots is None else [sorted(f) for f in levi_roots])
+    factors = levi_subsystem_factors(rrd, cc.colors)
 
     cond1 = True
     for comp in factors:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from .linalg import identity, inverse, qvec, solve
+from .linalg import det, identity, inverse
 from .rootcore import (ParabolicSubset, RootDatum, StructureError,
                        UnsupportedAlgebraError, build_root_datum, highest_root,
                        longest_element, subdatum, weyl_apply)
@@ -187,31 +187,34 @@ def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
     rmap = tuple(sorted((w, i) for i, ws in reps.items() for w in ws))
 
     base = sd.base
+    # twice the restricted characters, unit - sigma(unit): integral, and every
+    # check below is invariant under that scale
     bar = {}
     for w in sd.white:
         unit = tuple(1 if k == w - 1 else 0 for k in range(base.rank))
         img = sigma_on_characters(sd, unit)
-        bar[w] = tuple(Q(a - b, 2) for a, b in zip(unit, img))
+        bar[w] = tuple(a - b for a, b in zip(unit, img))
     covered = {w for ws in reps.values() for w in ws}
     if covered != set(sd.white):
         raise StructureError("restriction table does not cover the white nodes")
-    lam = {}
+    lam2 = {}
     for i, ws in reps.items():
         vecs = {bar[w] for w in ws}
         if len(vecs) != 1:
             raise StructureError(
                 f"white nodes {ws} restrict to different characters")
-        lam[i] = next(iter(vecs))
+        lam2[i] = next(iter(vecs))
     m = restricted.rank
-    if len({lam[i] for i in lam}) != m:
+    if len({lam2[i] for i in lam2}) != m:
         raise StructureError("restricted simple roots are not distinct")
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            cij = 2 * base.killing_pair(lam[i], lam[j]) / base.killing_pair(lam[j], lam[j])
+            cij = (2 * base.killing_pair(lam2[i], lam2[j])
+                   / base.killing_pair(lam2[j], lam2[j]))
             if cij != restricted.cartan[i - 1][j - 1]:
                 raise StructureError(
                     f"restricted Cartan mismatch at ({i},{j}): got {cij}")
-    _check_projected_roots(sd, restricted, lam)
+    _check_projected_roots(sd, restricted, lam2)
 
     ainv = inverse(restricted.cartan)
     gamma = tuple(tuple(ainv[i][j] for i in range(m)) for j in range(m))
@@ -220,30 +223,37 @@ def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
         "characters form the doubled weight lattice of the restricted coroots")
 
 
-def _check_projected_roots(sd, restricted, lam) -> None:
-    """Nonzero projections of all roots must form the restricted system."""
+def _check_projected_roots(sd, restricted, lam2) -> None:
+    """Nonzero projections of all roots must form the restricted system.
+
+    A root g projects to (g - sigma g) / 2 and lam2[i] is 2 lambda_i, so the
+    coefficients of g - sigma g on the lam2 are the projection's coefficients
+    on the lambda_i, and the whole test runs on integers.
+    """
     base = sd.base
     m = restricted.rank
-    lam_cols = [[lam[i + 1][k] for i in range(m)] for k in range(base.rank)]
-    # one factorization serves every root: x = pinv . proj, then verify
+    lam_cols = [[lam2[i + 1][k] for i in range(m)] for k in range(base.rank)]
+    # one factorization serves every root: x = adj(G) . rhs / det(G), then verify
     gram = [[sum(lam_cols[k][i] * lam_cols[k][j] for k in range(base.rank))
              for j in range(m)] for i in range(m)]
-    gram_inv = inverse(gram)
+    d = int(det(gram))
+    adj = [[int(x * d) for x in row] for row in inverse(gram)]
     seen = set()
     for g in base.roots:
         img = sigma_on_characters(sd, g)
-        proj = [Q(a - b, 2) for a, b in zip(g, img)]
-        if all(x == 0 for x in proj):
+        twice_proj = [a - b for a, b in zip(g, img)]
+        if not any(twice_proj):
             continue
-        rhs = [sum(lam_cols[k][i] * proj[k] for k in range(base.rank))
+        rhs = [sum(lam_cols[k][i] * twice_proj[k] for k in range(base.rank))
                for i in range(m)]
-        coeffs = [sum(gram_inv[i][j] * rhs[j] for j in range(m)) for i in range(m)]
-        if any(x.denominator != 1 for x in coeffs):
+        nums = [sum(adj[i][j] * rhs[j] for j in range(m)) for i in range(m)]
+        if any(x % d for x in nums):
             raise StructureError("a projected root leaves the restricted lattice")
+        coeffs = [x // d for x in nums]
         for k in range(base.rank):
-            if sum(lam_cols[k][i] * coeffs[i] for i in range(m)) != proj[k]:
+            if sum(lam_cols[k][i] * coeffs[i] for i in range(m)) != twice_proj[k]:
                 raise StructureError("a projected root leaves the restricted span")
-        seen.add(tuple(int(x) for x in coeffs))
+        seen.add(tuple(coeffs))
     if seen != set(restricted.roots):
         raise StructureError("projected roots do not form the restricted system")
 

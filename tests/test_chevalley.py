@@ -79,8 +79,10 @@ def test_rho_sl2_triple():
     h = ch.bracket(sc, e_rho, e_neg)
     coroot = sc.rd.coroot(rho)
     assert h == ch.LieElement.cartan(3, coroot)
-    assert ch.ad_power(sc, e_neg, e_rho, 2) == e_neg.scale(-2)
-    assert ch.ad_power(sc, e_neg, e_rho, 3).is_zero()
+    once = ch.bracket(sc, e_neg, e_rho)
+    twice = ch.bracket(sc, e_neg, once)
+    assert twice == e_neg.scale(-2)
+    assert ch.bracket(sc, e_neg, twice).is_zero()
 
 
 def test_extremal_elements():
@@ -161,7 +163,7 @@ def test_g2_implication_and_b3_witness():
     rep = ch.contact_implication_check(scg, g2.rho, g2.j0, samples=1500, seed=7)
     assert rep.clean
     # pinned: the integer core draws the same samples and finds the same zeros
-    assert (rep.samples, rep.cubic_zero_hits, rep.easy_direction_checked) == (1500, 66, 40)
+    assert (rep.samples, rep.cubic_zero_hits) == (1500, 66)
 
     b3 = ca.adjoint_data("B", 3)
     scb = sc_of("B", 3)
@@ -173,7 +175,9 @@ def test_g2_implication_and_b3_witness():
 
 
 def test_g2_wrapper_report():
-    rep = ch.g2_contact_implication_check(samples=600, seed=1)
+    g2 = ca.adjoint_data("G", 2)
+    assert (g2.rho, g2.j0) == (rc.highest_root(g2.g), 2)
+    rep = ch.contact_implication_check(sc_of("G", 2), g2.rho, g2.j0, samples=600, seed=1)
     assert rep.clean and rep.samples >= 600
 
 

@@ -101,6 +101,15 @@ def test_export_constants_csv(capsys, monkeypatch):
     assert all(line.split(",")[2].lstrip("-").isdigit() for line in lines[1:])
 
 
+def test_export_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code = cli.main(["export", "constants-csv", "G2", "-o", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_contact_eq_report(capsys, monkeypatch):
     monkeypatch.setattr(cli.conicatlas, "build_entry", None)
     code, out = run(capsys, "contact-eq", "G2", "--samples", "400", "--seed", "3")
@@ -109,6 +118,7 @@ def test_contact_eq_report(capsys, monkeypatch):
     assert data["violations"] == []
     assert data["witnesses"]["line_direction_cubic_vanishes"] is True
     assert data["witnesses"]["general_direction_cubic_vanishes"] is False
+    assert set(data["counts"]) == {"samples", "cubic_zero_hits"}
 
 
 @pytest.mark.parametrize("argv", [

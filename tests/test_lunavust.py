@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conicfans import conicatlas
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
-from conicfans.linalg import feasible
+from conicfans.linalg import feasible, nullspace_basis, primitive
 from conicfans.rootcore import StructureError
 
 
@@ -52,7 +53,7 @@ def test_colored_cone_validity_g2():
     rrd = rrd_of("G", 2)
     g = rrd.gamma
     ok = lv.ColoredCone(lv.QCone.of([neg(g[1]), unit(2, 2)]), frozenset({2}))
-    assert lv.is_colored_cone(ok, rrd, strict=True).ok
+    assert lv.is_colored_cone(ok, rrd).ok
     ray_only = lv.ColoredCone(lv.QCone.of([neg(g[1])]), frozenset())
     assert lv.is_colored_cone(ray_only, rrd).ok
     zero = lv.ColoredCone(lv.QCone(()), frozenset())
@@ -120,16 +121,16 @@ def test_orbit_poset_is_graded_chain_for_g2():
     cone = lv.ColoredCone(lv.QCone.of([neg(g[1]), unit(2, 2)]), frozenset({2}))
     fan = lv.ColoredFan.of([cone] + list(lv.colored_faces(cone, rrd)))
     poset = lv.orbit_poset(fan, rrd)
-    assert poset.node_count() == 3
+    assert len(poset.nodes) == 3
     assert len(poset.covers) == 2
-    assert poset.levels_by_dim() == {0: 1, 1: 1, 2: 1}
+    assert sorted(c.cone.dim() for c in poset.nodes) == [0, 1, 2]
 
 
 def test_zero_only_fan():
     rrd = rrd_of("G", 2)
     fan = lv.ColoredFan.of([lv.ColoredCone(lv.QCone(()), frozenset())])
     poset = lv.orbit_poset(fan, rrd)
-    assert poset.node_count() == 1
+    assert len(poset.nodes) == 1
     assert not poset.covers
 
 
@@ -181,22 +182,14 @@ def _faces_by_facet_subsets(cc, rrd):
         return out
     dim = cc.cone.ambient_dim
     eqs, facets = lv.hrep(cc.cone)
-    cartan = rrd.restricted.cartan
     for k in range(len(facets) + 1):
         for subset in itertools.combinations(range(len(facets)), k):
             rays = lv._rays_of_hcone(
                 list(eqs) + [facets[j] for j in subset],
                 [facets[j] for j in range(len(facets)) if j not in subset], dim)
-            if not rays:
-                continue
-            # x = sum t_i r_i with every t_i >= 1 and A x <= 0
-            ineqs = [[Q(int(i == j)) for j in range(len(rays))] + [Q(-1)]
-                     for i in range(len(rays))]
-            ineqs += [[-sum(Q(row[c]) * r[c] for c in range(dim)) for r in rays] + [Q(0)]
-                      for row in cartan]
-            if not feasible([], ineqs, len(rays)):
-                continue
             face = lv.QCone.of(rays)
+            if not rays or not _relint_meets_by_rays(rrd, face):
+                continue
             colors = tuple(sorted(i for i in cc.colors
                                   if lv.cone_contains(face, lv.color_point(rrd, i))))
             out.append((rays, colors))
@@ -249,3 +242,166 @@ def test_structure_errors_name_their_object():
                        match=r"restricted nodes \[1, 1\] is singular "
                              r"\(restricted Cartan \[\(2, -1\), \(-3, 2\)\]\)"):
         lv._factor_fundamental_weights(rrd, [1, 1])
+
+
+# References for the cone checks: the H/V-conversion route they replaced.
+
+def _intersect_by_hrep(c1, c2):
+    if not c1.generators or not c2.generators:
+        return lv.QCone(())
+    e1, f1 = lv.hrep(c1)
+    e2, f2 = lv.hrep(c2)
+    rays = lv._rays_of_hcone([list(r) for r in e1 + e2], [list(r) for r in f1 + f2],
+                             c1.ambient_dim)
+    return lv.QCone.of(rays)
+
+
+def _cone_equal_by_hrep(c1, c2):
+    if not c1.generators or not c2.generators:
+        return not c1.generators and not c2.generators
+    return (all(lv.cone_contains(c2, g) for g in c1.generators)
+            and all(lv.cone_contains(c1, g) for g in c2.generators))
+
+
+def _is_pointed_by_hrep(cone):
+    if not cone.generators:
+        return True
+    eqs, facets = lv.hrep(cone)
+    return not nullspace_basis([list(r) for r in eqs + facets], cone.ambient_dim)
+
+
+def _relint_meets_by_rays(rrd, cone):
+    """x = sum t_i g_i with every t_i >= 1 and A x <= 0, by `feasible`."""
+    if not cone.generators:
+        return True
+    gens = cone.generators
+    ineqs = [[Q(int(i == j)) for j in range(len(gens))] + [Q(-1)] for i in range(len(gens))]
+    ineqs += [[-sum(Q(a) * x for a, x in zip(row, g)) for g in gens] + [Q(0)]
+              for row in rrd.restricted.cartan]
+    return feasible([], ineqs, len(gens))
+
+
+def _colored_cone_diagnostics_by_hrep(cc, rrd):
+    diags = []
+    cone = cc.cone
+    eps = {i: lv.color_point(rrd, i) for i in sorted(cc.colors)}
+    for i, e in eps.items():
+        if cone.generators and not lv.cone_contains(cone, e):
+            diags.append(f"color D{i} not inside the cone")
+        if not cone.generators:
+            diags.append(f"color D{i} attached to the zero cone")
+    if cone.generators and not diags:
+        vpart = _intersect_by_hrep(cone, lv.valuation_cone(rrd))
+        regen = lv.QCone.of(list(eps.values()) + list(vpart.generators))
+        if not _cone_equal_by_hrep(cone, regen):
+            diags.append("cone is not generated by its colors and its valuation part")
+    if not _relint_meets_by_rays(rrd, cone):
+        diags.append("relative interior misses the valuation cone")
+    if not _is_pointed_by_hrep(cone):
+        diags.append("cone is not strictly convex")
+    return tuple(diags)
+
+
+@pytest.mark.parametrize("label", ["B3", "B4", "D4", "E6", "G2"])
+def test_cone_checks_match_hrep_references_on_fans(label):
+    entry = conicatlas.build_entry(label)
+    for fan in (entry.chow_fan, entry.hilb_fan):
+        for cc in fan:
+            check = lv.is_colored_cone(cc, entry.rrd)
+            assert check.diagnostics == _colored_cone_diagnostics_by_hrep(cc, entry.rrd)
+            assert check.ok
+            assert lv.is_pointed(cc.cone) == _is_pointed_by_hrep(cc.cone) is True
+
+
+def _hand_made_cones():
+    g2, b4 = rrd_of("G", 2), rrd_of("B", 4)
+    gg, gb = g2.gamma, b4.gamma
+    yield g2, lv.ColoredCone(lv.QCone.of([(1, 0), (-1, 0), (0, 1)]), frozenset()), \
+        ("cone is not generated by its colors and its valuation part",
+         "relative interior misses the valuation cone", "cone is not strictly convex")
+    yield g2, lv.ColoredCone(lv.QCone.of([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+                             frozenset({1, 2})), ("cone is not strictly convex",)
+    yield g2, lv.ColoredCone(lv.QCone.of([(1, 1), (-1, -1)]), frozenset()), \
+        ("cone is not generated by its colors and its valuation part",
+         "cone is not strictly convex")
+    yield b4, lv.ColoredCone(lv.QCone.of([neg(v) for v in gb] + [unit(2, 4), neg(unit(2, 4))]),
+                             frozenset({2})), \
+        ("cone is not generated by its colors and its valuation part",
+         "cone is not strictly convex")
+    # V plus a ray outside it: generated once the color D1 supplies that ray
+    beyond_v = lv.QCone.of([neg(gg[0]), neg(gg[1]), unit(1, 2)])
+    yield g2, lv.ColoredCone(beyond_v, frozenset()), \
+        ("cone is not generated by its colors and its valuation part",)
+    yield g2, lv.ColoredCone(beyond_v, frozenset({1})), ()
+    yield g2, lv.ColoredCone(lv.QCone.of([neg(gg[1]), unit(1, 2)]), frozenset()), \
+        ("cone is not generated by its colors and its valuation part",
+         "relative interior misses the valuation cone")
+    # (-2, 1) = 2 * (0, 1/2) + (-2, -3): only a point of V outside C supplies it
+    yield g2, lv.ColoredCone(lv.QCone.of([(-2, 1), (0, 1)]), frozenset({2})), \
+        ("cone is not generated by its colors and its valuation part",
+         "relative interior misses the valuation cone")
+    yield g2, lv.ColoredCone(lv.QCone.of([neg(gg[0])]), frozenset({2})), \
+        ("color D2 not inside the cone",)
+    yield g2, lv.ColoredCone(lv.QCone(()), frozenset({1})), \
+        ("color D1 attached to the zero cone",)
+
+
+def test_cone_checks_match_hrep_references_on_hand_made_cones():
+    for rrd, cc, expected in _hand_made_cones():
+        got = lv._check_colored_cone(cc, rrd).diagnostics
+        assert got == expected == _colored_cone_diagnostics_by_hrep(cc, rrd)
+        assert lv.is_pointed(cc.cone) == _is_pointed_by_hrep(cc.cone)
+
+
+def test_cone_checks_match_hrep_references_on_random_cones():
+    rng = random.Random(11)
+    nonpointed = 0
+    for series, rank in (("G", 2), ("B", 3), ("D", 4)):
+        rrd = rrd_of(series, rank)
+        pool = ([neg(v) for v in rrd.gamma] + [unit(i, rank) for i in range(1, rank + 1)]
+                + [neg(unit(i, rank)) for i in range(1, rank + 1)])
+        for _ in range(25):
+            gens = rng.sample(pool, rng.randint(1, rank + 1))
+            colors = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.4)
+            cc = lv.ColoredCone(lv.QCone.of(gens), colors)
+            got = lv._check_colored_cone(cc, rrd).diagnostics
+            assert got == _colored_cone_diagnostics_by_hrep(cc, rrd)
+            assert lv.is_pointed(cc.cone) == _is_pointed_by_hrep(cc.cone)
+            nonpointed += not _is_pointed_by_hrep(cc.cone)
+    assert nonpointed > 0
+
+
+def test_relint_conventions_for_the_zero_cone():
+    rrd = rrd_of("G", 2)
+    zero, ray = lv.QCone(()), lv.QCone.of([neg(rrd.gamma[1])])
+    assert lv.relints_meet_in_valuation(rrd, zero)
+    assert lv.relints_meet_in_valuation(rrd, zero, zero)
+    assert not lv.relints_meet_in_valuation(rrd, zero, ray)
+    assert not lv.relints_meet_in_valuation(rrd, ray, zero)
+    assert lv.relints_meet_in_valuation(rrd, ray, ray)
+
+
+def test_valuation_cone_rays_are_the_negative_gammas():
+    for series, rank in (("B", 3), ("B", 4), ("D", 4), ("F", 4), ("G", 2)):
+        rrd = rrd_of(series, rank)
+        rows = [[-Q(x) for x in row] for row in rrd.restricted.cartan]
+        assert lv.extremal_rays(lv.valuation_cone(rrd)) \
+            == lv._rays_of_hcone([], rows, rank) \
+            == tuple(sorted(primitive(neg(g)) for g in rrd.gamma))
+
+
+def test_cone_checks_solve_no_h_system_once_cached(monkeypatch):
+    rrd = rrd_of("D", 4)
+    cc = lv.ColoredCone(
+        lv.QCone.of([neg(v) for v in rrd.gamma] + [unit(2, 4)]), frozenset({2}))
+    monkeypatch.setattr(lv, "_faces_memo", {})
+    lv.extremal_rays(cc.cone)
+    lv.hrep(cc.cone)
+
+    def solve(*args):
+        raise AssertionError("a yes/no cone question solved an H-system")
+
+    monkeypatch.setattr(lv, "_rays_of_hcone", solve)
+    assert lv.is_colored_cone(cc, rrd).ok
+    assert all(lv.is_pointed(f.cone) for f in lv.colored_faces(cc, rrd))
+    assert not lv.is_pointed(lv.QCone.of([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0)]))
