@@ -85,6 +85,9 @@ class StructureConstants:
         object.__setattr__(self, "_coroot_cache", {})
         object.__setattr__(self, "_pairing_cache", {})
         object.__setattr__(self, "_norm_cache", {})
+        object.__setattr__(self, "_simple_norms", tuple(
+            self.norm2(tuple(int(i == k) for i in range(self.rank)))
+            for k in range(self.rank)))
 
     def pairing_vec(self, root: Root) -> tuple:
         out = self._pairing_cache.get(root)
@@ -95,10 +98,11 @@ class StructureConstants:
             self._pairing_cache[root] = out
         return out
 
-    def norm2(self, root: Root) -> Q:
+    def norm2(self, root: Root) -> int:
+        """The root's squared length, scaled to an integer (`RootDatum.killing_int`)."""
         out = self._norm_cache.get(root)
         if out is None:
-            out = self.rd.killing_pair(root, root)
+            out = self.rd.killing_int(root, root)
             self._norm_cache[root] = out
         return out
 
@@ -112,12 +116,17 @@ class StructureConstants:
         return p
 
     def coroot_int(self, alpha: Root) -> tuple[int, ...]:
+        """alpha^vee in simple coroots: coordinate k is alpha_k |alpha_k|^2 / |alpha|^2."""
         out = self._coroot_cache.get(alpha)
         if out is None:
-            c = self.rd.coroot(alpha)
-            if any(x.denominator != 1 for x in c):
-                raise StructureError("coroot has non-integer coordinates")
-            out = tuple(int(x) for x in c)
+            n = self.norm2(alpha)
+            out = []
+            for a, nk in zip(alpha, self._simple_norms):
+                c, rem = divmod(a * nk, n)
+                if rem:
+                    raise StructureError("coroot has non-integer coordinates")
+                out.append(c)
+            out = tuple(out)
             self._coroot_cache[alpha] = out
         return out
 
@@ -148,12 +157,13 @@ class StructureConstants:
             return -self.n(beta, alpha)
         # alpha positive, beta negative
         if _height(s) > 0:
-            # rotate through the zero-sum triple (alpha, beta, -s)
-            ratio = self.norm2(s) / self.norm2(alpha)
-            val = -ratio * self.n(tuple(-x for x in beta), s)
-            if val.denominator != 1:
+            # rotate through the zero-sum triple (alpha, beta, -s):
+            # N_{alpha,beta} = -N_{-beta,s} |s|^2 / |alpha|^2
+            val, rem = divmod(-self.norm2(s) * self.n(tuple(-x for x in beta), s),
+                              self.norm2(alpha))
+            if rem:
                 raise StructureError("non-integer structure constant")
-            return int(val)
+            return val
         return -self.n(tuple(-x for x in alpha), tuple(-x for x in beta))
 
     @cached_property
@@ -254,21 +264,19 @@ def _propagate(sc, rd, gamma, a1, b1, alpha, beta) -> int:
     (-alpha, gamma, -beta).
     """
     neg_alpha = tuple(-x for x in alpha)
-    total = Q(0)
+    total = 0
     d1 = tuple(a - b for a, b in zip(a1, alpha))
     if rd.is_root(d1):
         total += sc.n(neg_alpha, a1) * sc.n(d1, b1)
     d2 = tuple(b - a for b, a in zip(b1, alpha))
     if rd.is_root(d2):
         total += sc.n(neg_alpha, b1) * sc.n(a1, d2)
-    lead = sc.n(a1, b1)
-    n_neg_alpha_gamma = Q(total, lead)
-    # rotate the zero-sum triple (-alpha, gamma, -beta) back to (alpha, beta)
-    ratio = sc.norm2(gamma) / sc.norm2(beta)
-    val = ratio * n_neg_alpha_gamma
-    if val.denominator != 1:
+    # N_{-alpha,gamma} = total / N_{a1,b1}; rotate the zero-sum triple
+    # (-alpha, gamma, -beta) back to (alpha, beta) by |gamma|^2 / |beta|^2
+    val, rem = divmod(total * sc.norm2(gamma), sc.n(a1, b1) * sc.norm2(beta))
+    if rem:
         raise StructureError("non-integer constant during propagation")
-    return int(val)
+    return val
 
 
 def _verify_jacobi(sc: StructureConstants) -> None:

@@ -59,18 +59,17 @@ def adjoint_data(series: str, rank: int) -> AdjointData:
     rho = highest_root(g)
     e = identity(g.rank)
     touching = [i for i in range(1, g.rank + 1)
-                if g.killing_pair(rho, e[i - 1]) != 0]
+                if g.killing_int(rho, e[i - 1]) != 0]
     if len(touching) != 1:
         raise StructureError("expected a unique simple root meeting the highest root")
     j0 = touching[0]
     if not g.is_long(e[j0 - 1]):
         raise StructureError("contact node is not long")
-    rho_norm = g.killing_pair(rho, rho)
+    rho_norm = g.killing_int(rho, rho)
     grade_counts: dict[int, int] = {}
     for a in g.roots:
         grade = a[j0 - 1]
-        pair = 2 * g.killing_pair(a, rho) / rho_norm
-        if pair != grade or grade not in (-2, -1, 0, 1, 2):
+        if 2 * g.killing_int(a, rho) != grade * rho_norm or grade not in (-2, -1, 0, 1, 2):
             raise StructureError("grading by the contact node disagrees with pairing")
         grade_counts[grade] = grade_counts.get(grade, 0) + 1
     if grade_counts.get(2, 0) != 1 or grade_counts.get(-2, 0) != 1:
@@ -206,6 +205,20 @@ class ConicAtlasEntry:
 
 @lru_cache(maxsize=None)
 def build_entry(label: str) -> ConicAtlasEntry:
+    """The atlas entry of one label; a StructureError on the way names the label.
+
+    The cone layer names the rows, rays or restricted Cartan matrix it was
+    working on, but does not know the label, so it is added here.
+    """
+    try:
+        return _build_entry(label)
+    except StructureError as exc:
+        if str(exc).startswith(f"{label}: "):
+            raise
+        raise StructureError(f"{label}: {exc}") from exc
+
+
+def _build_entry(label: str) -> ConicAtlasEntry:
     series, rank = parse_label(label)
     series, rank = supported_pair(series, rank)
     kind = fixtures.family_kind(series, rank)
@@ -222,35 +235,35 @@ def build_entry(label: str) -> ConicAtlasEntry:
         chow_colors)
     check = is_colored_cone(chow_max, rrd)
     if not check:
-        raise StructureError(f"{label}: transverse-family cone invalid: {check.diagnostics}")
+        raise StructureError(f"transverse-family cone invalid: {check.diagnostics}")
     chow_fan = fan_with_faces(rrd, [chow_max])
 
     planes = b_stable_planes(ad)
     targets = fixtures.hilb_isotropy_targets(series, rank)
     derived_targets = _closed_orbit_targets(ad, planes)
     if derived_targets != [frozenset(t) for t in targets]:
-        raise StructureError(f"{label}: closed-orbit isotropy table mismatch")
+        raise StructureError("closed-orbit isotropy table mismatch")
     hilb_specs = fixtures.HILB_CONES[kind]
     if len(hilb_specs) != len(targets):
-        raise StructureError(f"{label}: one maximal cone per distinguished plane expected")
+        raise StructureError("one maximal cone per distinguished plane expected")
     hilb_cones = []
     hilb_colors = []
     for (symbols, spec_colors), target in zip(hilb_specs, targets):
         f = solve_colors(rrd, stab_lists, ParabolicSubset(target), theta)
         if f != frozenset(spec_colors):
             raise StructureError(
-                f"{label}: colors from the isotropy equation {sorted(f)} differ "
+                f"colors from the isotropy equation {sorted(f)} differ "
                 f"from the table {sorted(spec_colors)}")
         cc = resolve_cone(rrd, symbols, f)
         check = is_colored_cone(cc, rrd)
         if not check:
-            raise StructureError(f"{label}: tabulated cone invalid: {check.diagnostics}")
+            raise StructureError(f"tabulated cone invalid: {check.diagnostics}")
         hilb_cones.append(cc)
         hilb_colors.append(f)
     hilb_fan = fan_with_faces(rrd, hilb_cones)
     fan_check = is_colored_fan(hilb_fan, rrd)
     if not fan_check:
-        raise StructureError(f"{label}: fan axioms fail: {fan_check.diagnostics}")
+        raise StructureError(f"fan axioms fail: {fan_check.diagnostics}")
 
     count = double_coset_count(ad.pss, ad.q_crossed)
     return ConicAtlasEntry(label, series, rank, kind, ad, sd, rrd,

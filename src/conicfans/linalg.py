@@ -1,13 +1,33 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact linear algebra over Q on one integer elimination core.
 
-Everything in this package runs over Q; no floating point is used anywhere.
-Vectors are tuples, matrices are tuples of row tuples.
+No floating point is used anywhere.  Vectors are tuples and matrices are
+tuples of row tuples; entries are ints or Fractions.
+
+Integer core.  Every elimination runs in `_echelon` on `int` rows: Gauss-Jordan
+elimination that clears an entry b under or above a pivot a > 0 by replacing
+the row r with a r - b p, p being the pivot row, and then divides r by the gcd
+of its entries.  So every row stays primitive and every pivot positive, and no
+division is ever inexact.  The primitive rows are the fraction-free
+counterpart of Bareiss' exact division by the previous pivot (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian elimination",
+Math. Comp. 22, 1968): an eliminated row is the primitive vector of a line
+fixed by the rows it came from, so its size stays that of a minor.
+
+Rational input enters the core by scaling each row by the lcm of its
+denominators.  A positive factor changes neither a row space nor the
+half-space a row bounds, so `rank`, `int_nullspace`, `feasible` and
+`fm_feasible` never leave the integers.  `Fraction`s appear at the boundary
+only: the reduced row echelon form is unique, so `rref`, `solve` and
+`inverse` divide each pivot row by its pivot at the end, `nullspace_basis`
+divides each kernel vector by its free entry, and `det` divides once by the
+factors the elimination recorded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from operator import attrgetter
 
 Q = Fraction
 Vec = tuple[Q, ...]
@@ -18,8 +38,8 @@ def qvec(xs) -> Vec:
     return tuple(Q(x) for x in xs)
 
 
-def vdot(a: Vec, b: Vec) -> Q:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Q(0))
+def vdot(a, b):
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def is_zero(a) -> bool:
@@ -43,120 +63,183 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
-def rref(rows) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Q(x) for x in row] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
+# ---------------------------------------------------------------------------
+# Integer core
+
+_numerator = attrgetter("numerator")
+
+
+def _denominator(row) -> int:
+    return lcm(*map(attrgetter("denominator"), row))
+
+
+def int_row(row) -> list[int]:
+    """The row times the lcm of its denominators: integral, on the same ray.
+
+    This is how rational rows enter the integer core.
+    """
+    d = _denominator(row)
+    if d == 1:
+        return list(map(_numerator, row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _echelon(m: list[list[int]], track: bool = False) -> tuple[list[int], int, int]:
+    """Fraction-free reduced echelon form of integer rows, in place.
+
+    Returns (pivot columns, num, den).  Row i of the result is primitive with
+    a positive pivot at pivots[i] and zeros in every other pivot column; rows
+    past the rank are zero.  With `track`, num and den record the row
+    operations: det(result) * den == det(input) * num for a square input.
+    """
+    num = den = 1
+    for i, row in enumerate(m):
+        g = gcd(*row)
+        if g > 1:
+            m[i] = [x // g for x in row]
+            den *= g
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            num = -num
+        prow = m[r]
+        a = prow[c]
+        if a < 0:
+            prow = m[r] = [-x for x in prow]
+            a = -a
+            num = -num
+        for i, row in enumerate(m):
+            b = row[c]
+            if b and i != r:
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                m[i] = new
+                if track:
+                    num *= a
+                    den *= g
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return pivots, num, den
+
+
+def _reduced(rows) -> tuple[list[list[int]], list[int]]:
+    m = [int_row(r) for r in rows]
+    return m, _echelon(m)[0]
+
+
+def rref(rows) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    m, pivots = _reduced(rows)
+    out = [[Q(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out += [[Q(0)] * len(row) for row in m[len(pivots):]]
+    return out, pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_reduced(rows)[1])
 
 
 def inverse(m) -> Mat:
     n = len(m)
-    aug = [list(map(Q, row)) + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    red, pivots = _reduced([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(m)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(Q(x, red[i][i]) for x in red[i][n:]) for i in range(n))
 
 
 def det(m) -> Q:
     n = len(m)
-    a = [[Q(x) for x in row] for row in m]
-    d = Q(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d
+    red = [int_row(r) for r in m]
+    pivots, num, den = _echelon(red, track=True)
+    if len(pivots) < n:
+        return Q(0)
+    # red is diagonal now; undo the row operations and the integer scaling
+    return Q(prod(red[i][i] for i in range(n)) * den,
+             num * prod(_denominator(r) for r in m))
 
 
 def solve(a, b) -> Vec | None:
     """One exact solution of a x = b, or None if inconsistent."""
     nc = len(a[0]) if a else len(b)
-    aug = [list(map(Q, row)) + [Q(b[i])] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots = _reduced([list(row) + [b[i]] for i, row in enumerate(a)])
     if nc in pivots:
         return None
     x = [Q(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
+    for row, c in zip(red, pivots):
+        x[c] = Q(row[-1], row[c])
     return tuple(x)
 
 
-def nullspace_basis(rows, ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : rows @ x = 0}."""
+def int_nullspace(rows, ncols: int | None = None) -> list[tuple[int, ...]]:
+    """Basis of {x : rows @ x = 0} by primitive integer vectors.
+
+    There is one vector per free column f, in increasing order of f: it is
+    positive at f, zero at the other free columns, and its last nonzero entry
+    is the one at f (a pivot column holds a nonzero entry only when its
+    pivot lies left of f).
+    """
     if not rows:
         if ncols is None:
             raise ValueError("need ncols for empty system")
-        return [tuple(Q(1) if i == j else Q(0) for j in range(ncols)) for i in range(ncols)]
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = _reduced(rows)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        used = [(row, c) for row, c in zip(red, pivots) if row[f]]
+        scale = lcm(*(row[c] for row, c in used))
+        v = [0] * ncols
+        v[f] = scale
+        for row, c in used:
+            v[c] = -row[f] * (scale // row[c])
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
+
+
+def nullspace_basis(rows, ncols: int | None = None) -> list[Vec]:
+    """Basis of {x : rows @ x = 0}, each vector 1 at its own free column."""
+    out = []
+    for v in int_nullspace(rows, ncols):
+        free = next(x for x in reversed(v) if x)
+        out.append(tuple(Q(x, free) for x in v))
+    return out
+
+
+def _primitive_ints(r) -> tuple[int, ...]:
+    g = gcd(*r)
+    return tuple(x // g for x in r) if g > 1 else tuple(r)
 
 
 def primitive(v) -> tuple[int, ...]:
     """Primitive integer vector on the same ray (positive rescaling only)."""
-    v = qvec(v)
-    if is_zero(v):
+    ints = int_row(v)
+    if not any(ints):
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return _primitive_ints(ints)
 
 
 def fm_feasible(ineqs, nvars: int) -> bool:
     """Fourier-Motzkin feasibility of {x : row[:n] . x + row[n] >= 0}.
 
-    Rows are affine: the last entry is the constant term.  Each derived row
-    is scaled to its `primitive` integer form, so equal half-spaces dedupe.
+    Rows are affine: the last entry is the constant term.  Every row is
+    scaled to its primitive integer form, so equal half-spaces dedupe and
+    the elimination never leaves the integers.
     """
-    rows = {tuple(map(Q, r)) for r in ineqs}
+    rows = {_primitive_ints(int_row(r)) for r in ineqs}
     for v in range(nvars):
         pos, neg, rest = [], [], []
         for r in rows:
@@ -168,41 +251,40 @@ def fm_feasible(ineqs, nvars: int) -> bool:
                 rest.append(r)
         new = set(rest)
         for p in pos:
+            pv = p[v]
             for q in neg:
-                comb = tuple(p[k] * (-q[v]) + q[k] * p[v] for k in range(len(p)))
-                new.add(comb)
+                qv = -q[v]
+                new.add(tuple(x * qv + y * pv for x, y in zip(p, q)))
         rows = set()
         for r in new:
-            if all(x == 0 for x in r[:-1]):
+            if not any(r[:-1]):
                 if r[-1] < 0:
                     return False
             else:
-                rows.add(primitive(r))
-    return all(r[-1] >= 0 for r in rows if all(x == 0 for x in r[:-1]))
+                rows.add(_primitive_ints(r))
+    return all(r[-1] >= 0 for r in rows if not any(r[:-1]))
 
 
 def feasible(eqs, ineqs, nvars: int) -> bool:
     """Exact feasibility of {x in Q^n : eqs affine rows = 0, ineqs affine rows >= 0}.
 
     Equalities are removed by substitution first, then Fourier-Motzkin runs on
-    what is left.  Affine rows carry the constant in the last slot.
+    what is left.  Affine rows carry the constant in the last slot.  A pivot
+    row of the integer echelon form reads a x_c = -(rest) with a > 0, so an
+    inequality row with entry b at c becomes a row - b pivot row: a positive
+    multiple of the substituted row, free of x_c.
     """
-    eqs = [list(map(Q, r)) for r in eqs]
-    ineqs = [list(map(Q, r)) for r in ineqs]
-    red, pivots = rref(eqs) if eqs else ([], [])
+    red, pivots = _reduced(eqs)
     if nvars in pivots:
         # pivot in the constant column: 0 = nonzero
         return False
-    subst = {c: red[r] for r, c in enumerate(pivots)}
-    reduced_ineqs = []
-    for row in ineqs:
-        row = row[:]
-        for c, expr in subst.items():
-            if row[c] != 0:
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, expr)]
-                row[c] = Q(0)
-        reduced_ineqs.append(row)
-    keep = [c for c in range(nvars) if c not in pivots]
-    proj = [[row[c] for c in keep] + [row[-1]] for row in reduced_ineqs]
-    return fm_feasible(proj, len(keep))
+    proj = []
+    keep = [c for c in range(nvars) if c not in pivots] + [nvars]
+    for row in map(int_row, ineqs):
+        for prow, c in zip(red, pivots):
+            b = row[c]
+            if b:
+                a = prow[c]
+                row = [a * x - b * y for x, y in zip(row, prow)]
+        proj.append([row[c] for c in keep])
+    return fm_feasible(proj, len(keep) - 1)

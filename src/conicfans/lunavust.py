@@ -8,6 +8,13 @@ exact.  Every yes/no question (generation by colors and V, relative interiors
 meeting V, pointedness, completeness) is one or more `linalg.feasible` calls,
 i.e. Fourier-Motzkin elimination; the exponential H/V conversion
 `_rays_of_hcone` serves only `hrep` and `extremal_rays`.
+
+These questions and the conversion run on integer rows; only Ruzzi's
+smoothness test still works with rational dual bases.  A cone is read
+through its primitive generators (`QCone.rows`) and a color point e_i / 2
+through e_i: scaling a generator, a color point or a constraint row by a
+positive number changes neither the cone, nor its relative interior, nor
+any answer below.  The rational `QCone.generators` are the public view.
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .linalg import (Vec, det, feasible, inverse, is_zero, nullspace_basis,
-                     primitive, qvec, rank, rref, solve, transpose, vdot)
+from .linalg import (Vec, det, feasible, int_nullspace, int_row, inverse, is_zero,
+                     primitive, qvec, rank, solve, transpose, vdot)
 from .rootcore import StructureError
 
 Ray = tuple[int, ...]
@@ -40,10 +47,13 @@ class QCone:
             return len(self.generators[0])
         raise ValueError("zero cone carries no ambient dimension")
 
+    @cached_property
+    def rows(self) -> tuple[Ray, ...]:
+        """The generators as primitive integer vectors, the key of every memo."""
+        return tuple(primitive(g) for g in self.generators)
+
     def dim(self) -> int:
-        if not self.generators:
-            return 0
-        return rank([list(g) for g in self.generators])
+        return rank(self.rows)
 
 
 @dataclass(frozen=True)
@@ -85,62 +95,59 @@ def _rays_of_hcone(equalities, inequalities, dim) -> tuple[Ray, ...]:
     space down to a line; a candidate survives if it satisfies every
     inequality.  Exact and complete for pointed cones.
     """
-    eqs = [list(map(Q, r)) for r in equalities]
-    ineqs = [list(map(Q, r)) for r in inequalities]
-    if nullspace_basis(eqs + ineqs, dim):
+    eqs = [int_row(r) for r in equalities]
+    ineqs = [int_row(r) for r in inequalities]
+    if int_nullspace(eqs + ineqs, dim):
         raise StructureError(
             f"cone {{x : E x = 0, M x >= 0}} with E = {_rows_str(equalities)}, "
             f"M = {_rows_str(inequalities)} is not pointed; extremal rays undefined")
-    sdim = dim - (len(rref(eqs)[1]) if eqs else 0)
+    sdim = dim - rank(eqs)
     if sdim == 0:
         return ()
     rays = set()
     for subset in itertools.combinations(range(len(ineqs)), sdim - 1):
-        null = nullspace_basis(eqs + [ineqs[k] for k in subset], dim)
+        null = int_nullspace(eqs + [ineqs[k] for k in subset], dim)
         if len(null) != 1:
             continue
         v = null[0]
         for cand in (v, tuple(-x for x in v)):
-            if all(sum(r[k] * cand[k] for k in range(dim)) >= 0 for r in ineqs):
-                rays.add(primitive(cand))
+            if all(vdot(r, cand) >= 0 for r in ineqs):
+                rays.add(cand)
                 break
     return tuple(sorted(rays))
 
 
 @lru_cache(maxsize=None)
-def _hrep_cached(gens: tuple[Vec, ...], dim: int):
-    eqs = [primitive(v) for v in nullspace_basis([list(g) for g in gens], dim)]
-    facets = _rays_of_hcone(eqs, [list(g) for g in gens], dim)
-    return tuple(sorted(eqs)), facets
+def _hrep_cached(rows: tuple[Ray, ...], dim: int):
+    eqs = int_nullspace(rows, dim)
+    return tuple(sorted(eqs)), _rays_of_hcone(eqs, rows, dim)
 
 
 def hrep(cone: QCone):
     """(equalities, facet inequalities) with primitive integer rows."""
     if not cone.generators:
         raise ValueError("zero cone")
-    return _hrep_cached(cone.generators, cone.ambient_dim)
+    return _hrep_cached(cone.rows, cone.ambient_dim)
 
 
 def cone_contains(cone: QCone, x) -> bool:
-    x = qvec(x)
     if is_zero(x):
         return True
     if not cone.generators:
         return False
     eqs, facets = hrep(cone)
-    n = len(x)
-    return (all(sum(e[k] * x[k] for k in range(n)) == 0 for e in eqs)
-            and all(sum(f[k] * x[k] for k in range(n)) >= 0 for f in facets))
+    x = int_row(x)
+    return all(vdot(e, x) == 0 for e in eqs) and all(vdot(f, x) >= 0 for f in facets)
 
 
-_rays_memo: dict = {}   # {(generators, ambient dim): extremal rays}
+_rays_memo: dict = {}   # {(primitive generators, ambient dim): extremal rays}
 
 
 def extremal_rays(cone: QCone) -> tuple[Ray, ...]:
     """Minimal primitive generating rays, canonically sorted."""
     if not cone.generators:
         return ()
-    key = (cone.generators, cone.ambient_dim)
+    key = (cone.rows, cone.ambient_dim)
     if key not in _rays_memo:
         eqs, facets = hrep(cone)
         _rays_memo[key] = _rays_of_hcone(eqs, facets, cone.ambient_dim)
@@ -155,7 +162,7 @@ def _cone_on_rays(rays) -> QCone:
     the face an H-representation just to compute its key.
     """
     cone = QCone.of(rays)
-    _rays_memo.setdefault((cone.generators, cone.ambient_dim), tuple(rays))
+    _rays_memo.setdefault((cone.rows, cone.ambient_dim), tuple(rays))
     return cone
 
 
@@ -163,26 +170,27 @@ def is_pointed(cone: QCone) -> bool:
     """Whether the cone holds no line: some linear form is >= 1 on every generator."""
     if not cone.generators:
         return True
-    return feasible([], [list(g) + [Q(-1)] for g in cone.generators], cone.ambient_dim)
+    return feasible([], [g + (-1,) for g in cone.rows], cone.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
 # Valuation cone and colors.  Functions below consume a RestrictedRootDatum
-# through its `restricted.cartan` only.
-
-def _vrows(rrd):
-    """Inequality rows of the valuation cone: <lambda_i, x> <= 0."""
-    return [tuple(Q(x) for x in row) for row in rrd.restricted.cartan]
-
+# through its `restricted.cartan` only: its rows A_i give the valuation cone
+# {x : A_i . x <= 0}.
 
 def color_point(rrd, i: int) -> Vec:
     m = rrd.restricted.rank
     return qvec(Q(1, 2) if k == i - 1 else 0 for k in range(m))
 
 
+def _color_ray(m: int, i: int) -> Ray:
+    """The color point e_i / 2 scaled to e_i."""
+    return tuple(int(k == i - 1) for k in range(m))
+
+
 def in_valuation_cone(rrd, x) -> bool:
-    x = qvec(x)
-    return all(sum(row[k] * x[k] for k in range(len(x))) <= 0 for row in _vrows(rrd))
+    x = int_row(x)
+    return all(vdot(row, x) <= 0 for row in rrd.restricted.cartan)
 
 
 def valuation_cone(rrd) -> QCone:
@@ -204,16 +212,16 @@ def relints_meet_in_valuation(rrd, *cones: QCone) -> bool:
     one is asked to satisfy A x <= 0.  relint({0}) = {0} lies in V and, by
     convention, meets no relative interior of a nonzero cone.
     """
-    gens = [[qvec(g) for g in c.generators] for c in cones]
+    gens = [c.rows for c in cones]
     if not all(gens):
         return not any(gens)
     flat = [(j, g) for j, gs in enumerate(gens) for g in gs]   # one t per (cone, g)
     n = len(flat)
-    eqs = [[g[k] if c == 0 else -g[k] if c == j else Q(0) for c, g in flat] + [Q(0)]
+    eqs = [[g[k] if c == 0 else -g[k] if c == j else 0 for c, g in flat] + [0]
            for j in range(1, len(gens)) for k in range(len(flat[0][1]))]
-    ineqs = [[Q(int(i == j)) for j in range(n)] + [Q(-1)] for i in range(n)]  # t_i >= 1
-    ineqs += [[-vdot(vr, g) if c == 0 else Q(0) for c, g in flat] + [Q(0)]
-              for vr in _vrows(rrd)]
+    ineqs = [[int(i == j) for j in range(n)] + [-1] for i in range(n)]  # t_i >= 1
+    ineqs += [[-vdot(vr, g) if c == 0 else 0 for c, g in flat] + [0]
+              for vr in rrd.restricted.cartan]
     return feasible(eqs, ineqs, n)
 
 
@@ -247,14 +255,20 @@ def _fan_key(fan) -> tuple:
 
 
 def is_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
-    """Validity of (C, F): generated by colors plus V, relint meeting V, pointed."""
+    """Validity of (C, F): generated by colors plus V, relint meeting V, pointed.
+
+    A cone holding a line has no extremal rays, so no memo key either; it is
+    checked unmemoized and reported as not strictly convex.
+    """
+    if not is_pointed(cc.cone):
+        return _check_colored_cone(cc, rrd)
     return _memo(rrd, ("cone", cc.key()), lambda: _check_colored_cone(cc, rrd))
 
 
 def _check_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
     diags = []
     cone = cc.cone
-    eps = {i: color_point(rrd, i) for i in sorted(cc.colors)}
+    eps = {i: _color_ray(rrd.restricted.rank, i) for i in sorted(cc.colors)}
     for i, e in eps.items():
         if cone.generators and not cone_contains(cone, e):
             diags.append(f"color D{i} not inside the cone")
@@ -280,14 +294,14 @@ def _generated_by_colors_and_valuations(rrd, cone: QCone, eps) -> bool:
     lie in C, and nothing here asks C to be pointed.
     """
     _, facets = hrep(cone)
-    vrows = _vrows(rrd)
-    signs = [[Q(int(i == j)) for j in range(len(eps))] + [Q(0)]
+    vrows = rrd.restricted.cartan
+    signs = [[int(i == j) for j in range(len(eps))] + [0]
              for i in range(len(eps))]                                    # lam_D >= 0
     return all(feasible([], signs
                         + [[-vdot(f, e) for e in eps] + [vdot(f, g)] for f in facets]
                         + [[vdot(a, e) for e in eps] + [-vdot(a, g)] for a in vrows],
                         len(eps))
-               for g in cone.generators)
+               for g in cone.rows)
 
 
 def colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
@@ -314,7 +328,7 @@ def _colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
         faces = {frozenset(range(len(rays)))}
         for t in tight:
             faces |= {s & t for s in faces}
-        points = {i: color_point(rrd, i) for i in cc.colors}
+        points = {i: _color_ray(rrd.restricted.rank, i) for i in cc.colors}
         inside = [i for i, x in points.items() if cone_contains(cone, x)]
         for s in faces:
             if not s:
@@ -377,20 +391,16 @@ def _covers_valuation(fan: ColoredFan, rrd) -> bool:
     if not maxc:
         return False
     m = rrd.restricted.rank
-    vrows = _vrows(rrd)
+    vrows = [[-x for x in vr] + [0] for vr in rrd.restricted.cartan]
     menus = []
     for c in maxc:
         # a point escapes the cone by violating one facet or one span equation
         eqs, facets = hrep(c.cone)
-        menu = [tuple(Q(x) for x in f) for f in facets]
-        for e in eqs:
-            menu.append(tuple(Q(x) for x in e))
-            menu.append(tuple(-Q(x) for x in e))
-        menus.append(menu)
+        menus.append(list(facets) + [s for e in eqs for s in (e, tuple(-x for x in e))])
     for choice in itertools.product(*menus):
-        ineqs = [[-x for x in vr] + [Q(0)] for vr in vrows]
+        ineqs = list(vrows)
         for row in choice:
-            ineqs.append([-x for x in row] + [Q(-1)])  # row . x <= -1
+            ineqs.append([-x for x in row] + [-1])  # row . x <= -1
         if feasible([], ineqs, m):
             return False
     return True

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 
-from .linalg import Vec, identity, inverse, mat_vec, qvec
+from .linalg import Vec, det, inverse, mat_mul, qvec, transpose
 
 ORBIT_CAP_DEFAULT = 10**7
 
@@ -266,11 +267,13 @@ class RootDatum:
         return frozenset(self.roots)
 
     @cached_property
-    def _coroot_gram_adjugate(self):
-        """(adjugate, determinant) of the integer trace-form Gram matrix.
+    def _scaled_killing(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(K, D): the Killing matrix of the simple roots is K / D, K integral.
 
-        Keeping the inverse as an integer matrix over a common denominator
-        lets the Killing form evaluate with integer arithmetic.
+        The Killing form is the inverse of the trace form B(h_i, h_j) on the
+        simple coroots, read through the Cartan pairings: C G^-1 C^t.  D is
+        the lcm of its denominators, so D <a, b> is an integer on the root
+        lattice and ratios of pairings need no fractions.
         """
         n = self.rank
         cart = self.cartan
@@ -278,41 +281,40 @@ class RootDatum:
                for g in self.roots]
         gram = [[sum(pv[i] * pv[j] for pv in pvs) for j in range(n)]
                 for i in range(n)]
-        from .linalg import det
-        d = det(gram)
-        inv = inverse(gram)
-        adj = tuple(tuple(int(x * d) for x in row) for row in inv)
-        return adj, int(d)
+        ginv = inverse(gram)
+        d = lcm(*(x.denominator for row in ginv for x in row))
+        ginv = [[x.numerator * (d // x.denominator) for x in row] for row in ginv]
+        k = mat_mul(mat_mul(cart, ginv), transpose(cart))
+        g = gcd(d, *(x for row in k for x in row))
+        return tuple(tuple(x // g for x in row) for row in k), d // g
+
+    def killing_int(self, a, b):
+        """D <a, b> for the datum's fixed D > 0; an integer on the root lattice.
+
+        Ratios and signs of Killing pairings read off it exactly.
+        """
+        k = self._scaled_killing[0]
+        return sum(x * sum(map(mul, row, b)) for x, row in zip(a, k) if x)
 
     def killing_pair(self, a, b) -> Q:
         """The Killing form <a, b> of two vectors in simple-root coordinates."""
-        n = self.rank
-        cart = self.cartan
-        pa = [sum(a[k] * cart[k][i] for k in range(n)) for i in range(n)]
-        pb = [sum(b[k] * cart[k][i] for k in range(n)) for i in range(n)]
-        adj, d = self._coroot_gram_adjugate
-        total = sum(pa[i] * adj[i][j] * pb[j]
-                    for i in range(n) for j in range(n) if pa[i] and adj[i][j])
+        total = self.killing_int(a, b)
+        d = self._scaled_killing[1]
         return Q(total, d) if isinstance(total, int) else total / d
 
     @cached_property
     def killing(self) -> tuple[tuple[Q, ...], ...]:
         """Killing pairings of the simple roots."""
-        # integer unit vectors keep killing_pair on its integer fast path
-        e = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        return tuple(tuple(self.killing_pair(e[i], e[j]) for j in range(self.rank))
-                     for i in range(self.rank))
-
-    def norm(self, v) -> Q:
-        return self.killing_pair(v, v)
+        k, d = self._scaled_killing
+        return tuple(tuple(Q(x, d) for x in row) for row in k)
 
     @cached_property
-    def _component_max_norm(self) -> tuple[tuple[frozenset[int], Q], ...]:
-        """(0-based node set, largest root norm) for each irreducible component."""
+    def _component_max_norm(self) -> tuple[tuple[frozenset[int], int], ...]:
+        """(0-based node set, largest scaled root norm) for each irreducible component."""
         out = []
         for nodes in self.component_nodes:
             idx = frozenset(i - 1 for i in nodes)
-            out.append((idx, max(self.norm(g) for g in self.roots
+            out.append((idx, max(self.killing_int(g, g) for g in self.roots
                                  if {k for k, x in enumerate(g) if x != 0} <= idx)))
         return tuple(out)
 
@@ -321,13 +323,14 @@ class RootDatum:
         support = {k for k, x in enumerate(root) if x != 0}
         for idx, m in self._component_max_norm:
             if support <= idx:
-                return self.norm(root) == m
+                return self.killing_int(root, root) == m
         raise StructureError("root support crosses components")
 
     def coroot(self, root) -> Vec:
         """Coroot coordinates of root^vee in the simple-coroot basis."""
-        n = self.norm(root)
-        return qvec(root[k] * self.killing[k][k] / n for k in range(self.rank))
+        n = self.killing_int(root, root)
+        k = self._scaled_killing[0]
+        return tuple(Q(root[i] * k[i][i], n) for i in range(self.rank))
 
     @cached_property
     def half_sum_positive(self) -> Vec:
@@ -391,13 +394,12 @@ def _validate_datum(rd: RootDatum, series: str, rank: int) -> None:
     if rd.components != ((series, rank),) and not (
             series == "C" and rd.components == (("C", rank),)):
         raise StructureError(f"classification mismatch for {series}{rank}: {rd.components}")
-    k = rd.killing
+    k = rd._scaled_killing[0]
     for i in range(rank):
         for j in range(rank):
-            if 2 * k[i][j] / k[j][j] != rd.cartan[i][j]:
+            if 2 * k[i][j] != rd.cartan[i][j] * k[j][j]:
                 raise StructureError("Killing form does not reproduce Cartan integers")
     # positive definiteness via leading principal minors
-    from .linalg import det
     for m in range(1, rank + 1):
         if det([row[:m] for row in k[:m]]) <= 0:
             raise StructureError("Killing form is not positive definite")
@@ -454,7 +456,8 @@ def weyl_apply(rd: RootDatum, word: WeylWord, v):
 
 
 def longest_element(rd: RootDatum) -> WeylWord:
-    v = rd.half_sum_positive
+    # 2 rho, the sum of the positive roots: integral, with the signs of rho
+    v = tuple(map(sum, zip(*rd.positive_roots)))
     word = []
     while True:
         i = next((i for i in range(1, rd.rank + 1) if rd.pairing(v, i) > 0), None)
@@ -471,7 +474,7 @@ def duality_involution(rd: RootDatum) -> dict[int, int]:
     """The permutation theta with -w0(alpha_i) = alpha_theta(i)."""
     w0 = longest_element(rd)
     theta = {}
-    e = identity(rd.rank)
+    e = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
     for i in range(1, rd.rank + 1):
         img = tuple(-x for x in weyl_apply(rd, w0, e[i - 1]))
         matches = [j for j in range(1, rd.rank + 1) if img == e[j - 1]]

@@ -209,8 +209,8 @@ def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
         raise StructureError("restricted simple roots are not distinct")
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            cij = (2 * base.killing_pair(lam2[i], lam2[j])
-                   / base.killing_pair(lam2[j], lam2[j]))
+            cij = Q(2 * base.killing_int(lam2[i], lam2[j]),
+                    base.killing_int(lam2[j], lam2[j]))
             if cij != restricted.cartan[i - 1][j - 1]:
                 raise StructureError(
                     f"restricted Cartan mismatch at ({i},{j}): got {cij}")
@@ -334,9 +334,9 @@ def g_fixed_subalgebra_components(series: str, rank: int) -> tuple[tuple[str, in
     e = identity(n)
     lowest = tuple(-x for x in rho)
     for j in range(1, n + 1):
-        num = 2 * rd.killing_pair(lowest, e[j - 1])
-        ext[0][j] = int(num / rd.killing_pair(e[j - 1], e[j - 1]))
-        ext[j][0] = int(2 * rd.killing_pair(e[j - 1], lowest) / rd.killing_pair(rho, rho))
+        ext[0][j] = int(Q(2 * rd.killing_int(lowest, e[j - 1]),
+                          rd.killing_int(e[j - 1], e[j - 1])))
+        ext[j][0] = int(Q(2 * rd.killing_int(e[j - 1], lowest), rd.killing_int(rho, rho)))
     keep = [i for i in range(n + 1) if i != j0]
     sub = RootDatum(tuple(tuple(ext[i][j] for j in keep) for i in keep))
     return sub.components
@@ -345,7 +345,7 @@ def g_fixed_subalgebra_components(series: str, rank: int) -> tuple[tuple[str, in
 def _contact_node(rd: RootDatum, rho) -> int:
     e = identity(rd.rank)
     hits = [i for i in range(1, rd.rank + 1)
-            if rd.killing_pair(rho, e[i - 1]) != 0]
+            if rd.killing_int(rho, e[i - 1]) != 0]
     if len(hits) != 1:
         raise StructureError("highest root touches more than one simple root")
     return hits[0]

@@ -29,6 +29,17 @@ def _report(num, text, ok):
     assert ok
 
 
+@pytest.fixture(scope="module")
+def derived_golden():
+    return json.loads(json.dumps(verify.golden_payload(8)))
+
+
+@pytest.mark.parametrize("name", verify.GOLDEN_FILES)
+def test_golden_files_match_the_fixtures(name, derived_golden):
+    # `verify --bless` writes golden_payload(8); the shipped files must not drift from it
+    assert verify.load_golden()[name] == derived_golden[name]
+
+
 def test_criterion_01_satake_table():
     t0 = time.monotonic()
     ok = True

@@ -145,3 +145,22 @@ def test_entry_json_round_trip_fan():
     back = lv.fan_from_json_dict(data)
     assert {c.key() for c in back} == {c.key() for c in entry.hilb_fan}
     assert len(ca.orbit_report(entry, "hilb").poset.nodes) == 21
+
+
+def test_build_entry_names_the_label_in_cone_layer_errors(monkeypatch):
+    def failing_kernel(*args):
+        raise StructureError("cone {x : E x = 0, M x >= 0} with E = [], M = [] is not pointed")
+
+    monkeypatch.setattr(lv, "feasible", failing_kernel)
+    with pytest.raises(StructureError) as info:
+        ca.build_entry.__wrapped__("G2")   # past the cache
+    assert str(info.value) == ("G2: cone {x : E x = 0, M x >= 0} with E = [], M = [] "
+                               "is not pointed")
+
+    def named_kernel(*args):
+        raise StructureError("G2: already named")
+
+    monkeypatch.setattr(lv, "feasible", named_kernel)
+    with pytest.raises(StructureError) as info:
+        ca.build_entry.__wrapped__("G2")
+    assert str(info.value) == "G2: already named"

@@ -371,6 +371,17 @@ def test_cone_checks_match_hrep_references_on_random_cones():
     assert nonpointed > 0
 
 
+def test_is_colored_cone_reports_a_cone_holding_lines():
+    # the plane has no extremal rays, hence no memo key; the check still answers
+    rrd = rrd_of("G", 2)
+    cc = lv.ColoredCone(lv.QCone.of([(1, 0), (-1, 0), (0, 1), (0, -1)]), frozenset({1, 2}))
+    with pytest.raises(StructureError, match="is not pointed"):
+        cc.key()
+    check = lv.is_colored_cone(cc, rrd)
+    assert not check.ok
+    assert check.diagnostics == ("cone is not strictly convex",)
+
+
 def test_relint_conventions_for_the_zero_cone():
     rrd = rrd_of("G", 2)
     zero, ray = lv.QCone(()), lv.QCone.of([neg(rrd.gamma[1])])
