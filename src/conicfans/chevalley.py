@@ -12,18 +12,15 @@ nonzero.  Triples holding a Cartan element need no sweep: they hold because
 the root pairing is linear, with [e_alpha, e_-alpha] = h_alpha and
 (alpha+beta)(h) = alpha(h) + beta(h); the proof is in `_verify_jacobi`.
 
-Integer core.  Every structure constant, root pairing and coroot coordinate is
-an integer, so the bracket of two integer elements is an integer element.
-Each `StructureConstants` builds one set of root-index tables on first use
-(`RootTables`); the Jacobi sweep and the single bracket `_int_bracket` both
-read them.  Rational elements enter the core by clearing denominators: if d x
-and d' y are integral, [x, y] = [d x, d' y] / (d d').  `LieElement` and the
-public `bracket` are the exact rational view on top of that.  The hot callers
-need no rational arithmetic at all: extremality of x is a projective
-property, and the contact cubic and quadratic are homogeneous of degree 3 and
-2 in v, so whether they vanish does not change when x or v is scaled by its
-common denominator.  Proportionality of integer vectors is then the vanishing
-of every 2x2 minor.
+Integer core on root indices.  Every structure constant, root pairing and
+coroot coordinate is an integer, and every table (`RootTables`) is indexed by
+the position of a root in `rd.roots`.  The special constants are built on the
+datum's tables, and the Jacobi sweep, the bracket `_int_bracket`, extremality
+and the contact forms all read the signed rows.  Rational elements enter by
+clearing denominators, [x, y] = [d x, d' y] / (d d'); `LieElement` and
+`bracket` are the exact rational view on top.  Extremality of x is projective
+and the contact cubic and quadratic are homogeneous in v, so whether they
+vanish does not change when x or v is scaled by its common denominator.
 """
 
 from __future__ import annotations
@@ -40,36 +37,102 @@ from typing import NamedTuple
 from .rootcore import RootDatum, StructureError
 
 Root = tuple[int, ...]
-# integer element: (coroot coordinates of the Cartan part, root index -> coefficient),
-# with no zero coefficient stored
+# integer element: (Cartan part in coroot coordinates, {root index: nonzero coefficient})
 IntElement = tuple[tuple[int, ...], dict[int, int]]
 
 ZERO = -1
-"""Sum index of a pair of opposite roots in `RootTables.rows`."""
-
-
-def _height(v: Root) -> int:
-    return sum(v)
+"""Sum index of a pair of opposite roots in `RootTables.sums` and `.rows`."""
 
 
 class RootTables(NamedTuple):
     """Integer tables on root indices, the positions of the roots in `rd.roots`.
 
-    rows[i] maps every j with roots[i] + roots[j] in Phi u {0} to the pair
-    (index of the sum, N_{i,j}), or (ZERO, 0) when the roots are opposite;
+    sums[i] maps every j with roots[i] + roots[j] in Phi u {0} to the index
+    of the sum, or ZERO for opposite roots; rows[i] maps the same j to (that
+    index, N_{i,j}), with N = 0 for ZERO.  neg[i] is the index of -roots[i];
+    order[i] the place of a positive root in the height-then-lex order, -1
+    for a negative one; norm2[i] the squared length (`RootDatum.killing_int`);
     pairing[i] holds roots[i](h_k) for the simple coroots h_k, and coroot[i]
-    the coroot of roots[i] in simple-coroot coordinates.
+    the coroot in simple-coroot coordinates.  All but rows depend on the
+    datum alone (`_root_index`); `StructureConstants.tables` adds the rows.
     """
 
     roots: tuple[Root, ...]
     index: dict[Root, int]
-    rows: tuple[dict[int, tuple[int, int]], ...]
+    sums: tuple[dict[int, int], ...]
+    neg: tuple[int, ...]
+    order: tuple[int, ...]
+    norm2: tuple[int, ...]
     pairing: tuple[tuple[int, ...], ...]
     coroot: tuple[tuple[int, ...], ...]
+    rows: tuple[dict[int, tuple[int, int]], ...] | None = None
+
+
+@lru_cache(maxsize=None)
+def _root_index(rd: RootDatum) -> RootTables:
+    roots = rd.roots
+    n = rd.rank
+    # a linear key read in base 6M + 1 for the largest root coordinate M: a
+    # sum of two roots minus a root has coordinates of size at most 3M, so
+    # equal keys mean equal vectors
+    base = 6 * max(abs(x) for g in roots for x in g) + 1
+    key = [sum(x * base ** k for k, x in enumerate(g)) for g in roots]
+    at = {kk: i for i, kk in enumerate(key)}
+    neg = tuple(at[-kk] for kk in key)
+    # filling sums[i] and sums[j] for i < j keeps every row in ascending order
+    sums = [{} for _ in roots]
+    for i, ka in enumerate(key):
+        for j in range(i + 1, len(roots)):
+            s = ZERO if j == neg[i] else at.get(ka + key[j])
+            if s is not None:
+                sums[i][j] = sums[j][i] = s
+    place = {g: k for k, g in enumerate(rd.positive_roots)}
+    norm2 = tuple(rd.killing_int(g, g) for g in roots)
+    simple_norms = [norm2[at[base ** k]] for k in range(n)]
+    coroot = []
+    for g, ng in zip(roots, norm2):
+        # alpha^vee has coordinate k equal to alpha_k |alpha_k|^2 / |alpha|^2
+        qr = [divmod(a * nk, ng) for a, nk in zip(g, simple_norms)]
+        if any(r for _, r in qr):
+            raise StructureError(f"{rd.label}: coroot of {g} has non-integer coordinates")
+        coroot.append(tuple(c for c, _ in qr))
+    return RootTables(
+        roots, {g: i for i, g in enumerate(roots)}, tuple(sums), neg,
+        tuple(place.get(g, -1) for g in roots), norm2,
+        tuple(tuple(rd.pairing(g, k) for k in range(1, n + 1)) for g in roots),
+        tuple(coroot))
+
+
+def _n(ix: RootTables, special: dict[tuple[int, int], int], i: int, j: int, s: int) -> int:
+    """N_{i,j} for a root sum s, read off the constants of the special pairs.
+
+    Two positive roots give the special pair or its swap, N_{b,a} = -N_{a,b},
+    and two negative ones N_{a,b} = -N_{-a,-b}.  A mixed pair, a positive and
+    b negative, rotates through a zero-sum triple, where N_{x,y}/|z|^2 is
+    cyclic for x + y + z = 0: N_{a,b} = -N_{-b,s} |s|^2/|a|^2 when s is
+    positive, and N_{a,b} = N_{-b,-a} = -N_{a,-s} |s|^2/|b|^2 when it is not.
+    """
+    order, neg = ix.order, ix.neg
+    sign = 1
+    if order[i] < 0 and order[j] < 0:
+        i, j, sign = neg[i], neg[j], -1
+    elif order[i] < 0:
+        i, j, sign = j, i, -1
+    if order[j] >= 0:
+        return sign * (special[i, j] if order[i] < order[j] else -special[j, i])
+    # i positive, j negative: the pair (a, b) that carries the rotated constant
+    a, b, den = (neg[j], s, ix.norm2[i]) if order[s] >= 0 else (i, neg[s], ix.norm2[j])
+    val, rem = divmod(-sign * ix.norm2[s]
+                      * (special[a, b] if order[a] < order[b] else -special[b, a]), den)
+    if rem:
+        raise StructureError("non-integer structure constant")
+    return val
 
 
 @dataclass(frozen=True)
 class StructureConstants:
+    """The signed constants of one datum, given on the special pairs of root tuples."""
+
     rd: RootDatum
     n_special: tuple[tuple[tuple[Root, Root], int], ...]
 
@@ -79,140 +142,86 @@ class StructureConstants:
 
     def __post_init__(self):
         object.__setattr__(self, "_special", dict(self.n_special))
+        # N is read off `tables`; perfbench/tracer.py reports this memo's size, 0
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_order", {g: k for k, g in enumerate(
-            sorted(self.rd.positive_roots, key=lambda v: (_height(v), v)))})
-        object.__setattr__(self, "_coroot_cache", {})
-        object.__setattr__(self, "_pairing_cache", {})
-        object.__setattr__(self, "_norm_cache", {})
-        object.__setattr__(self, "_simple_norms", tuple(
-            self.norm2(tuple(int(i == k) for i in range(self.rank)))
-            for k in range(self.rank)))
-
-    def pairing_vec(self, root: Root) -> tuple:
-        out = self._pairing_cache.get(root)
-        if out is None:
-            cart = self.rd.cartan
-            n = self.rank
-            out = tuple(sum(root[t] * cart[t][i] for t in range(n)) for i in range(n))
-            self._pairing_cache[root] = out
-        return out
-
-    def norm2(self, root: Root) -> int:
-        """The root's squared length, scaled to an integer (`RootDatum.killing_int`)."""
-        out = self._norm_cache.get(root)
-        if out is None:
-            out = self.rd.killing_int(root, root)
-            self._norm_cache[root] = out
-        return out
-
-    def string_down(self, alpha: Root, beta: Root) -> int:
-        """Largest p with beta - p*alpha a root."""
-        p = 0
-        cur = tuple(b - a for a, b in zip(alpha, beta))
-        while self.rd.is_root(cur):
-            p += 1
-            cur = tuple(c - a for a, c in zip(alpha, cur))
-        return p
-
-    def coroot_int(self, alpha: Root) -> tuple[int, ...]:
-        """alpha^vee in simple coroots: coordinate k is alpha_k |alpha_k|^2 / |alpha|^2."""
-        out = self._coroot_cache.get(alpha)
-        if out is None:
-            n = self.norm2(alpha)
-            out = []
-            for a, nk in zip(alpha, self._simple_norms):
-                c, rem = divmod(a * nk, n)
-                if rem:
-                    raise StructureError("coroot has non-integer coordinates")
-                out.append(c)
-            out = tuple(out)
-            self._coroot_cache[alpha] = out
-        return out
-
-    def n(self, alpha: Root, beta: Root) -> int:
-        """Structure constant N_{alpha,beta}; zero when alpha+beta is no root."""
-        s = tuple(a + b for a, b in zip(alpha, beta))
-        if not self.rd.is_root(s):
-            return 0
-        key = (alpha, beta)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        val = self._resolve(alpha, beta, s)
-        memo[key] = val
-        return val
-
-    def _resolve(self, alpha: Root, beta: Root, s: Root) -> int:
-        pos_a, pos_b = _height(alpha) > 0, _height(beta) > 0
-        if pos_a and pos_b:
-            if self._order[alpha] < self._order[beta]:
-                return self._special[(alpha, beta)]
-            return -self._special[(beta, alpha)]
-        if not pos_a and not pos_b:
-            na = tuple(-x for x in alpha)
-            nb = tuple(-x for x in beta)
-            return -self.n(na, nb)
-        if not pos_a:
-            return -self.n(beta, alpha)
-        # alpha positive, beta negative
-        if _height(s) > 0:
-            # rotate through the zero-sum triple (alpha, beta, -s):
-            # N_{alpha,beta} = -N_{-beta,s} |s|^2 / |alpha|^2
-            val, rem = divmod(-self.norm2(s) * self.n(tuple(-x for x in beta), s),
-                              self.norm2(alpha))
-            if rem:
-                raise StructureError("non-integer structure constant")
-            return val
-        return -self.n(tuple(-x for x in alpha), tuple(-x for x in beta))
 
     @cached_property
     def tables(self) -> RootTables:
-        """The root-index tables, built on first use from `n` (see `RootTables`)."""
-        roots = self.rd.roots
-        # a linear key, key(a + b) = key(a) + key(b), read in base 6M + 1 for
-        # the largest root coordinate M: a root minus a sum of two roots has
-        # coordinates of size at most 3M, so equal keys mean equal vectors
-        base = 6 * max(abs(x) for g in roots for x in g) + 1
-        key = [sum(x * base ** k for k, x in enumerate(g)) for g in roots]
-        at = {kk: i for i, kk in enumerate(key)}
-        at[0] = ZERO
-        # rows[j][i] comes from rows[i][j] by N_{b,a} = -N_{a,b}; filling both
-        # for i < j keeps every row in ascending partner order
-        rows = [{} for _ in roots]
-        for i, (a, ka) in enumerate(zip(roots, key)):
-            for j in range(i + 1, len(roots)):
-                s = at.get(ka + key[j])
-                if s is not None:
-                    n = 0 if s == ZERO else self.n(a, roots[j])
-                    rows[i][j] = (s, n)
-                    rows[j][i] = (s, -n)
-        # the rows hold every N now; the memo only served their build, and
-        # keeping both alive for every cached label would double the memory
-        self._memo.clear()
-        return RootTables(roots, {g: i for i, g in enumerate(roots)}, tuple(rows),
-                          tuple(self.pairing_vec(g) for g in roots),
-                          tuple(self.coroot_int(g) for g in roots))
+        """The signed root-index tables, built on first use (see `RootTables`)."""
+        ix = _root_index(self.rd)
+        special = {(ix.index[a], ix.index[b]): n for (a, b), n in self._special.items()}
+        rows = [{} for _ in ix.roots]
+        for i, row in enumerate(ix.sums):
+            for j, s in row.items():
+                if j > i:
+                    n = 0 if s == ZERO else _n(ix, special, i, j, s)
+                    rows[i][j], rows[j][i] = (s, n), (s, -n)
+        return ix._replace(rows=tuple(rows))
+
+    def n(self, alpha: Root, beta: Root) -> int:
+        """Structure constant N_{alpha,beta}; zero when alpha+beta is no root."""
+        tab = self.tables
+        hit = tab.rows[tab.index[alpha]].get(tab.index[beta])
+        return hit[1] if hit else 0
+
+    def pairing_vec(self, root: Root) -> tuple[int, ...]:
+        return self.tables.pairing[self.tables.index[root]]
+
+    def coroot_int(self, alpha: Root) -> tuple[int, ...]:
+        """alpha^vee in simple coroots."""
+        return self.tables.coroot[self.tables.index[alpha]]
 
 
-def _special_pairs(rd: RootDatum):
-    """Positive decompositions gamma = alpha + beta with alpha before beta."""
-    order = {g: k for k, g in enumerate(
-        sorted(rd.positive_roots, key=lambda v: (_height(v), v)))}
-    by_root = {}
-    for gamma in rd.positive_roots:
-        if _height(gamma) == 1:
-            continue
-        pairs = []
-        for alpha in rd.positive_roots:
-            if order[alpha] >= order[gamma]:
-                continue
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            if rd.is_root(beta) and _height(beta) > 0 and order[alpha] < order[beta]:
-                pairs.append((alpha, beta))
-        pairs.sort(key=lambda ab: order[ab[0]])
-        by_root[gamma] = pairs
-    return order, by_root
+def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
+    """N on every special pair (a, b): positive roots with a before b and a + b a root.
+
+    The first pair of each non-simple positive root gets +(p + 1), and the
+    others follow from the Jacobi identity, going up in height.
+    """
+    order, sums, neg = ix.order, ix.sums, ix.neg
+    positive = sorted((i for i, o in enumerate(order) if o >= 0), key=order.__getitem__)
+    by_root = {g: [] for g in positive if sum(ix.roots[g]) > 1}
+    for a in positive:
+        for b, g in sums[a].items():
+            if order[b] > order[a]:
+                by_root[g].append((a, b))
+
+    def string_down(a: int, b: int) -> int:
+        """Largest p with b - p*a a root (b - p*a is never 0 in a reduced system)."""
+        p, cur = 0, sums[b].get(neg[a])
+        while cur is not None:
+            p, cur = p + 1, sums[cur].get(neg[a])
+        return p
+
+    special: dict[tuple[int, int], int] = {}
+    for gamma, pairs in by_root.items():
+        if not pairs:
+            raise StructureError("a non-simple positive root has no decomposition")
+        (a1, b1), *rest = pairs
+        special[a1, b1] = string_down(a1, b1) + 1
+        for alpha, beta in rest:
+            # the e_beta component of the Jacobi identity on (-alpha, a1, b1),
+            #   N_{a1,b1} N_{-alpha,gamma} = N_{-alpha,a1} N_{a1-alpha,b1}
+            #                              + N_{-alpha,b1} N_{a1,b1-alpha},
+            # then N_{-alpha,gamma} rotates to N_{alpha,beta} along the triple
+            # (-alpha, gamma, -beta) by |gamma|^2 / |beta|^2; alpha differs
+            # from a1 and b1, so neither difference is zero
+            na, total = neg[alpha], 0
+            d1, d2 = sums[a1].get(na), sums[b1].get(na)
+            if d1 is not None:
+                total += _n(ix, special, na, a1, d1) * _n(ix, special, d1, b1, beta)
+            if d2 is not None:
+                total += _n(ix, special, na, b1, d2) * _n(ix, special, a1, d2, beta)
+            val, rem = divmod(total * ix.norm2[gamma], special[a1, b1] * ix.norm2[beta])
+            if rem:
+                raise StructureError("non-integer constant during propagation")
+            expect = string_down(alpha, beta) + 1
+            if abs(val) != expect:
+                raise StructureError(
+                    f"propagated constant {val} for {ix.roots[alpha]}+{ix.roots[beta]} "
+                    f"has wrong magnitude (want {expect})")
+            special[alpha, beta] = val
+    return special
 
 
 @lru_cache(maxsize=None)
@@ -228,55 +237,12 @@ def build_structure_constants(rd: RootDatum, verify: str = "full") -> StructureC
     """
     if verify not in ("full", "none"):
         raise ValueError(f"unknown Jacobi policy {verify!r}; use 'full' or 'none'")
-    order, by_root = _special_pairs(rd)
-    sc = StructureConstants(rd, ())
-    special: dict[tuple[Root, Root], int] = {}
-    object.__setattr__(sc, "_special", special)
-
-    for gamma in sorted(by_root, key=lambda g: (_height(g), g)):
-        pairs = by_root[gamma]
-        if not pairs:
-            raise StructureError("a non-simple positive root has no decomposition")
-        a1, b1 = pairs[0]
-        special[(a1, b1)] = sc.string_down(a1, b1) + 1
-        for alpha, beta in pairs[1:]:
-            val = _propagate(sc, rd, gamma, a1, b1, alpha, beta)
-            expect = sc.string_down(alpha, beta) + 1
-            if abs(val) != expect:
-                raise StructureError(
-                    f"propagated constant {val} for {alpha}+{beta} "
-                    f"has wrong magnitude (want {expect})")
-            special[(alpha, beta)] = val
-
+    ix = _root_index(rd)
+    sc = StructureConstants(rd, tuple(((ix.roots[a], ix.roots[b]), n) for (a, b), n
+                                      in _special_constants(ix).items()))
     if verify == "full":
         _verify_jacobi(sc)
     return sc
-
-
-def _propagate(sc, rd, gamma, a1, b1, alpha, beta) -> int:
-    """Solve the Jacobi component identity for N_{alpha,beta}.
-
-    With the zero-sum relation on (-alpha, a1, b1): the e_beta component of
-    the Jacobi identity gives
-      N_{a1,b1} N_{-alpha,gamma} = N_{-alpha,a1} N_{a1-alpha,b1}
-                                 + N_{-alpha,b1} N_{a1,b1-alpha},
-    and N_{-alpha,gamma} rescales to N_{alpha,beta} along the triple
-    (-alpha, gamma, -beta).
-    """
-    neg_alpha = tuple(-x for x in alpha)
-    total = 0
-    d1 = tuple(a - b for a, b in zip(a1, alpha))
-    if rd.is_root(d1):
-        total += sc.n(neg_alpha, a1) * sc.n(d1, b1)
-    d2 = tuple(b - a for b, a in zip(b1, alpha))
-    if rd.is_root(d2):
-        total += sc.n(neg_alpha, b1) * sc.n(a1, d2)
-    # N_{-alpha,gamma} = total / N_{a1,b1}; rotate the zero-sum triple
-    # (-alpha, gamma, -beta) back to (alpha, beta) by |gamma|^2 / |beta|^2
-    val, rem = divmod(total * sc.norm2(gamma), sc.n(a1, b1) * sc.norm2(beta))
-    if rem:
-        raise StructureError("non-integer constant during propagation")
-    return val
 
 
 def _verify_jacobi(sc: StructureConstants) -> None:
@@ -294,47 +260,54 @@ def _verify_jacobi(sc: StructureConstants) -> None:
     That leaves root-vector triples {e_a, e_b, e_c}.  Every term of J has
     weight a+b+c, so J is zero unless a+b+c is in Phi u {0} and some pairwise
     sum is in Phi u {0}.  The sweep lists exactly those triples: each pair
-    with a root-or-zero sum, then each c that lands in Phi u {0}, counting a
-    triple only from its first such pair in index order.  It reads the same
-    `sc.tables` as the bracket.
+    (i, j) with a root-or-zero sum s, then each k that lands in Phi u {0},
+    counting a triple only from its first such pair in index order.  The row
+    of s that lists k also gives the term [e_k, [e_i, e_j]]; for s = 0 that
+    term is [e_k, h_i] = -k(h_i) e_k.  It reads the same `sc.tables` as the
+    bracket.
     """
-    rd = sc.rd
     tab = sc.tables
     roots, rows, coroot, pairing = tab.roots, tab.rows, tab.coroot, tab.pairing
-    everyone = range(len(roots))
-
-    def term(x: int, y: int, z: int) -> int:
-        """Coefficient of [e_x, [e_y, e_z]] on the root x+y+z."""
-        hit = rows[y].get(z)
-        if hit is None:
-            return 0
-        s, n_yz = hit
-        if s == ZERO:
-            return -sum(map(mul, pairing[x], coroot[y]))
-        return n_yz * rows[x][s][1]
-
     for i, row in enumerate(rows):
         for j, (s, n_ij) in row.items():
             if j <= i:
                 continue
-            for k in (everyone if s == ZERO else rows[s]):
+            row_j = rows[j]
+            # far[k] = (index of i+j+k, c) with [e_k, [e_i, e_j]] = -m c e_{i+j+k}
+            if s == ZERO:
+                far = {k: (k, sum(map(mul, pk, coroot[i]))) for k, pk in enumerate(pairing)}
+                m = 1
+            else:
+                far, m = rows[s], n_ij
+            for k, (d, c) in far.items():
                 if k == i or k == j:
                     continue
+                row_k = rows[k]
                 # count each triple once, from its first pair with a sum
                 if i < k < j and k in row:
                     continue
-                if k < i and (i in rows[k] or j in rows[k]):
+                if k < i and (i in row_k or j in row_k):
                     continue
-                d = k if s == ZERO else rows[s][k][0]
                 if d == ZERO:
-                    n_jk, n_ki = rows[j][k][1], rows[k][i][1]
-                    ok = not any(n_jk * a + n_ki * b + n_ij * c
-                                 for a, b, c in zip(coroot[i], coroot[j], coroot[k]))
+                    n_jk, n_ki = row_j[k][1], row_k[i][1]
+                    ok = not any(n_jk * a + n_ki * b + n_ij * e
+                                 for a, b, e in zip(coroot[i], coroot[j], coroot[k]))
                 else:
-                    ok = term(i, j, k) + term(j, k, i) + term(k, i, j) == 0
+                    total = -m * c
+                    hit = row_j.get(k)            # [e_i, [e_j, e_k]]
+                    if hit:
+                        t, n_jk = hit
+                        total += (-sum(map(mul, pairing[i], coroot[j])) if t == ZERO
+                                  else n_jk * row[t][1])
+                    hit = row_k.get(i)            # [e_j, [e_k, e_i]]
+                    if hit:
+                        t, n_ki = hit
+                        total += (-sum(map(mul, pairing[j], coroot[k])) if t == ZERO
+                                  else n_ki * row_j[t][1])
+                    ok = total == 0
                 if not ok:
                     raise StructureError(
-                        f"{rd.label}: Jacobi fails on roots {roots[i]}, "
+                        f"{sc.rd.label}: Jacobi fails on roots {roots[i]}, "
                         f"{roots[j]}, {roots[k]}")
 
 
@@ -369,10 +342,6 @@ def _int_bracket(tab: RootTables, x: IntElement, y: IntElement) -> IntElement:
     return tuple(h), {k: v for k, v in e.items() if v}
 
 
-def _int_is_zero(x: IntElement) -> bool:
-    return not x[1] and not any(x[0])
-
-
 def _root_element(rank: int, i: int) -> IntElement:
     """The root vector of root index i."""
     return (0,) * rank, {i: 1}
@@ -388,24 +357,6 @@ def _combine(terms: list[tuple[int, IntElement]]) -> IntElement:
         for i, v in xe.items():
             e[i] = e.get(i, 0) + c * v
     return tuple(h), {i: v for i, v in e.items() if v}
-
-
-def _proportional(z: IntElement, x: IntElement) -> bool:
-    """Whether z lies on the line through the nonzero x: all 2x2 minors vanish.
-
-    With a pivot coordinate p where x_p != 0, z is a multiple of x exactly
-    when z_a x_p = z_p x_a for every coordinate a.
-    """
-    (zh, ze), (xh, xe) = z, x
-    p = next((k for k, v in enumerate(xh) if v), None)
-    if p is None:
-        p = next(iter(xe))
-        xp, zp = xe[p], ze.get(p, 0)
-    else:
-        xp, zp = xh[p], zh[p]
-    return (ze.keys() <= xe.keys()
-            and all(a * xp == zp * b for a, b in zip(zh, xh))
-            and all(ze.get(k, 0) * xp == zp * v for k, v in xe.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +383,12 @@ class LieElement:
     def cartan(rank: int, h) -> "LieElement":
         return LieElement.make(rank, h, None)
 
-    def e_dict(self) -> dict:
-        return dict(self.e)
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.h) and not self.e
 
     def add(self, other: "LieElement") -> "LieElement":
         h = tuple(a + b for a, b in zip(self.h, other.h))
-        e = self.e_dict()
+        e = dict(self.e)
         for r, c in other.e:
             e[r] = e.get(r, Q(0)) + c
         return LieElement.make(len(h), h, e)
@@ -480,17 +428,44 @@ def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
 def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
     """Whether [x, [x, -]] lands in the line through x for every basis vector.
 
-    The test is projective, so it runs on x times its common denominator.
+    The test is projective, so it runs on x times its common denominator.  On
+    coordinates k < rank for the simple coroot h_k and rank + i for e_i, the
+    columns [x, b] of ad_x are computed once; [x, [x, b]] is the combination
+    of columns whose coefficients are the coordinates of [x, b].
     """
     if x.is_zero():
         raise ValueError("the zero element is not projective")
     tab = sc.tables
-    xi, _ = _to_int(tab, x)
+    (xh, xe), _ = _to_int(tab, x)
+    rows, pairing, coroot = tab.rows, tab.pairing, tab.coroot
     rank = sc.rank
-    probes = [(tuple(int(i == j) for j in range(rank)), {}) for i in range(rank)]
-    probes += [((0,) * rank, {j: 1}) for j in range(len(tab.roots))]
-    return all(_proportional(_int_bracket(tab, xi, _int_bracket(tab, xi, y)), xi)
-               for y in probes)
+    # [x, h_k] = -sum_i x_i roots[i](h_k) e_i; [x, e_j] = x_h(e_j) + sum_i x_i [e_i, e_j]
+    cols = [{rank + i: -c * pairing[i][k] for i, c in xe.items() if pairing[i][k]}
+            for k in range(rank)]
+    for j, pj in enumerate(pairing):
+        c = sum(map(mul, xh, pj))
+        col = {rank + j: c} if c else {}
+        for i, c in xe.items():
+            s, n = rows[i].get(j, (None, 0))
+            if s == ZERO:
+                for k, v in enumerate(coroot[i]):
+                    col[k] = col.get(k, 0) + c * v
+            elif n:
+                col[rank + s] = col.get(rank + s, 0) + c * n
+        cols.append(col)
+    xv = {k: c for k, c in enumerate(xh) if c} | {rank + i: c for i, c in xe.items()}
+    p, xp = next(iter(xv.items()))
+    for col in cols:
+        z: dict[int, int] = {}
+        for b, c in col.items():
+            for a, v in cols[b].items():
+                z[a] = z.get(a, 0) + c * v
+        # z is a multiple of x when every 2x2 minor with the pivot p vanishes
+        zp = z.get(p, 0)
+        if (any(v and a not in xv for a, v in z.items())
+                or any(z.get(a, 0) * xp != zp * v for a, v in xv.items())):
+            return False
+    return True
 
 
 def twistor_conic_sample(sc: StructureConstants, rho: Root, t) -> LieElement:
@@ -519,12 +494,6 @@ def contact_hyperplane_roots(rd: RootDatum, j0: int) -> tuple[Root, ...]:
     return tuple(g for g in rd.roots if g[j0 - 1] == -1)
 
 
-def _contact_quadratic(tab: RootTables, rho_i: int, v: IntElement) -> IntElement:
-    """[v, [v, e_rho]]; the cubic is [v, _contact_quadratic(...)]."""
-    e_rho = _root_element(len(v[0]), rho_i)
-    return _int_bracket(tab, v, _int_bracket(tab, v, e_rho))
-
-
 def contact_cubic(sc: StructureConstants, rho: Root, j0: int,
                   v: LieElement) -> LieElement:
     """[v, [v, [v, e_rho]]] for v on the contact hyperplane, exactly."""
@@ -532,7 +501,7 @@ def contact_cubic(sc: StructureConstants, rho: Root, j0: int,
     if any(v.h) or any(r[j0 - 1] != -1 or r not in tab.index for r, _ in v.e):
         raise ContactDomainError("vector is not supported on the contact hyperplane")
     vi, d = _to_int(tab, v)
-    quad = _contact_quadratic(tab, tab.index[rho], vi)
+    quad = _int_bracket(tab, vi, _int_bracket(tab, vi, _root_element(sc.rank, tab.index[rho])))
     return _to_lie(tab, _int_bracket(tab, vi, quad), d ** 3)
 
 
@@ -541,7 +510,8 @@ def contact_quadratic(sc: StructureConstants, rho: Root,
     """[v, [v, e_rho]], exactly."""
     tab = sc.tables
     vi, d = _to_int(tab, v)
-    return _to_lie(tab, _contact_quadratic(tab, tab.index[rho], vi), d ** 2)
+    quad = _int_bracket(tab, vi, _int_bracket(tab, vi, _root_element(sc.rank, tab.index[rho])))
+    return _to_lie(tab, quad, d ** 2)
 
 
 @dataclass(frozen=True)
@@ -555,11 +525,52 @@ class ImplicationReport:
         return not self.violations
 
 
-def _random_q(rng: random.Random) -> tuple[int, int]:
-    """A random rational as (numerator, denominator)."""
-    num = rng.randint(-20, 20)
-    den = rng.randint(1, 20)
-    return num, den
+def _contact_forms(sc: StructureConstants, rho: Root, j0: int) -> tuple[list, list]:
+    """The quadratic and the cubic as integer forms on the contact hyperplane.
+
+    For v = sum_a v_a e_a over the roots of `contact_hyperplane_roots`, the
+    bilinear bracket expands [v, [v, e_rho]] into the sum over ordered pairs
+    of v_a v_b [e_a, [e_b, e_rho]], and [v, [v, [v, e_rho]]] into the sum of
+    v_c v_a v_b [e_c, [e_a, [e_b, e_rho]]].  Each form gathers these by
+    sorted monomial and lists, for each a, the nonzero terms
+    (coordinate, coefficient, b, c) of its monomials v_a v_b v_c, a <= b <= c;
+    a quadratic monomial takes as third factor the constant v_m = 1 that
+    `_vanishes` appends to v, m the hyperplane's dimension.
+    """
+    tab = sc.tables
+    e = [_root_element(sc.rank, tab.index[g]) for g in contact_hyperplane_roots(sc.rd, j0)]
+    m = len(e)
+    first = [_int_bracket(tab, x, _root_element(sc.rank, tab.index[rho])) for x in e]
+    gathered: tuple[dict, dict] = ({}, {})   # {(monomial, coordinate): coefficient}
+
+    def gather(form: dict, mono: tuple[int, ...], z: IntElement) -> None:
+        mono = tuple(sorted(mono))
+        # the Cartan coordinate k is keyed ~k, apart from the root indices
+        for coord, x in it.chain(((~k, x) for k, x in enumerate(z[0]) if x), z[1].items()):
+            form[mono, coord] = form.get((mono, coord), 0) + x
+
+    for a, b in it.product(range(m), repeat=2):
+        t = _int_bracket(tab, e[a], first[b])
+        if t[1] or any(t[0]):
+            gather(gathered[0], (a, b, m), t)
+            for c, x in enumerate(e):
+                gather(gathered[1], (a, b, c), _int_bracket(tab, x, t))
+    forms = ([[] for _ in e], [[] for _ in e])
+    for out, form in zip(forms, gathered):
+        for ((a, b, c), coord), x in form.items():
+            if x:
+                out[a].append((coord, x, b, c))
+    return forms
+
+
+def _vanishes(form: list, w: dict[int, int]) -> bool:
+    """Whether the integer form is zero at v = sum_a w[a] e_a."""
+    v = {**w, len(form): 1}
+    acc: dict[int, int] = {}
+    for a, x in w.items():
+        for coord, c, b, d in form[a]:
+            acc[coord] = acc.get(coord, 0) + c * x * v.get(b, 0) * v.get(d, 0)
+    return not any(acc.values())
 
 
 def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
@@ -570,63 +581,50 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
     padded with structured vectors: all coordinate pairs with small rational
     weights.  The converse needs no samples: the cubic is [v, quadratic].
     Both forms are homogeneous, so each vector is tested times its common
-    denominator, on the integer core.
+    denominator, on the integer forms of `_contact_forms`.
     """
     rng = random.Random(seed)
-    tab = sc.tables
-    dom = contact_hyperplane_roots(sc.rd, j0)
-    dom_i = [tab.index[g] for g in dom]
-    rho_i = tab.index[rho]
-    no_h = (0,) * sc.rank
+    quad, cubic = _contact_forms(sc, rho, j0)
+    m = len(quad)
     violations: list[str] = []
-    cubic_zero_hits = 0
+    cubic_zero_hits = tested = 0
 
-    def run(e: dict[int, int], tag: str):
-        nonlocal cubic_zero_hits
-        if not e:
-            return
-        v = (no_h, e)
-        quad = _contact_quadratic(tab, rho_i, v)
-        if _int_is_zero(_int_bracket(tab, v, quad)):
+    def run(w: dict[int, int], tag: str):
+        nonlocal cubic_zero_hits, tested
+        tested += 1
+        if any(w.values()) and _vanishes(cubic, w):
             cubic_zero_hits += 1
-            if not _int_is_zero(quad):
+            if not _vanishes(quad, w):
                 violations.append(f"{tag}: cubic vanishes but quadratic does not")
 
-    tested = 0
     # {a: 1, b: c} runs as {a: den(c), b: num(c)}
     weights = [(c.denominator, c.numerator, c) for c in (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2))]
-    for a in range(len(dom)):
-        for b in range(a + 1, len(dom)):
-            for ca, cb, c in weights:
-                run({dom_i[a]: ca, dom_i[b]: cb}, f"pair({a},{b},{c})")
-                tested += 1
+    for a, b in it.combinations(range(m), 2):
+        for ca, cb, c in weights:
+            run({a: ca, b: cb}, f"pair({a},{b},{c})")
     while tested < samples:
-        draws = [(i, _random_q(rng)) for i in dom_i if rng.random() < 0.7]
-        d = lcm(*(den for _, (_, den) in draws))
-        run({i: num * (d // den) for i, (num, den) in draws if num}, "random")
-        tested += 1
+        # a random rational num/den per drawn coordinate
+        draws = {a: (rng.randint(-20, 20), rng.randint(1, 20))
+                 for a in range(m) if rng.random() < 0.7}
+        d = lcm(*(den for _, den in draws.values()))
+        run({a: num * (d // den) for a, (num, den) in draws.items()}, "random")
     return ImplicationReport(tested, cubic_zero_hits, tuple(violations))
 
 
 def find_cubic_zero_quadratic_nonzero(sc: StructureConstants, rho: Root,
                                       j0: int) -> LieElement | None:
     """Deterministic search for a contact direction of a genuine smooth conic."""
-    tab = sc.tables
     dom = contact_hyperplane_roots(sc.rd, j0)
-    rho_i = tab.index[rho]
-    no_h = (0,) * sc.rank
+    quad, cubic = _contact_forms(sc, rho, j0)
     coeffs = [(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 2), (-1, 2)]
     for size in (2, 3):
-        for support in it.combinations(dom, size):
-            first, *rest = (tab.index[g] for g in support)
+        for first, *rest in it.combinations(range(len(dom)), size):
             for cs in it.product(coeffs, repeat=size - 1):
                 d = lcm(*(den for _, den in cs))
-                v = (no_h, {first: d, **{i: num * (d // den)
-                                         for i, (num, den) in zip(rest, cs)}})
-                quad = _contact_quadratic(tab, rho_i, v)
-                if not _int_is_zero(quad) and _int_is_zero(_int_bracket(tab, v, quad)):
-                    weights = {support[0]: 1}
-                    weights.update((g, Q(num, den)) for g, (num, den) in zip(support[1:], cs))
+                w = {first: d, **{a: num * (d // den) for a, (num, den) in zip(rest, cs)}}
+                if not _vanishes(quad, w) and _vanishes(cubic, w):
+                    weights = {dom[first]: 1}
+                    weights.update((dom[a], Q(num, den)) for a, (num, den) in zip(rest, cs))
                     return LieElement.make(sc.rank, None, weights)
     return None
 

@@ -297,7 +297,13 @@ class OrbitReport:
         return out
 
 
+@lru_cache(maxsize=None)
 def _symbol_key_map(entry: ConicAtlasEntry, scheme: str) -> dict:
+    """{extremal rays of the orbit cone: (symbols, label)}, read-only.
+
+    It depends on the entry and the scheme alone, so every `orbit_report`
+    on them shares one map.
+    """
     table = fixtures.ORBIT_LABELS[entry.kind][scheme]
     out = {}
     for symbols, label in table.items():

@@ -349,14 +349,30 @@ def is_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
 
 
 def _check_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
+    """Every colored face of a cone is in the fan; no two relative interiors meet in V.
+
+    Pairs of distinct colored faces of one fan cone need no test.  A point of
+    a polyhedral cone lies in the relative interior of exactly one face, the
+    smallest face holding it, so the relative interiors of distinct faces are
+    disjoint.  A face carries one set of colors, so two colored faces of one
+    cone with distinct keys are distinct faces.  `_face_order` lists which
+    fan cones are faces of which.
+    """
     diags = []
-    keys = {c.key() for c in fan}
+    keys = [c.key() for c in fan]
+    present = set(keys)
     for c in fan:
         for f in colored_faces(c, rrd):
-            if f.key() not in keys:
+            if f.key() not in present:
                 diags.append(f"missing colored face {f.key()} of {c.key()}")
     cones = list(fan)
+    below = [{j} for j in range(len(cones))]   # below[j]: cone j and its faces in the fan
+    for i, j in _face_order(fan, rrd):
+        below[j].add(i)
+    same_cone = {(a, b) for d in below for a in d for b in d if a < b and keys[a] != keys[b]}
     for a, b in itertools.combinations(range(len(cones)), 2):
+        if (a, b) in same_cone:
+            continue
         if relints_meet_in_valuation(rrd, cones[a].cone, cones[b].cone):
             diags.append(
                 f"relative interiors of cones {cones[a].key()} and "

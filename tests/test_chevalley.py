@@ -280,3 +280,88 @@ def test_projective_and_homogeneous_scaling(c):
         assert ch.contact_quadratic(sc, rho, v.scale(c)) == quad.scale(c ** 2)
         assert ch.contact_cubic(sc, rho, j0, v.scale(c)).is_zero() == cubic.is_zero()
         assert ch.contact_quadratic(sc, rho, v.scale(c)).is_zero() == quad.is_zero()
+
+
+def _oracle_extremal(sc, x):
+    """[x, [x, b]] on the exact bracket is a multiple of x for every basis vector b."""
+    rank = sc.rank
+    probes = [ch.LieElement.cartan(rank, [int(i == k) for i in range(rank)])
+              for k in range(rank)]
+    probes += [ch.LieElement.root_vector(rank, g) for g in sc.rd.roots]
+    k = next((k for k, c in enumerate(x.h) if c), None)
+    for b in probes:
+        z = ch.bracket(sc, x, ch.bracket(sc, x, b))
+        lam = z.h[k] / x.h[k] if k is not None else dict(z.e).get(x.e[0][0], 0) / x.e[0][1]
+        if z != x.scale(lam):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("series,rank", [("G", 2), ("B", 3), ("F", 4)], ids=["G2", "B3", "F4"])
+def test_is_extremal_matches_a_bracket_oracle(series, rank):
+    sc = sc_of(series, rank)
+    rd = sc.rd
+    rho = rc.highest_root(rd)
+    neg = tuple(-x for x in rho)
+    rng = random.Random(rank)
+    xs = [ch.twistor_conic_sample(sc, rho, t) for t in (0, 1, Q(-5, 7), Q(9, 2))]
+    xs += [ch.LieElement.root_vector(rank, g, Q(rng.randint(1, 5), rng.randint(1, 5)))
+           for g in rd.roots[::2]]
+    xs += [ch.LieElement.root_vector(rank, rho).add(ch.LieElement.root_vector(rank, neg)),
+           ch.LieElement.cartan(rank, [1] + [0] * (rank - 1)),
+           ch.LieElement.make(rank, [Q(1, 2)] * rank, {rho: 1})]
+    for _ in range(8):
+        xs.append(ch.LieElement.make(rank, None, {
+            rd.roots[rng.randrange(len(rd.roots))]: Q(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(2)}))
+    verdicts = []
+    for x in xs:
+        if x.is_zero():
+            continue
+        verdicts.append(ch.is_extremal(sc, x))
+        assert verdicts[-1] == _oracle_extremal(sc, x), x
+    assert True in verdicts and False in verdicts
+
+
+def _implication_by_brackets(sc, rho, j0, samples, seed):
+    """The sampled implication check evaluated per sample on the exact bracket.
+
+    Same draws, order and tags as `contact_implication_check`, each vector
+    tested through the public rational `contact_cubic` and `contact_quadratic`.
+    """
+    rng = random.Random(seed)
+    dom = ch.contact_hyperplane_roots(sc.rd, j0)
+    violations, hits, tested = [], 0, 0
+
+    def run(e, tag):
+        nonlocal hits
+        v = ch.LieElement.make(sc.rank, None, e)
+        if v.is_zero():
+            return
+        if ch.contact_cubic(sc, rho, j0, v).is_zero():
+            hits += 1
+            if not ch.contact_quadratic(sc, rho, v).is_zero():
+                violations.append(f"{tag}: cubic vanishes but quadratic does not")
+
+    for a in range(len(dom)):
+        for b in range(a + 1, len(dom)):
+            for c in (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2)):
+                run({dom[a]: 1, dom[b]: c}, f"pair({a},{b},{c})")
+                tested += 1
+    while tested < samples:
+        draws = [(g, rng.randint(-20, 20), rng.randint(1, 20))
+                 for g in dom if rng.random() < 0.7]
+        run({g: Q(num, den) for g, num, den in draws}, "random")
+        tested += 1
+    return ch.ImplicationReport(tested, hits, tuple(violations))
+
+
+@pytest.mark.parametrize("label,seed", [("G2", 0), ("G2", 4001), ("B3", 11), ("B3", 4001)])
+def test_implication_check_matches_the_bracket_loop(label, seed):
+    series, rank = ca.parse_label(label)
+    ad = ca.adjoint_data(series, rank)
+    sc = sc_of(series, rank)
+    rep = ch.contact_implication_check(sc, ad.rho, ad.j0, 800, seed)
+    assert rep == _implication_by_brackets(sc, ad.rho, ad.j0, 800, seed)
+    assert rep.cubic_zero_hits > 0
+    assert rep.clean == (label == "G2")

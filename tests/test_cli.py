@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -99,6 +100,19 @@ def test_export_constants_csv(capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert lines[0] == "alpha,beta,n"
     assert all(line.split(",")[2].lstrip("-").isdigit() for line in lines[1:])
+
+
+@pytest.mark.parametrize("label,lines,digest", [
+    ("G2", 61, "845ab6750a802b4b383892d49f781fafe607a9564815212d57e1d44146a13be5"),
+    ("F4", 817, "f476aced4906bcff7b4bbf67836d35caa0d82ca04665c03806f3553ab41236f6"),
+    ("E8", 13441, "38f5c13c29494dc9da014c263df1408ded873d6c0c2005aef88c8693901dbb25"),
+])
+def test_constants_csv_is_pinned(capsys, label, lines, digest):
+    # every signed constant, byte for byte, as the tuple-keyed build gave it
+    code, out = run(capsys, "export", "constants-csv", label)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_export_to_unwritable_path_is_a_usage_error(tmp_path, capsys):

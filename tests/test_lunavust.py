@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conicfans import conicatlas
+from conicfans import conicatlas, fixtures
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
 from conicfans.linalg import feasible, nullspace_basis, primitive
@@ -99,6 +99,50 @@ def test_fan_axioms_and_idempotent_union():
         list(lv.colored_faces(chow, rrd)) + [chow]
         + list(lv.colored_faces(c1, rrd)) + [c1])
     assert not lv.is_colored_fan(overlap, rrd).ok
+
+
+def _fan_diagnostics_over_all_pairs(fan, rrd):
+    """The fan check as it was before faces of one cone were skipped: every pair tested."""
+    diags = []
+    keys = {c.key() for c in fan}
+    for c in fan:
+        for f in lv.colored_faces(c, rrd):
+            if f.key() not in keys:
+                diags.append(f"missing colored face {f.key()} of {c.key()}")
+    for a, b in itertools.combinations(list(fan), 2):
+        if lv.relints_meet_in_valuation(rrd, a.cone, b.cone):
+            diags.append(f"relative interiors of cones {a.key()} and "
+                         f"{b.key()} meet inside the valuation cone")
+    return tuple(diags)
+
+
+def test_fan_check_skips_only_pairs_of_faces_of_one_cone():
+    rrd = rrd_of("B", 4)
+    g = rrd.gamma
+    c1 = lv.ColoredCone(lv.QCone.of([neg(g[1]), neg(g[3]), unit(2, 4), unit(4, 4)]),
+                        frozenset({2, 4}))
+    chow = lv.ColoredCone(
+        lv.QCone.of([neg(g[0]), neg(g[1]), neg(g[3]), unit(2, 4), unit(4, 4)]),
+        frozenset({2, 4}))
+    # two overlapping maximal cones, each with all its faces
+    overlap = lv.ColoredFan.of(
+        list(lv.colored_faces(chow, rrd)) + list(lv.colored_faces(c1, rrd)))
+    check = lv._check_colored_fan(overlap, rrd)
+    assert check.diagnostics == _fan_diagnostics_over_all_pairs(overlap, rrd)
+    assert any(d.startswith(f"relative interiors of cones {c1.key()} and {chow.key()}")
+               or d.startswith(f"relative interiors of cones {chow.key()} and {c1.key()}")
+               for d in check.diagnostics)
+    # and on every atlas fan, once per restricted datum
+    seen = set()
+    for label in fixtures.supported_labels(8):
+        entry = conicatlas.build_entry(label)
+        for fan in (entry.chow_fan, entry.hilb_fan):
+            key = (entry.rrd.restricted.cartan, lv._fan_key(fan))
+            if key not in seen:
+                seen.add(key)
+                got = lv._check_colored_fan(fan, entry.rrd)
+                assert got.ok and got.diagnostics == _fan_diagnostics_over_all_pairs(
+                    fan, entry.rrd)
 
 
 def test_completeness():
