@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import itertools as it
 import random
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .rootcore import RootDatum, StructureError
+from .rootcore import Record, RootDatum, StructureError
 
 Root = tuple[int, ...]
 # integer element: (Cartan part in coroot coordinates, {root index: nonzero coefficient})
@@ -129,8 +128,7 @@ def _n(ix: RootTables, special: dict[tuple[int, int], int], i: int, j: int, s: i
     return val
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(Record):
     """The signed constants of one datum, given on the special pairs of root tuples."""
 
     rd: RootDatum
@@ -362,8 +360,7 @@ def _combine(terms: list[tuple[int, IntElement]]) -> IntElement:
 # ---------------------------------------------------------------------------
 # Lie elements over Q
 
-@dataclass(frozen=True)
-class LieElement:
+class LieElement(Record):
     """h: coroot coordinates of the Cartan part; e: root -> coefficient."""
 
     h: tuple[Q, ...]
@@ -514,8 +511,7 @@ def contact_quadratic(sc: StructureConstants, rho: Root,
     return _to_lie(tab, quad, d ** 2)
 
 
-@dataclass(frozen=True)
-class ImplicationReport:
+class ImplicationReport(Record):
     samples: int
     cubic_zero_hits: int
     violations: tuple[str, ...]

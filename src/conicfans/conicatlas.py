@@ -10,7 +10,6 @@ lists, and the orbit-type cross-checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -20,13 +19,13 @@ from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
                        colored_faces, cone_contains, extremal_rays, is_colored_cone,
                        is_colored_fan, is_complete, maximal_cones, orbit_poset,
                        valuation_cone)
-from .rootcore import (InvalidTypeError, ParabolicSubset, RootDatum,
+from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
                        StructureError, UnsupportedAlgebraError,
                        build_root_datum, double_coset_count,
                        duality_involution, highest_root, parabolic_intersection,
                        subdatum)
-from .symdata import (RestrictedRootDatum, SatakeDiagram, restricted_datum,
-                      satake_of, supported_pair)
+from .symdata import (RestrictedRootDatum, SatakeDiagram, contact_node,
+                      restricted_datum, satake_of, supported_pair)
 
 _LABEL_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -38,8 +37,7 @@ def parse_label(label: str) -> tuple[str, int]:
     return m.group(1), int(m.group(2))
 
 
-@dataclass(frozen=True)
-class AdjointData:
+class AdjointData(Record):
     series: str
     rank: int
     g: RootDatum
@@ -58,11 +56,7 @@ def adjoint_data(series: str, rank: int) -> AdjointData:
     g = build_root_datum(series, rank)
     rho = highest_root(g)
     e = identity(g.rank)
-    touching = [i for i in range(1, g.rank + 1)
-                if g.killing_int(rho, e[i - 1]) != 0]
-    if len(touching) != 1:
-        raise StructureError("expected a unique simple root meeting the highest root")
-    j0 = touching[0]
+    j0 = contact_node(g, rho)
     if not g.is_long(e[j0 - 1]):
         raise StructureError("contact node is not long")
     rho_norm = g.killing_int(rho, rho)
@@ -95,8 +89,7 @@ def line_stabilizer(ad: AdjointData) -> ParabolicSubset:
     return ParabolicSubset(ad.neighbors)
 
 
-@dataclass(frozen=True)
-class BStablePlane:
+class BStablePlane(Record):
     beta: int
     long: bool
     stabilizer: ParabolicSubset
@@ -182,8 +175,7 @@ def fan_with_faces(rrd: RestrictedRootDatum, maximal) -> ColoredFan:
     return ColoredFan.of(cones)
 
 
-@dataclass(frozen=True)
-class ConicAtlasEntry:
+class ConicAtlasEntry(Record):
     label: str
     series: str
     rank: int
@@ -283,8 +275,7 @@ def reducible_divisor_ray(entry: ConicAtlasEntry):
 # ---------------------------------------------------------------------------
 # labeled orbit structure
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     label: str
     scheme: str
     poset: Poset

@@ -20,19 +20,17 @@ any answer below.  The rational `QCone.generators` are the public view.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 
 from .linalg import (Vec, det, feasible, int_nullspace, int_row, inverse, is_zero,
                      primitive, qvec, rank, solve, transpose, vdot)
-from .rootcore import StructureError
+from .rootcore import Record, StructureError
 
 Ray = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class QCone:
+class QCone(Record):
     """A convex rational polyhedral cone given by generators."""
 
     generators: tuple[Vec, ...]
@@ -56,8 +54,7 @@ class QCone:
         return rank(self.rows)
 
 
-@dataclass(frozen=True)
-class ColoredCone:
+class ColoredCone(Record):
     cone: QCone
     colors: frozenset[int]
 
@@ -65,8 +62,7 @@ class ColoredCone:
         return (extremal_rays(self.cone), tuple(sorted(self.colors)))
 
 
-@dataclass(frozen=True)
-class ColoredFan:
+class ColoredFan(Record):
     cones: tuple[ColoredCone, ...]
 
     @staticmethod
@@ -225,10 +221,9 @@ def relints_meet_in_valuation(rrd, *cones: QCone) -> bool:
     return feasible(eqs, ineqs, n)
 
 
-@dataclass(frozen=True)
-class ConeCheck:
+class ConeCheck(Record):
     ok: bool
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
+    diagnostics: tuple[str, ...] = ()
 
     def __bool__(self):
         return self.ok
@@ -422,8 +417,7 @@ def _covers_valuation(fan: ColoredFan, rrd) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Record):
     """Colored-cone poset of a fan with covering edges (Hasse data)."""
 
     nodes: tuple[ColoredCone, ...]
@@ -447,8 +441,7 @@ def orbit_poset(fan: ColoredFan, rrd) -> Poset:
 # ---------------------------------------------------------------------------
 # Ruzzi's smoothness criterion for simple symmetric embeddings
 
-@dataclass(frozen=True)
-class RuzziReport:
+class RuzziReport(Record):
     smooth: bool
     cond1: bool
     cond2: bool

@@ -10,7 +10,6 @@ block-diagonal Cartan matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
@@ -35,6 +34,79 @@ class OrbitLimitError(RuntimeError):
 
 class StructureError(RuntimeError):
     """An internal consistency check failed; indicates a transcription bug."""
+
+
+class Record:
+    """Base of the frozen value records: the fields are the class's own annotations.
+
+    It behaves like ``@dataclass(frozen=True)`` without generating code when a
+    class is created.  The constructor takes the fields by position or keyword
+    (a default is a class attribute of the field's name) and then calls
+    ``__post_init__``.  Equality holds only between instances of one class,
+    the hash is that of the field tuple, and the repr reads
+    ``QualName(field=value, ...)``.  Assigning or deleting an attribute raises
+    ``AttributeError``; ``functools.cached_property`` writes the instance
+    ``__dict__`` directly, so it still works, and pickling uses the default
+    ``object`` reduce.  Records do not inherit from one another.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """All field values from keywords and defaults after the positional ones."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, "
+                            f"{len(args)} positional arguments were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls.__dict__:
+                values.append(cls.__dict__[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unknown or repeated fields {sorted(kwargs)}")
+        return tuple(values)
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        inner = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 _RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (4, None),
@@ -171,8 +243,7 @@ def _simple_weyl_order(series: str, rank: int) -> int:
     return _EXCEPTIONAL_WEYL[(series, rank)]
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """A (possibly reducible) root system with exact Killing pairings."""
 
     cartan: tuple[tuple[int, ...], ...]
@@ -355,8 +426,7 @@ class RootDatum:
         }
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(Record):
     """A word in the simple reflections, applied left to right."""
 
     word: tuple[int, ...]
@@ -368,8 +438,7 @@ class WeylWord:
         return len(self.word)
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
+class ParabolicSubset(Record):
     """The crossed nodes I of a standard parabolic P_I (generated by S minus I)."""
 
     missing: frozenset[int]

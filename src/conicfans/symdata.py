@@ -11,12 +11,11 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
 from .linalg import det, identity, inverse
-from .rootcore import (ParabolicSubset, RootDatum, StructureError,
+from .rootcore import (ParabolicSubset, Record, RootDatum, StructureError,
                        UnsupportedAlgebraError, build_root_datum, highest_root,
                        longest_element, subdatum, weyl_apply)
 
@@ -34,8 +33,7 @@ def supported_pair(series: str, rank: int) -> tuple[str, int]:
     raise UnsupportedAlgebraError(f"{series}{rank} is not supported")
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
+class SatakeDiagram(Record):
     base: RootDatum
     series: str
     rank: int
@@ -158,8 +156,7 @@ def _restriction_reps(series: str, rank: int) -> dict[int, tuple[int, ...]]:
     return {i: (i,) for i in range(1, m + 1)}
 
 
-@dataclass(frozen=True)
-class RestrictedRootDatum:
+class RestrictedRootDatum(Record):
     satake: SatakeDiagram
     restricted: RootDatum
     restriction_map: tuple[tuple[int, int], ...]  # (white node, lambda index)
@@ -258,8 +255,7 @@ def _check_projected_roots(sd, restricted, lam2) -> None:
         raise StructureError("projected roots do not form the restricted system")
 
 
-@dataclass(frozen=True)
-class ColorInfo:
+class ColorInfo(Record):
     index: int
     stabilizer: ParabolicSubset
     color_type: str               # "a", "2a", or "b"
@@ -324,7 +320,7 @@ def g_fixed_subalgebra_components(series: str, rank: int) -> tuple[tuple[str, in
     series, rank = supported_pair(series, rank)
     rd = build_root_datum(series, rank)
     rho = highest_root(rd)
-    j0 = _contact_node(rd, rho)
+    j0 = contact_node(rd, rho)
     n = rd.rank
     ext = [[0] * (n + 1) for _ in range(n + 1)]
     ext[0][0] = 2
@@ -342,17 +338,18 @@ def g_fixed_subalgebra_components(series: str, rank: int) -> tuple[tuple[str, in
     return sub.components
 
 
-def _contact_node(rd: RootDatum, rho) -> int:
+def contact_node(rd: RootDatum, rho) -> int:
+    """The one simple root meeting the highest root `rho` (the contact node)."""
     e = identity(rd.rank)
     hits = [i for i in range(1, rd.rank + 1)
             if rd.killing_int(rho, e[i - 1]) != 0]
     if len(hits) != 1:
-        raise StructureError("highest root touches more than one simple root")
+        raise StructureError(f"{rd.label}: expected a unique simple root meeting "
+                             f"the highest root, found {hits}")
     return hits[0]
 
 
-@dataclass(frozen=True)
-class AnticanonicalData:
+class AnticanonicalData(Record):
     """Weil coefficients: 1 on boundary divisors, a_D on color closures."""
 
     stable_rays: tuple[tuple[int, ...], ...]

@@ -10,16 +10,14 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from importlib import resources
 from pathlib import Path
 
 from . import chevalley, conicatlas, fixtures, lunavust, symdata
 from .linalg import identity, primitive, qvec
-from .rootcore import (ParabolicSubset, StructureError, build_root_datum,
-                       duality_involution, highest_root, longest_element,
-                       weyl_apply)
+from .rootcore import (ParabolicSubset, Record, StructureError,
+                       build_root_datum, duality_involution, highest_root,
+                       longest_element, weyl_apply)
 
 GOLDEN_ENV = "CONICFANS_GOLDEN"
 
@@ -27,8 +25,7 @@ GOLDEN_FILES = ("satake", "gamma", "chow_cones", "hilb_cones", "planes",
                 "cosets", "colors", "faces", "hasse", "orbitcounts")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str = ""
@@ -48,7 +45,7 @@ def golden_dir() -> Path:
     override = os.environ.get(GOLDEN_ENV)
     if override:
         return Path(override)
-    return Path(resources.files("conicfans") / "golden")
+    return Path(__file__).with_name("golden")
 
 
 def load_golden(path: Path | None = None) -> dict[str, dict]:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,3 +228,21 @@ def test_bless_reports_unchanged(tmp_path, monkeypatch, capsys):
     code, out = run(capsys, "verify", "all", "--bless")
     assert code == 0
     assert out.count("unchanged") == len(verify.GOLDEN_FILES)
+
+
+def test_import_generates_no_code_and_loads_no_resources():
+    # a clean interpreter (-S: no site hooks that preload modules) importing
+    # the CLI and the checks must not pull in dataclasses' code generation
+    # (and with it inspect) nor importlib.resources
+    probe = ("import conicfans.cli, conicfans.verify, sys; "
+             "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_golden_dir_sits_beside_the_package(monkeypatch):
+    monkeypatch.delenv(verify.GOLDEN_ENV, raising=False)
+    assert verify.golden_dir() == Path(verify.__file__).parent / "golden"
+    assert (verify.golden_dir() / "satake.json").is_file()

@@ -168,3 +168,62 @@ def test_json_export_keys():
     d = rc.build_root_datum("B", 3).to_json_dict()
     assert set(d) == {"label", "cartan", "roots", "killing"}
     assert len(d["roots"]) == 18
+
+
+# ---------------------------------------------------------------------------
+# Record: the frozen value base of every record type
+
+def test_record_repr_matches_the_dataclass_text():
+    from conicfans.lunavust import ConeCheck
+    from conicfans.verify import CheckResult
+    assert repr(rc.ParabolicSubset.of(3, 1)) == "ParabolicSubset(missing=frozenset({1, 3}))"
+    assert repr(rc.WeylWord((1, 2))) == "WeylWord(word=(1, 2))"
+    assert repr(CheckResult("x", False, "it's")) == (
+        "CheckResult(name='x', ok=False, detail=\"it's\")")
+    assert repr(ConeCheck(False, ("a",))) == "ConeCheck(ok=False, diagnostics=('a',))"
+
+
+def test_record_equality_is_per_class_and_hash_follows_fields():
+    cartan = ((2, -1), (-1, 2))
+    word, datum = rc.WeylWord(cartan), rc.RootDatum(cartan)
+    assert word != datum and datum != word
+    assert word != (cartan,)
+    assert rc.RootDatum(cartan) == datum
+    assert hash(rc.RootDatum(cartan)) == hash(datum)
+    assert len({rc.WeylWord((1, 2)), rc.WeylWord((1, 2)), rc.WeylWord((2, 1))}) == 2
+
+
+def test_record_is_frozen():
+    w = rc.WeylWord((1,))
+    with pytest.raises(AttributeError):
+        w.word = (2,)
+    with pytest.raises(AttributeError):
+        w.other = 1
+    with pytest.raises(AttributeError):
+        del w.word
+    assert w.word == (1,)
+
+
+def test_record_constructor_binds_fields_and_defaults():
+    from conicfans.lunavust import ConeCheck
+    from conicfans.verify import CheckResult
+    assert ConeCheck(True).diagnostics == ()
+    assert CheckResult(ok=True, name="x") == CheckResult("x", True, "")
+    for args, kwargs in [(("x",), {}), (("x", True, "", 1), {}),
+                         (("x", True), {"extra": 1}), (("x", True), {"name": "y"})]:
+        with pytest.raises(TypeError):
+            CheckResult(*args, **kwargs)
+    with pytest.raises(ValueError):
+        rc.ParabolicSubset(frozenset({0}))
+
+
+def test_record_pickle_round_trip_keeps_cached_values():
+    import pickle
+
+    from conicfans.verify import CheckResult
+    res = CheckResult("rootcore.count.B3", True)
+    assert pickle.loads(pickle.dumps(res)) == res
+    rd = rc.RootDatum(rc.simple_cartan("B", 3))
+    roots = rd.roots
+    back = pickle.loads(pickle.dumps(rd))
+    assert back == rd and "roots" in vars(back) and back.roots == roots

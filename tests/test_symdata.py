@@ -159,3 +159,12 @@ def test_anticanonical_on_colorless_fan():
 def test_satake_json():
     d = sy.satake_of("E", 7).to_json_dict()
     assert d == {"type": "E7", "black": [1, 3, 7], "arrows": []}
+
+
+def test_contact_node_is_unique_and_named_on_failure():
+    from conicfans.rootcore import StructureError, build_root_datum, highest_root
+    g2 = build_root_datum("G", 2)
+    assert sy.contact_node(g2, highest_root(g2)) == 2
+    a3 = build_root_datum("A", 3)   # the highest root meets nodes 1 and 3
+    with pytest.raises(StructureError, match=r"^A3: .*found \[1, 3\]"):
+        sy.contact_node(a3, highest_root(a3))
