@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import itertools as it
 import random
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
-from typing import NamedTuple
 
 from .rootcore import Record, RootDatum, StructureError
 
@@ -43,7 +43,8 @@ ZERO = -1
 """Sum index of a pair of opposite roots in `RootTables.sums` and `.rows`."""
 
 
-class RootTables(NamedTuple):
+class RootTables(namedtuple("RootTables", "roots index sums neg order norm2 pairing "
+                                          "coroot rows", defaults=(None,))):
     """Integer tables on root indices, the positions of the roots in `rd.roots`.
 
     sums[i] maps every j with roots[i] + roots[j] in Phi u {0} to the index
@@ -52,19 +53,12 @@ class RootTables(NamedTuple):
     order[i] the place of a positive root in the height-then-lex order, -1
     for a negative one; norm2[i] the squared length (`RootDatum.killing_int`);
     pairing[i] holds roots[i](h_k) for the simple coroots h_k, and coroot[i]
-    the coroot in simple-coroot coordinates.  All but rows depend on the
-    datum alone (`_root_index`); `StructureConstants.tables` adds the rows.
+    the coroot in simple-coroot coordinates; index maps each root to its
+    position.  All but rows depend on the datum alone (`_root_index`);
+    `StructureConstants.tables` adds the rows, None until then.
     """
 
-    roots: tuple[Root, ...]
-    index: dict[Root, int]
-    sums: tuple[dict[int, int], ...]
-    neg: tuple[int, ...]
-    order: tuple[int, ...]
-    norm2: tuple[int, ...]
-    pairing: tuple[tuple[int, ...], ...]
-    coroot: tuple[tuple[int, ...], ...]
-    rows: tuple[dict[int, tuple[int, int]], ...] | None = None
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Command-line front end: table reproduction, verification, exports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  A closed
+standard output also exits 1, silently.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -147,7 +149,6 @@ def cmd_verify(args) -> int:
         return 1
     jobs = args.jobs
     if jobs is None:
-        import os
         jobs = min(4, os.cpu_count() or 1)
     results = verify.run_checks(scope=args.scope, max_rank=args.max_rank,
                                 seed=args.seed, golden=golden, jobs=jobs)
@@ -306,7 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point fd 1 at devnull so that the interpreter's
+        # final flush has nowhere to fail (the SIGPIPE note in Python's
+        # `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

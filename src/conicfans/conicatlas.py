@@ -358,7 +358,7 @@ def _check_labels(entry, scheme, poset, types) -> None:
                 f"label {t} conflicts with reducible-ray membership")
         if t == "PR":
             hosts = [m for m in maxcones
-                     if all(cone_contains(m.cone, qvec(r))
+                     if all(cone_contains(m.cone, r)
                             for r in extremal_rays(c.cone))]
             if not any(m.cone.dim() == c.cone.dim() + 1 for m in hosts):
                 raise StructureError(

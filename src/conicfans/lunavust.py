@@ -10,34 +10,38 @@ i.e. Fourier-Motzkin elimination; the exponential H/V conversion
 `_rays_of_hcone` serves only `hrep` and `extremal_rays`.
 
 These questions and the conversion run on integer rows; only Ruzzi's
-smoothness test still works with rational dual bases.  A cone is read
-through its primitive generators (`QCone.rows`) and a color point e_i / 2
-through e_i: scaling a generator, a color point or a constraint row by a
-positive number changes neither the cone, nor its relative interior, nor
-any answer below.  The rational `QCone.generators` are the public view.
+smoothness test still works with rational dual bases.  A cone is its
+primitive integer generators (`QCone.generators`, stored by `QCone.of`) and
+a color point e_i / 2 is read through e_i: scaling a generator, a color
+point or a constraint row by a positive number changes neither the cone,
+nor its relative interior, nor any answer below.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .linalg import (Vec, det, feasible, int_nullspace, int_row, inverse, is_zero,
                      primitive, qvec, rank, solve, transpose, vdot)
-from .rootcore import Record, StructureError
+from .rootcore import Record, StructureError, classify_component, subdatum
 
 Ray = tuple[int, ...]
 
 
 class QCone(Record):
-    """A convex rational polyhedral cone given by generators."""
+    """A convex rational polyhedral cone given by primitive integer generators.
 
-    generators: tuple[Vec, ...]
+    The generators are the key of every cone memo, so two cones built from
+    vectors on the same rays are one cone.
+    """
+
+    generators: tuple[Ray, ...]
 
     @staticmethod
     def of(vectors) -> "QCone":
-        return QCone(tuple(qvec(v) for v in vectors if not is_zero(v)))
+        return QCone(tuple(primitive(v) for v in vectors if not is_zero(v)))
 
     @property
     def ambient_dim(self) -> int:
@@ -45,13 +49,8 @@ class QCone(Record):
             return len(self.generators[0])
         raise ValueError("zero cone carries no ambient dimension")
 
-    @cached_property
-    def rows(self) -> tuple[Ray, ...]:
-        """The generators as primitive integer vectors, the key of every memo."""
-        return tuple(primitive(g) for g in self.generators)
-
     def dim(self) -> int:
-        return rank(self.rows)
+        return rank(self.generators)
 
 
 class ColoredCone(Record):
@@ -114,16 +113,12 @@ def _rays_of_hcone(equalities, inequalities, dim) -> tuple[Ray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _hrep_cached(rows: tuple[Ray, ...], dim: int):
-    eqs = int_nullspace(rows, dim)
-    return tuple(sorted(eqs)), _rays_of_hcone(eqs, rows, dim)
-
-
 def hrep(cone: QCone):
     """(equalities, facet inequalities) with primitive integer rows."""
     if not cone.generators:
         raise ValueError("zero cone")
-    return _hrep_cached(cone.rows, cone.ambient_dim)
+    eqs = int_nullspace(cone.generators, cone.ambient_dim)
+    return tuple(sorted(eqs)), _rays_of_hcone(eqs, cone.generators, cone.ambient_dim)
 
 
 def cone_contains(cone: QCone, x) -> bool:
@@ -136,18 +131,17 @@ def cone_contains(cone: QCone, x) -> bool:
     return all(vdot(e, x) == 0 for e in eqs) and all(vdot(f, x) >= 0 for f in facets)
 
 
-_rays_memo: dict = {}   # {(primitive generators, ambient dim): extremal rays}
+_rays_memo: dict = {}   # {cone: extremal rays}
 
 
 def extremal_rays(cone: QCone) -> tuple[Ray, ...]:
     """Minimal primitive generating rays, canonically sorted."""
     if not cone.generators:
         return ()
-    key = (cone.rows, cone.ambient_dim)
-    if key not in _rays_memo:
+    if cone not in _rays_memo:
         eqs, facets = hrep(cone)
-        _rays_memo[key] = _rays_of_hcone(eqs, facets, cone.ambient_dim)
-    return _rays_memo[key]
+        _rays_memo[cone] = _rays_of_hcone(eqs, facets, cone.ambient_dim)
+    return _rays_memo[cone]
 
 
 def _cone_on_rays(rays) -> QCone:
@@ -158,7 +152,7 @@ def _cone_on_rays(rays) -> QCone:
     the face an H-representation just to compute its key.
     """
     cone = QCone.of(rays)
-    _rays_memo.setdefault((cone.rows, cone.ambient_dim), tuple(rays))
+    _rays_memo.setdefault(cone, tuple(rays))
     return cone
 
 
@@ -166,7 +160,7 @@ def is_pointed(cone: QCone) -> bool:
     """Whether the cone holds no line: some linear form is >= 1 on every generator."""
     if not cone.generators:
         return True
-    return feasible([], [g + (-1,) for g in cone.rows], cone.ambient_dim)
+    return feasible([], [g + (-1,) for g in cone.generators], cone.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +202,7 @@ def relints_meet_in_valuation(rrd, *cones: QCone) -> bool:
     one is asked to satisfy A x <= 0.  relint({0}) = {0} lies in V and, by
     convention, meets no relative interior of a nonzero cone.
     """
-    gens = [c.rows for c in cones]
+    gens = [c.generators for c in cones]
     if not all(gens):
         return not any(gens)
     flat = [(j, g) for j, gs in enumerate(gens) for g in gs]   # one t per (cone, g)
@@ -296,7 +290,7 @@ def _generated_by_colors_and_valuations(rrd, cone: QCone, eps) -> bool:
                         + [[-vdot(f, e) for e in eps] + [vdot(f, g)] for f in facets]
                         + [[vdot(a, e) for e in eps] + [-vdot(a, g)] for a in vrows],
                         len(eps))
-               for g in cone.rows)
+               for g in cone.generators)
 
 
 def colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
@@ -449,44 +443,11 @@ class RuzziReport(Record):
     detail: tuple[str, ...]
 
 
-def _lattice_primitive(ray) -> tuple[int, ...]:
-    """Primitive representative in the half-coroot lattice (doubled coords)."""
-    return primitive([2 * Q(x) for x in ray])
-
-
 def levi_subsystem_factors(rrd, colors) -> list[list[int]]:
     """Connected components of the selected restricted simple roots."""
-    cart = rrd.restricted.cartan
-    chosen = sorted(colors)
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for i in chosen:
-        if i in seen:
-            continue
-        comp, todo = {i}, [i]
-        while todo:
-            a = todo.pop()
-            for b in chosen:
-                if b not in comp and cart[a - 1][b - 1] != 0:
-                    comp.add(b)
-                    todo.append(b)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
-
-
-def _component_is_type_a(rrd, comp) -> bool:
-    cart = rrd.restricted.cartan
-    for a in comp:
-        deg = 0
-        for b in comp:
-            if a != b and cart[a - 1][b - 1] != 0:
-                if cart[a - 1][b - 1] * cart[b - 1][a - 1] != 1:
-                    return False
-                deg += 1
-        if deg > 2:
-            return False
-    return True
+    sub, new_of = subdatum(rrd.restricted, colors)
+    kept = sorted(new_of)
+    return [[kept[i - 1] for i in nodes] for nodes in sub.component_nodes]
 
 
 def _order_path(rrd, comp) -> list[int] | None:
@@ -548,7 +509,7 @@ def ruzzi_smooth(cc: ColoredCone, rrd) -> RuzziReport:
 
     cond1 = True
     for comp in factors:
-        if not _component_is_type_a(rrd, comp):
+        if classify_component(rrd.restricted.cartan, [a - 1 for a in comp])[0] != "A":
             cond1 = False
             detail.append(f"Levi factor {comp} is not of type A")
     budget = sum(len(c) + 1 for c in factors)
@@ -556,14 +517,15 @@ def ruzzi_smooth(cc: ColoredCone, rrd) -> RuzziReport:
         cond1 = False
         detail.append(f"sum of (rank+1) over Levi factors is {budget} > {m}")
 
-    rays = extremal_rays(cc.cone)
-    prim = [_lattice_primitive(qvec(r)) for r in rays]
+    # a primitive ray r is also primitive in the half-coroot lattice's doubled
+    # coordinates, since primitive(2 r) = r
+    prim = extremal_rays(cc.cone)
     if len(prim) != m:
         cond2 = False
         detail.append(f"{len(prim)} extremal rays in rank {m}: "
                       "not a simplicial cone of full rank")
     else:
-        d = det([list(map(Q, p)) for p in prim])
+        d = det(prim)
         cond2 = abs(d) == 1
         if not cond2:
             detail.append(f"ray basis determinant {d} is not a unit")
@@ -660,15 +622,11 @@ def _ruzzi_condition3(rrd, cc, prim, factors, detail) -> bool:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _q_str(x: Q) -> str:
-    return str(x)
-
-
 def fan_to_json_dict(fan: ColoredFan, space_label: str) -> dict:
     return {
         "space": space_label,
         "cones": [
-            {"rays": [[_q_str(Q(x)) for x in r] for r in extremal_rays(c.cone)],
+            {"rays": [list(map(str, r)) for r in extremal_rays(c.cone)],
              "colors": sorted(c.colors)}
             for c in fan
         ],

@@ -370,8 +370,7 @@ def _ruzzi_checks(label: str, entry) -> list[CheckResult]:
 
 def _verify_ruzzi_fixture(rrd, fx) -> tuple[bool, str]:
     cc = conicatlas.resolve_cone(rrd, fx["cone"], fx["colors"])
-    rays = lunavust.extremal_rays(cc.cone)
-    prim = {lunavust._lattice_primitive(qvec(r)) for r in rays}
+    prim = set(lunavust.extremal_rays(cc.cone))
     basis = [tuple(2 * Q(x) for x in b) for b in fx["basis"]]
     if {tuple(int(x) for x in b) for b in basis} != prim:
         return False, "reference basis differs from the primitive extremal rays"
@@ -510,24 +509,11 @@ def run_checks(scope: str = "all", max_rank: int = 8, seed: int = 0,
     labels = fixtures.supported_labels(max_rank)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_worker, label, scope, seed,
-                                   os.environ.get(GOLDEN_ENV))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(labels))) as pool:
+            futures = [pool.submit(checks_for_label, label, scope, golden, seed)
                        for label in labels]
-            results = [f.result() for f in futures]
-        out = []
-        for chunk in results:
-            out.extend(CheckResult(*c) for c in chunk)
-        return out
+            return [c for f in futures for c in f.result()]
     out = []
     for label in labels:
         out.extend(checks_for_label(label, scope, golden, seed))
     return out
-
-
-def _worker(label, scope, seed, golden_env):
-    if golden_env:
-        os.environ[GOLDEN_ENV] = golden_env
-    golden = load_golden()
-    return [(c.name, c.ok, c.detail)
-            for c in checks_for_label(label, scope, golden, seed)]

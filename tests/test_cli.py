@@ -233,9 +233,10 @@ def test_bless_reports_unchanged(tmp_path, monkeypatch, capsys):
 def test_import_generates_no_code_and_loads_no_resources():
     # a clean interpreter (-S: no site hooks that preload modules) importing
     # the CLI and the checks must not pull in dataclasses' code generation
-    # (and with it inspect) nor importlib.resources
+    # (and with it inspect), importlib.resources nor typing
     probe = ("import conicfans.cli, conicfans.verify, sys; "
-             "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'importlib.resources', 'typing'}"
+             " & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -246,3 +247,64 @@ def test_golden_dir_sits_beside_the_package(monkeypatch):
     monkeypatch.delenv(verify.GOLDEN_ENV, raising=False)
     assert verify.golden_dir() == Path(verify.__file__).parent / "golden"
     assert (verify.golden_dir() / "satake.json").is_file()
+
+
+@pytest.mark.parametrize("argv", [("table", "cosets"),
+                                  ("verify", "rootcore", "--jobs", "1"),
+                                  ("export", "constants-csv", "E8")])
+def test_closed_stdout_exits_1_quietly(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # no reader: the first write fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "conicfans.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace ProcessPoolExecutor by a pool that runs each submission inline.
+
+    Returns the list of the max_workers each pool was asked for.
+    """
+    import concurrent.futures
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_verify_pool_never_exceeds_the_labels(pool_sizes):
+    results = verify.run_checks(scope="rootcore", jobs=64)
+    assert pool_sizes == [16]
+    assert results == verify.run_checks(scope="rootcore", jobs=1)
+
+
+def test_verify_pool_checks_the_callers_golden_data(pool_sizes):
+    golden = verify.load_golden()
+    golden["satake"] = {**golden["satake"],
+                        "B3": {**golden["satake"]["B3"], "black": [9]}}
+    for jobs in (1, 2):
+        failed = [r.name for r in verify.run_checks(scope="symdata", golden=golden,
+                                                    jobs=jobs) if not r.ok]
+        assert failed == ["symdata.satake-black.B3"]
+    assert pool_sizes == [2]

@@ -30,6 +30,22 @@ def test_extremal_rays_drop_interior_generators():
     assert lv.extremal_rays(single) == ((1, 2),)
 
 
+def test_qcone_stores_primitive_int_generators():
+    cone = lv.QCone.of([(Q(2, 3), Q(-4, 3)), (0, 0), (Q(0), Q(5))])
+    assert cone.generators == ((1, -2), (0, 1))
+    assert all(type(x) is int for g in cone.generators for x in g)
+    assert lv.QCone.of([(0, 0)]) == lv.QCone(())
+
+
+def test_cones_on_the_same_rays_share_one_hrep_entry():
+    first = lv.QCone.of([(Q(1, 2), 0), (0, 3)])
+    assert first == lv.QCone.of([(1, 0), (0, 1)])
+    lv.hrep(first)
+    hits = lv.hrep.cache_info().hits
+    assert lv.hrep(lv.QCone.of([(1, 0), (0, 1)])) == ((), ((0, 1), (1, 0)))
+    assert lv.hrep.cache_info().hits == hits + 1
+
+
 def test_extremal_rays_reject_nonpointed():
     with pytest.raises(StructureError):
         lv.extremal_rays(lv.QCone.of([(1, 0), (-1, 0), (0, 1)]))
@@ -194,6 +210,22 @@ def test_ruzzi_chow_cone_failures():
         frozenset({1, 2, 4}))
     repf = lv.ruzzi_smooth(chowf, rrdf)
     assert not repf.smooth and not repf.cond1
+
+
+@pytest.mark.parametrize("label, colors, detail", [
+    ("B4", {3, 4}, ("Levi factor [3, 4] is not of type A",)),
+    ("B4", {1, 2, 3, 4}, ("Levi factor [1, 2, 3, 4] is not of type A",
+                          "sum of (rank+1) over Levi factors is 5 > 4")),
+    ("F4", {2, 3}, ("Levi factor [2, 3] is not of type A",)),
+    ("G2", {1, 2}, ("Levi factor [1, 2] is not of type A",
+                    "sum of (rank+1) over Levi factors is 3 > 2")),
+])
+def test_ruzzi_condition1_names_each_failing_levi_factor(label, colors, detail):
+    entry = conicatlas.build_entry(label)
+    cone = lv.maximal_cones(entry.hilb_fan, entry.rrd)[0].cone
+    rep = lv.ruzzi_smooth(lv.ColoredCone(cone, frozenset(colors)), entry.rrd)
+    assert not rep.cond1 and rep.cond2
+    assert rep.detail == detail + ("a dual pairs incompatibly with the selected colors",)
 
 
 def test_fan_json_round_trip():
