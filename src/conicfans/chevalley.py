@@ -156,13 +156,6 @@ class StructureConstants(Record):
         hit = tab.rows[tab.index[alpha]].get(tab.index[beta])
         return hit[1] if hit else 0
 
-    def pairing_vec(self, root: Root) -> tuple[int, ...]:
-        return self.tables.pairing[self.tables.index[root]]
-
-    def coroot_int(self, alpha: Root) -> tuple[int, ...]:
-        """alpha^vee in simple coroots."""
-        return self.tables.coroot[self.tables.index[alpha]]
-
 
 def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
     """N on every special pair (a, b): positive roots with a before b and a + b a root.

@@ -61,7 +61,7 @@ def _table_rows(name: str, labels: list[str]) -> tuple[list[str], list[list[str]
         header = ["g", "beta", "in_variety", "stabilizer"]
         for label in labels:
             e = conicatlas.build_entry(label)
-            for p in conicatlas.b_stable_planes(e.ad):
+            for p in e.planes:
                 rows.append([label, f"a{p.beta}", "yes" if p.in_z else "no",
                              ",".join(f"a{i}" for i in sorted(p.stabilizer.missing))])
     elif name == "cosets":
@@ -128,6 +128,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.format == "csv":
+        print("verify writes --format text or json, not csv", file=sys.stderr)
+        return 2
     if args.bless:
         payload = verify.golden_payload(args.max_rank)
         target = verify.golden_dir()

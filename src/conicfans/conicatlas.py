@@ -17,11 +17,9 @@ from . import fixtures
 from .linalg import identity, qvec
 from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
                        colored_faces, cone_contains, extremal_rays, is_colored_cone,
-                       is_colored_fan, is_complete, maximal_cones, orbit_poset,
-                       valuation_cone)
+                       is_colored_fan, maximal_cones, orbit_poset, valuation_cone)
 from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
-                       StructureError, UnsupportedAlgebraError,
-                       build_root_datum, double_coset_count,
+                       StructureError, build_root_datum, double_coset_count,
                        duality_involution, highest_root, parabolic_intersection,
                        subdatum)
 from .symdata import (RestrictedRootDatum, SatakeDiagram, contact_node,
@@ -46,7 +44,6 @@ class AdjointData(Record):
     n: int
     neighbors: frozenset[int]
     pss: RootDatum
-    pss_map: tuple[tuple[int, int], ...]   # ambient node -> node of pss
     q_crossed: ParabolicSubset             # crossed nodes of Q inside pss
 
 
@@ -81,8 +78,7 @@ def adjoint_data(series: str, rank: int) -> AdjointData:
     keep = [i for i in range(1, g.rank + 1) if i != j0]
     pss, mapping = subdatum(g, keep)
     q = ParabolicSubset(frozenset(mapping[i] for i in neighbors))
-    return AdjointData(series, rank, g, rho, j0, n, neighbors, pss,
-                       tuple(sorted(mapping.items())), q)
+    return AdjointData(series, rank, g, rho, j0, n, neighbors, pss, q)
 
 
 def line_stabilizer(ad: AdjointData) -> ParabolicSubset:
@@ -181,6 +177,7 @@ class ConicAtlasEntry(Record):
     rank: int
     kind: str
     ad: AdjointData
+    planes: tuple[BStablePlane, ...]
     sd: SatakeDiagram
     rrd: RestrictedRootDatum
     theta: tuple[tuple[int, int], ...]
@@ -195,19 +192,24 @@ class ConicAtlasEntry(Record):
         return dict(self.theta)
 
 
-@lru_cache(maxsize=None)
-def build_entry(label: str) -> ConicAtlasEntry:
-    """The atlas entry of one label; a StructureError on the way names the label.
+def _naming(label: str, work, *args):
+    """work(*args), with the label put before a StructureError that lacks it.
 
     The cone layer names the rows, rays or restricted Cartan matrix it was
     working on, but does not know the label, so it is added here.
     """
     try:
-        return _build_entry(label)
+        return work(*args)
     except StructureError as exc:
         if str(exc).startswith(f"{label}: "):
             raise
         raise StructureError(f"{label}: {exc}") from exc
+
+
+@lru_cache(maxsize=None)
+def build_entry(label: str) -> ConicAtlasEntry:
+    """The atlas entry of one label; a StructureError on the way names the label."""
+    return _naming(label, _build_entry, label)
 
 
 def _build_entry(label: str) -> ConicAtlasEntry:
@@ -258,7 +260,7 @@ def _build_entry(label: str) -> ConicAtlasEntry:
         raise StructureError(f"fan axioms fail: {fan_check.diagnostics}")
 
     count = double_coset_count(ad.pss, ad.q_crossed)
-    return ConicAtlasEntry(label, series, rank, kind, ad, sd, rrd,
+    return ConicAtlasEntry(label, series, rank, kind, ad, planes, sd, rrd,
                            tuple(sorted(theta.items())), chow_colors, chow_fan,
                            tuple(hilb_colors), hilb_fan, count)
 
@@ -306,9 +308,16 @@ def _symbol_key_map(entry: ConicAtlasEntry, scheme: str) -> dict:
 
 
 def orbit_report(entry: ConicAtlasEntry, scheme: str) -> OrbitReport:
-    """Labeled Hasse diagram with the derived consistency checks applied."""
+    """Labeled Hasse diagram with the derived consistency checks applied.
+
+    A StructureError from the labels or their checks names the label.
+    """
     if scheme not in ("chow", "hilb"):
         raise ValueError("scheme must be chow or hilb")
+    return _naming(entry.label, _orbit_report, entry, scheme)
+
+
+def _orbit_report(entry: ConicAtlasEntry, scheme: str) -> OrbitReport:
     rrd = entry.rrd
     fan = entry.chow_fan if scheme == "chow" else entry.hilb_fan
     poset = orbit_poset(fan, rrd)
@@ -318,7 +327,7 @@ def orbit_report(entry: ConicAtlasEntry, scheme: str) -> OrbitReport:
     for c in poset.nodes:
         k = extremal_rays(c.cone)
         if k not in keymap:
-            raise StructureError(f"{entry.label}/{scheme}: unlabeled orbit cone {k}")
+            raise StructureError(f"unlabeled {scheme} orbit cone {k}")
         sym, lab = keymap[k]
         types.append(lab)
         symbols.append(sym)
@@ -331,7 +340,7 @@ def orbit_report(entry: ConicAtlasEntry, scheme: str) -> OrbitReport:
         got = {(symbols[i], symbols[j]) for i, j in poset.covers}
         if got != expected:
             raise StructureError(
-                f"{entry.label}: closure diagram differs from the reference "
+                "closure diagram differs from the reference "
                 f"(extra {sorted(got - expected)}, missing {sorted(expected - got)})")
     return OrbitReport(entry.label, scheme, poset, tuple(types))
 
@@ -368,7 +377,7 @@ def _check_labels(entry, scheme, poset, types) -> None:
         counts[t] = counts.get(t, 0) + 1
     if counts != fixtures.expected_type_multiset(entry.kind, scheme):
         raise StructureError(f"type multiset {counts} differs from the reference")
-    planes = b_stable_planes(entry.ad)
+    planes = entry.planes
     if len(maxcones) != (len(planes) if scheme == "hilb" else 1):
         raise StructureError("wrong number of closed orbits")
     if scheme == "hilb":

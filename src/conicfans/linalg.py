@@ -17,10 +17,9 @@ Rational input enters the core by scaling each row by the lcm of its
 denominators.  A positive factor changes neither a row space nor the
 half-space a row bounds, so `rank`, `int_nullspace`, `feasible` and
 `fm_feasible` never leave the integers.  `Fraction`s appear at the boundary
-only: the reduced row echelon form is unique, so `rref`, `solve` and
-`inverse` divide each pivot row by its pivot at the end, `nullspace_basis`
-divides each kernel vector by its free entry, and `det` divides once by the
-factors the elimination recorded.
+only: the reduced row echelon form is unique, so `solve` and `inverse` divide
+each pivot row by its pivot at the end, and `det` divides once by the factors
+the elimination recorded.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ def vdot(a, b):
 
 def is_zero(a) -> bool:
     return all(x == 0 for x in a)
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(vdot(row, v) for row in m)
 
 
 def transpose(m) -> Mat:
@@ -136,14 +131,6 @@ def _reduced(rows) -> tuple[list[list[int]], list[int]]:
     return m, _echelon(m)[0]
 
 
-def rref(rows) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m, pivots = _reduced(rows)
-    out = [[Q(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    out += [[Q(0)] * len(row) for row in m[len(pivots):]]
-    return out, pivots
-
-
 def rank(rows) -> int:
     return len(_reduced(rows)[1])
 
@@ -208,15 +195,6 @@ def int_nullspace(rows, ncols: int | None = None) -> list[tuple[int, ...]]:
         g = gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
-
-
-def nullspace_basis(rows, ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : rows @ x = 0}, each vector 1 at its own free column."""
-    out = []
-    for v in int_nullspace(rows, ncols):
-        free = next(x for x in reversed(v) if x)
-        out.append(tuple(Q(x, free) for x in v))
-    return out
 
 
 def _primitive_ints(r) -> tuple[int, ...]:

@@ -633,14 +633,6 @@ def fan_to_json_dict(fan: ColoredFan, space_label: str) -> dict:
     }
 
 
-def fan_from_json_dict(data: dict) -> ColoredFan:
-    cones = []
-    for entry in data["cones"]:
-        rays = [qvec(Q(x) for x in r) for r in entry["rays"]]
-        cones.append(ColoredCone(QCone.of(rays), frozenset(entry["colors"])))
-    return ColoredFan.of(cones)
-
-
 def poset_to_dot(poset: Poset, labels=None, name: str = "hasse") -> str:
     """DOT rendering of the Hasse diagram; edges run top (big orbit) down."""
     lines = [f"digraph {name} {{", "  rankdir=TB;", "  node [shape=box];"]

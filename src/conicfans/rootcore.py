@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import Vec, det, inverse, mat_mul, qvec, transpose
@@ -114,9 +114,6 @@ _RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (4, None),
 
 _EXCEPTIONAL_COUNTS = {("E", 6): 72, ("E", 7): 126, ("E", 8): 240,
                        ("F", 4): 48, ("G", 2): 12}
-
-_EXCEPTIONAL_WEYL = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-                     ("F", 4): 1152, ("G", 2): 12}
 
 
 def simple_cartan(series: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -231,16 +228,6 @@ def _simple_root_count(series: str, rank: int) -> int:
     if series == "D":
         return 2 * rank * (rank - 1)
     return _EXCEPTIONAL_COUNTS[(series, rank)]
-
-
-def _simple_weyl_order(series: str, rank: int) -> int:
-    if series == "A":
-        return factorial(rank + 1)
-    if series in ("B", "C"):
-        return 2**rank * factorial(rank)
-    if series == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return _EXCEPTIONAL_WEYL[(series, rank)]
 
 
 class RootDatum(Record):
@@ -397,12 +384,6 @@ class RootDatum(Record):
                 return self.killing_int(root, root) == m
         raise StructureError("root support crosses components")
 
-    def coroot(self, root) -> Vec:
-        """Coroot coordinates of root^vee in the simple-coroot basis."""
-        n = self.killing_int(root, root)
-        k = self._scaled_killing[0]
-        return tuple(Q(root[i] * k[i][i], n) for i in range(self.rank))
-
     @cached_property
     def half_sum_positive(self) -> Vec:
         acc = [Q(0)] * self.rank
@@ -410,20 +391,6 @@ class RootDatum(Record):
             for k in range(self.rank):
                 acc[k] += g[k]
         return qvec(x / 2 for x in acc)
-
-    def weyl_order(self) -> int:
-        out = 1
-        for s, r in self.components:
-            out *= _simple_weyl_order(s, r)
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "cartan": [list(r) for r in self.cartan],
-            "roots": [list(r) for r in self.roots],
-            "killing": [[str(x) for x in row] for row in self.killing],
-        }
 
 
 class WeylWord(Record):
@@ -472,18 +439,6 @@ def _validate_datum(rd: RootDatum, series: str, rank: int) -> None:
     for m in range(1, rank + 1):
         if det([row[:m] for row in k[:m]]) <= 0:
             raise StructureError("Killing form is not positive definite")
-
-
-def product_datum(parts: list[RootDatum]) -> RootDatum:
-    n = sum(p.rank for p in parts)
-    cart = [[0] * n for _ in range(n)]
-    off = 0
-    for p in parts:
-        for i in range(p.rank):
-            for j in range(p.rank):
-                cart[off + i][off + j] = p.cartan[i][j]
-        off += p.rank
-    return RootDatum(tuple(tuple(r) for r in cart))
 
 
 def subdatum(rd: RootDatum, keep) -> tuple[RootDatum, dict[int, int]]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .linalg import det, identity, inverse
 from .rootcore import (ParabolicSubset, Record, RootDatum, StructureError,
                        UnsupportedAlgebraError, build_root_datum, highest_root,
-                       longest_element, subdatum, weyl_apply)
+                       longest_element, subdatum)
 
 
 def supported_pair(series: str, rank: int) -> tuple[str, int]:
@@ -59,11 +59,6 @@ class SatakeDiagram(Record):
             if i == b:
                 return a
         return i
-
-    def to_json_dict(self) -> dict:
-        return {"type": f"{self.series}{self.rank}",
-                "black": sorted(self.black),
-                "arrows": [list(p) for p in self.arrows]}
 
 
 def satake_of(series: str, rank: int) -> SatakeDiagram:
@@ -161,7 +156,6 @@ class RestrictedRootDatum(Record):
     restricted: RootDatum
     restriction_map: tuple[tuple[int, int], ...]  # (white node, lambda index)
     gamma: tuple[tuple[Q, ...], ...]              # dual basis, coroot coords
-    lattice_note: str
 
     @property
     def base(self) -> RootDatum:
@@ -215,9 +209,7 @@ def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
 
     ainv = inverse(restricted.cartan)
     gamma = tuple(tuple(ainv[i][j] for i in range(m)) for j in range(m))
-    return RestrictedRootDatum(
-        sd, restricted, rmap, gamma,
-        "characters form the doubled weight lattice of the restricted coroots")
+    return RestrictedRootDatum(sd, restricted, rmap, gamma)
 
 
 def _check_projected_roots(sd, restricted, lam2) -> None:
@@ -261,13 +253,6 @@ class ColorInfo(Record):
     color_type: str               # "a", "2a", or "b"
     a_coeff: int
     spherical_root: tuple[int, ...]  # ambient simple-root coordinates
-
-    def to_json_dict(self) -> dict:
-        return {"color": self.index,
-                "stabilizer_crossed": sorted(self.stabilizer.missing),
-                "type": self.color_type,
-                "a": self.a_coeff,
-                "spherical_root": list(self.spherical_root)}
 
 
 @lru_cache(maxsize=None)
@@ -354,10 +339,6 @@ class AnticanonicalData(Record):
 
     stable_rays: tuple[tuple[int, ...], ...]
     color_coeffs: tuple[tuple[int, int], ...]  # (color index, coefficient)
-
-    def to_json_dict(self) -> dict:
-        return {"stable_rays": [list(r) for r in self.stable_rays],
-                "color_coeffs": {str(i): a for i, a in self.color_coeffs}}
 
 
 def anticanonical_data(rrd: RestrictedRootDatum, fan) -> AnticanonicalData:

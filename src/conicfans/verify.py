@@ -15,9 +15,9 @@ from pathlib import Path
 
 from . import chevalley, conicatlas, fixtures, lunavust, symdata
 from .linalg import identity, primitive, qvec
-from .rootcore import (ParabolicSubset, Record, StructureError,
-                       build_root_datum, duality_involution, highest_root,
-                       longest_element, weyl_apply)
+from .rootcore import (Record, StructureError, build_root_datum,
+                       duality_involution, highest_root, longest_element,
+                       weyl_apply)
 
 GOLDEN_ENV = "CONICFANS_GOLDEN"
 
@@ -248,7 +248,7 @@ def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
 
     planes = [{"beta": p.beta, "in_z": p.in_z,
                "stabilizer": sorted(p.stabilizer.missing)}
-              for p in conicatlas.b_stable_planes(entry.ad)]
+              for p in entry.planes]
     out.append(_res(planes == golden["planes"][label],
                     f"conicatlas.planes.{label}",
                     f"{planes} vs {golden['planes'][label]}"))

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from conicfans import cli, verify
-from conicfans.lunavust import fan_from_json_dict
 
 
 def run(capsys, *argv):
@@ -77,15 +76,23 @@ def test_csv_and_json_formats(capsys):
     assert code == 0 and len(data) == 2
 
 
+def test_verify_rejects_the_csv_format(capsys):
+    code = cli.main(["--format", "csv", "verify", "rootcore", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "text" in captured.err and "json" in captured.err
+
+
 def test_export_fan_round_trip(tmp_path, capsys):
     out_file = tmp_path / "fan.json"
     code, _ = run(capsys, "export", "fan-json", "B4", "--which", "hilb",
                   "-o", str(out_file))
     assert code == 0
     data = json.loads(out_file.read_text())
-    fan = fan_from_json_dict(data)
     from conicfans.conicatlas import build_entry
-    assert {c.key() for c in fan} == {c.key() for c in build_entry("B4").hilb_fan}
+    assert {(tuple(tuple(map(int, r)) for r in c["rays"]), tuple(c["colors"]))
+            for c in data["cones"]} == {c.key() for c in build_entry("B4").hilb_fan}
     maximal = [c for c in data["cones"] if len(c["rays"]) == 4]
     assert len(maximal) == 2
 

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from conicfans import conicatlas as ca
 from conicfans import fixtures
 from conicfans import lunavust as lv
+from conicfans import verify
 from conicfans.rootcore import (ParabolicSubset, StructureError,
                                 UnsupportedAlgebraError, duality_involution)
 
@@ -142,8 +144,8 @@ def test_entry_json_round_trip_fan():
     assert (entry.label, entry.ad.j0, entry.ad.n) == ("D4", 2, 4)
     assert entry.double_cosets == 8
     data = json.loads(json.dumps(lv.fan_to_json_dict(entry.hilb_fan, entry.rrd.space_label)))
-    back = lv.fan_from_json_dict(data)
-    assert {c.key() for c in back} == {c.key() for c in entry.hilb_fan}
+    assert {(tuple(tuple(map(int, r)) for r in c["rays"]), tuple(c["colors"]))
+            for c in data["cones"]} == {c.key() for c in entry.hilb_fan}
     assert len(ca.orbit_report(entry, "hilb").poset.nodes) == 21
 
 
@@ -164,3 +166,35 @@ def test_build_entry_names_the_label_in_cone_layer_errors(monkeypatch):
     with pytest.raises(StructureError) as info:
         ca.build_entry.__wrapped__("G2")
     assert str(info.value) == "G2: already named"
+
+
+def test_planes_are_computed_once_per_label(monkeypatch):
+    calls = []
+    real = ca.b_stable_planes
+
+    def counting(ad):
+        calls.append(ad.g.label)
+        return real(ad)
+
+    monkeypatch.setattr(ca, "b_stable_planes", counting)
+    monkeypatch.setattr(ca, "build_entry", functools.lru_cache(ca.build_entry.__wrapped__))
+    results = verify.atlas_checks("B3", verify.load_golden())
+    assert all(r.ok for r in results)
+    assert calls == ["B3"]
+
+
+def test_orbit_layer_errors_name_the_label_once(monkeypatch):
+    entry = ca.build_entry("B3")
+    real = fixtures.expected_type_multiset
+
+    def wrong_for_chow(kind, scheme):
+        return {} if (kind, scheme) == (entry.kind, "chow") else real(kind, scheme)
+
+    monkeypatch.setattr(fixtures, "expected_type_multiset", wrong_for_chow)
+    with pytest.raises(StructureError) as info:
+        ca.orbit_report(entry, "chow")
+    message = str(info.value)
+    assert message.startswith("B3: type multiset ")
+    failed = {r.name: r.detail for r in verify.atlas_checks("B3", verify.load_golden())
+              if not r.ok}
+    assert failed == {"conicatlas.orbit-labels.chow.B3": message}

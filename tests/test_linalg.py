@@ -30,9 +30,9 @@ def test_solve_and_nullspace():
     a = [[Q(1), Q(2)], [Q(2), Q(4)]]
     assert linalg.solve(a, [Q(3), Q(6)]) is not None
     assert linalg.solve(a, [Q(3), Q(7)]) is None
-    ns = linalg.nullspace_basis(a)
+    ns = linalg.int_nullspace(a)
     assert len(ns) == 1
-    assert linalg.mat_vec(a, ns[0]) == (Q(0), Q(0))
+    assert [linalg.vdot(row, ns[0]) for row in a] == [0, 0]
 
 
 def test_feasible_simple():
@@ -174,13 +174,10 @@ def matrices(draw, square=False):
 @given(matrices())
 def test_rref_rank_and_nullspace_match_the_fraction_elimination(data):
     ncols, rows = data
-    red, pivots = _ref_rref(rows)
-    assert linalg.rref(rows) == (red, pivots)
+    _, pivots = _ref_rref(rows)
     assert linalg.rank(rows) == len(pivots)
-    basis = linalg.nullspace_basis(rows, ncols)
-    assert basis == _ref_nullspace(rows, ncols)
-    ints = linalg.int_nullspace(rows, ncols)
-    assert [linalg.primitive(v) for v in basis] == ints
+    assert linalg.int_nullspace(rows, ncols) == [
+        linalg.primitive(v) for v in _ref_nullspace(rows, ncols)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,7 +188,7 @@ def test_solve_matches_the_fraction_elimination(data, draw):
     got = linalg.solve(rows, b) if rows else linalg.solve(rows, [0] * ncols)
     assert got == (_ref_solve(rows, b, ncols) if rows else (Q(0),) * ncols)
     if got is not None:
-        assert linalg.mat_vec(rows, got) == tuple(Q(x) for x in b)
+        assert [linalg.vdot(row, got) for row in rows] == [Q(x) for x in b]
 
 
 @settings(max_examples=200, deadline=None)

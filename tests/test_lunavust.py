@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 
@@ -7,7 +8,7 @@ import pytest
 from conicfans import conicatlas, fixtures
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
-from conicfans.linalg import feasible, nullspace_basis, primitive
+from conicfans.linalg import feasible, int_nullspace, primitive
 from conicfans.rootcore import StructureError
 
 
@@ -175,6 +176,43 @@ def test_completeness():
     assert not lv.is_complete(only1, rrd)
 
 
+def _uncovered_valuation_points(fan, rrd):
+    """Points sum c_j primitive(-gamma_j), c_j in 0..3, in no maximal cone.
+
+    An oracle for `is_complete` by sampling V on a grid, one `cone_contains`
+    at a time, in place of its Fourier-Motzkin covering test.
+    """
+    rays = [primitive(neg(g)) for g in rrd.gamma]
+    maxc = lv.maximal_cones(fan, rrd)
+    out = []
+    for cs in itertools.product(range(4), repeat=len(rays)):
+        x = tuple(sum(c * r[k] for c, r in zip(cs, rays)) for k in range(len(rays)))
+        if any(cs) and not any(lv.cone_contains(m.cone, x) for m in maxc):
+            out.append(x)
+    return out
+
+
+def test_completeness_matches_the_grid_oracle():
+    entries = {}
+    for label in fixtures.supported_labels(8):
+        entry = conicatlas.build_entry(label)
+        entries.setdefault(entry.rrd.restricted.label, entry)
+    assert sorted(entries) == ["B3", "B4", "D4", "F4", "G2"]
+    for entry in entries.values():
+        for fan in (entry.chow_fan, entry.hilb_fan):
+            assert lv.is_complete(fan, entry.rrd)
+            assert _uncovered_valuation_points(fan, entry.rrd) == []
+
+
+@pytest.mark.parametrize("label", ["B3", "B4", "D4"])
+def test_one_hilbert_cone_leaves_a_grid_point_uncovered(label):
+    entry = conicatlas.build_entry(label)
+    for cc in lv.maximal_cones(entry.hilb_fan, entry.rrd):
+        fan = conicatlas.fan_with_faces(entry.rrd, [cc])
+        assert not lv.is_complete(fan, entry.rrd)
+        assert _uncovered_valuation_points(fan, entry.rrd)
+
+
 def test_orbit_poset_is_graded_chain_for_g2():
     rrd = rrd_of("G", 2)
     g = rrd.gamma
@@ -234,10 +272,10 @@ def test_fan_json_round_trip():
     c1 = lv.ColoredCone(lv.QCone.of([neg(g[1]), neg(g[3]), unit(2, 4), unit(4, 4)]),
                         frozenset({2, 4}))
     fan = lv.ColoredFan.of([c1] + list(lv.colored_faces(c1, rrd)))
-    data = lv.fan_to_json_dict(fan, rrd.space_label)
-    back = lv.fan_from_json_dict(data)
-    assert {c.key() for c in back} == {c.key() for c in fan}
-    assert lv.fan_to_json_dict(back, rrd.space_label) == data
+    data = json.loads(json.dumps(lv.fan_to_json_dict(fan, rrd.space_label)))
+    assert data["space"] == rrd.space_label and len(data["cones"]) == len(fan.cones)
+    assert {(tuple(tuple(map(int, r)) for r in c["rays"]), tuple(c["colors"]))
+            for c in data["cones"]} == {c.key() for c in fan}
 
 
 def test_dot_export_mentions_all_nodes():
@@ -343,7 +381,7 @@ def _is_pointed_by_hrep(cone):
     if not cone.generators:
         return True
     eqs, facets = lv.hrep(cone)
-    return not nullspace_basis([list(r) for r in eqs + facets], cone.ambient_dim)
+    return not int_nullspace([list(r) for r in eqs + facets], cone.ambient_dim)
 
 
 def _relint_meets_by_rays(rrd, cone):

@@ -156,11 +156,6 @@ def test_anticanonical_on_colorless_fan():
     assert data.stable_rays == ((-1, -2),)
 
 
-def test_satake_json():
-    d = sy.satake_of("E", 7).to_json_dict()
-    assert d == {"type": "E7", "black": [1, 3, 7], "arrows": []}
-
-
 def test_contact_node_is_unique_and_named_on_failure():
     from conicfans.rootcore import StructureError, build_root_datum, highest_root
     g2 = build_root_datum("G", 2)
