@@ -6,21 +6,27 @@ for the root-string length p.  Signs are fixed by giving +1 to the minimal
 decomposition of each positive root under a height-then-lex order and
 propagating through the Jacobi relations, following the sign identities for
 N_{alpha,beta} in Carter, *Simple Groups of Lie Type*, ch. 4.  Unless asked
-not to, the construction then certifies the Jacobi identity with one
-exhaustive sweep over every root-vector triple whose Jacobi sum can be
-nonzero.  Triples holding a Cartan element need no sweep: they hold because
-the root pairing is linear, with [e_alpha, e_-alpha] = h_alpha and
-(alpha+beta)(h) = alpha(h) + beta(h); the proof is in `_verify_jacobi`.
+not to, the construction then certifies the Jacobi identity exactly, for
+every triple, through a closure lemma: the elements x whose ad x is a
+derivation form a subalgebra, the Chevalley involution e_alpha -> -e_-alpha
+preserves it when N_{-alpha,-beta} = -N_{alpha,beta}, and the simple root
+vectors generate the algebra when no constant on a root sum is zero.  So it
+suffices to check those two identities on every pair and the Jacobi identity
+on the triples (e_alpha_i, e_beta, e_gamma) for the r simple roots alpha_i.
+Triples holding a Cartan element hold because the root pairing is linear,
+with [e_alpha, e_-alpha] = h_alpha and (alpha+beta)(h) = alpha(h) + beta(h).
+Both proofs are in `_verify_jacobi`.
 
 Integer core on root indices.  Every structure constant, root pairing and
 coroot coordinate is an integer, and every table (`RootTables`) is indexed by
 the position of a root in `rd.roots`.  The special constants are built on the
-datum's tables, and the Jacobi sweep, the bracket `_int_bracket`, extremality
-and the contact forms all read the signed rows.  Rational elements enter by
-clearing denominators, [x, y] = [d x, d' y] / (d d'); `LieElement` and
-`bracket` are the exact rational view on top.  Extremality of x is projective
-and the contact cubic and quadratic are homogeneous in v, so whether they
-vanish does not change when x or v is scaled by its common denominator.
+datum's tables, and the Jacobi certificate, the bracket `_int_bracket`,
+extremality and the contact forms all read the signed rows.  Rational
+elements enter by clearing denominators, [x, y] = [d x, d' y] / (d d');
+`LieElement` and `bracket` are the exact rational view on top.  Extremality
+of x is projective and the contact cubic and quadratic are homogeneous in v,
+so whether they vanish does not change when x or v is scaled by its common
+denominator.
 """
 
 from __future__ import annotations
@@ -213,12 +219,13 @@ def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
 def build_structure_constants(rd: RootDatum, verify: str = "full") -> StructureConstants:
     """Build signed structure constants and verify the Jacobi identity.
 
-    verify: "full" (the default) runs the exhaustive Jacobi sweep of
-    `_verify_jacobi` over every triple of root vectors whose Jacobi sum can
-    be nonzero; triples holding a Cartan element hold by the linearity of the
-    root pairing, as proved there.  "none" skips the sweep.  The signs follow
+    verify: "full" (the default) runs `_verify_jacobi`, an exact certificate
+    of the Jacobi identity on every triple: it checks N_{b,a} = -N_{a,b},
+    N_{-a,-b} = -N_{a,b} and N_{a,b} != 0 on every pair with a root sum, and
+    the Jacobi identity on the triples that hold a simple root vector, and
+    proves that these imply the rest.  "none" skips it.  The signs follow
     the N_{alpha,beta} identities of Carter, *Simple Groups of Lie Type*,
-    ch. 4, and the sweep certifies them rather than sampling them.
+    ch. 4, and the certificate proves them rather than sampling them.
     """
     if verify not in ("full", "none"):
         raise ValueError(f"unknown Jacobi policy {verify!r}; use 'full' or 'none'")
@@ -231,69 +238,105 @@ def build_structure_constants(rd: RootDatum, verify: str = "full") -> StructureC
 
 
 def _verify_jacobi(sc: StructureConstants) -> None:
-    """Check the Jacobi identity on every basis triple; raise StructureError.
+    """Certify the Jacobi identity of the table bracket; raise StructureError.
 
-    The bracket is alternating, so distinct basis triples suffice, and
-    J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]].  Triples holding a
-    Cartan element hold because the root pairing is linear, with
-    [e_a, e_-a] = h_a and (a+b)(h) = a(h) + b(h):
+    J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]].  The bracket is
+    graded by the roots: rows[a] lists exactly the b with a + b in Phi u {0},
+    with the index of the sum, and the coroot and pairing tables are linear
+    in the root, so h_-a = -h_a and (-a)(h) = -a(h).  One pass over `rows`
+    checks that the bracket is alternating, N_{b,a} = -N_{a,b}.
+
+    Triples holding a Cartan element hold because the root pairing is linear,
+    with [e_a, e_-a] = h_a and (a+b)(h) = a(h) + b(h):
       J(h, h', e_a) = a(h)a(h') e_a - a(h')a(h) e_a = 0;
       J(h, e_a, e_b) = N_{a,b} ((a+b)(h) - b(h) - a(h)) e_{a+b} = 0 when a+b
         is a root (using N_{b,a} = -N_{a,b}), and every term is zero when a+b
         is neither a root nor zero;
       J(h, e_a, e_-a) = 0 + a(h) h_a + a(h) h_-a = 0, as h_-a = -h_a.
-    That leaves root-vector triples {e_a, e_b, e_c}.  Every term of J has
-    weight a+b+c, so J is zero unless a+b+c is in Phi u {0} and some pairwise
-    sum is in Phi u {0}.  The sweep lists exactly those triples: each pair
-    (i, j) with a root-or-zero sum s, then each k that lands in Phi u {0},
-    counting a triple only from its first such pair in index order.  The row
-    of s that lists k also gives the term [e_k, [e_i, e_j]]; for s = 0 that
-    term is [e_k, h_i] = -k(h_i) e_k.  It reads the same `sc.tables` as the
-    bracket.
+
+    The root-vector triples follow by closure from the r simple root vectors.
+    Let Der be the set of x for which ad x is a derivation, [x, [y, z]] =
+    [[x, y], z] + [y, [x, z]] for all y, z; on an alternating bracket that is
+    J(x, y, z) = 0 for all y, z.
+      1. Der is a subalgebra.  It is a subspace, and for x, x' in Der the
+         derivation rule gives ad [x, x'] = [ad x, ad x'], a commutator of
+         derivations, hence a derivation.  This uses bilinearity only.
+      2. The Chevalley involution w(e_a) = -e_-a, w(h) = -h preserves the
+         table bracket iff N_{-a,-b} = -N_{a,b} for every pair with a + b in
+         Phi: the brackets [e_a, e_-a] and [h, e_a] commute with w by the
+         linearity above.  The pass over `rows` checks that identity.  Then
+         ad w(x) = w ad x w^-1, so w(Der) = Der, and e_-a_i = -w(e_a_i) is in
+         Der whenever e_a_i is.
+      3. The same pass checks that every N_{a,b} with a + b in Phi is
+         nonzero.  Then the e_{+-a_i} generate the algebra: h_i =
+         [e_a_i, e_-a_i], and every positive non-simple root g has a simple
+         root a_i with g - a_i a positive root, so e_g is a nonzero multiple
+         of [e_a_i, e_{g-a_i}]; likewise for the negative roots.
+    The triples holding a Cartan element hold, so e_a_i is in Der, and by
+    1-3 Der is the whole algebra, once J(e_a_i, e_b, e_c) = 0 for all roots
+    b, c, distinct and other than a_i (J is alternating, so a repeated
+    argument gives 0), for i = 1..r.  Every term of J has weight a_i + b + c, and
+    a term is zero unless one pairwise sum is in Phi u {0}.  The certificate
+    lists exactly the unordered pairs {b, c} that can give a nonzero J:
+      - b + c = 0, of weight a_i;
+      - b + c = t a root with a_i + t in Phi u {0}; for a_i + t = 0 the sum
+        is Cartan, N_{b,c} h_a_i + N_{c,a_i} h_b + N_{a_i,b} h_c;
+      - b + c not in Phi u {0}, a_i + b = u in Phi u {0} and c in rows[u],
+        every c when u = 0, counted once when a_i + c is in Phi u {0} too.
+    Otherwise J has a weight outside Phi u {0}, or every term is zero.
     """
     tab = sc.tables
-    roots, rows, coroot, pairing = tab.roots, tab.rows, tab.coroot, tab.pairing
-    for i, row in enumerate(rows):
-        for j, (s, n_ij) in row.items():
-            if j <= i:
-                continue
-            row_j = rows[j]
-            # far[k] = (index of i+j+k, c) with [e_k, [e_i, e_j]] = -m c e_{i+j+k}
+    roots, rows, neg, pairing, coroot = tab.roots, tab.rows, tab.neg, tab.pairing, tab.coroot
+    label = sc.rd.label
+    by_sum: list[list[tuple[int, int]]] = [[] for _ in roots]  # pairs b < c, b + c = t
+    for a, row in enumerate(rows):
+        row_neg = rows[neg[a]]
+        for b, (s, n) in row.items():
+            if rows[b].get(a) != (s, -n):
+                raise StructureError(f"{label}: N_(b,a) != -N_(a,b) on roots "
+                                     f"{roots[a]}, {roots[b]}")
             if s == ZERO:
-                far = {k: (k, sum(map(mul, pk, coroot[i]))) for k, pk in enumerate(pairing)}
-                m = 1
-            else:
-                far, m = rows[s], n_ij
-            for k, (d, c) in far.items():
-                if k == i or k == j:
-                    continue
-                row_k = rows[k]
-                # count each triple once, from its first pair with a sum
-                if i < k < j and k in row:
-                    continue
-                if k < i and (i in row_k or j in row_k):
-                    continue
-                if d == ZERO:
-                    n_jk, n_ki = row_j[k][1], row_k[i][1]
-                    ok = not any(n_jk * a + n_ki * b + n_ij * e
-                                 for a, b, e in zip(coroot[i], coroot[j], coroot[k]))
-                else:
-                    total = -m * c
-                    hit = row_j.get(k)            # [e_i, [e_j, e_k]]
-                    if hit:
-                        t, n_jk = hit
-                        total += (-sum(map(mul, pairing[i], coroot[j])) if t == ZERO
-                                  else n_jk * row[t][1])
-                    hit = row_k.get(i)            # [e_j, [e_k, e_i]]
-                    if hit:
-                        t, n_ki = hit
-                        total += (-sum(map(mul, pairing[j], coroot[k])) if t == ZERO
-                                  else n_ki * row_j[t][1])
-                    ok = total == 0
-                if not ok:
-                    raise StructureError(
-                        f"{sc.rd.label}: Jacobi fails on roots {roots[i]}, "
-                        f"{roots[j]}, {roots[k]}")
+                continue
+            if not n:
+                raise StructureError(f"{label}: N vanishes on roots {roots[a]}, {roots[b]}")
+            if row_neg[neg[b]][1] != -n:
+                raise StructureError(f"{label}: N_(-a,-b) != -N_(a,b) on roots "
+                                     f"{roots[a]}, {roots[b]}")
+            if a < b:
+                by_sum[s].append((a, b))
+
+    def jacobi_vanishes(a: int, b: int, c: int) -> bool:
+        """Whether J(e_a, e_b, e_c) = 0, for a + b + c in Phi u {0}."""
+        s, n_bc = rows[b].get(c, (None, 0))
+        if s is not None and s != ZERO and rows[a][s][0] == ZERO:
+            n_ca, n_ab = rows[c][a][1], rows[a][b][1]
+            return not any(n_bc * u + n_ca * v + n_ab * w
+                           for u, v, w in zip(coroot[a], coroot[b], coroot[c]))
+        total = 0
+        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+            hit = rows[q].get(r)               # [e_p, [e_q, e_r]]
+            if hit:
+                t, n = hit
+                total += (-sum(map(mul, pairing[p], coroot[q])) if t == ZERO
+                          else n * rows[p][t][1])
+        return total == 0
+
+    every = range(len(roots))
+    opposite = [(b, neg[b]) for b in every if b < neg[b]]
+    for k in range(sc.rank):
+        x = tab.index[tuple(int(m == k) for m in range(sc.rank))]
+        row_x = rows[x]
+        pairs = list(opposite)
+        for t in row_x:
+            pairs += by_sum[t]
+        for b, (u, _) in row_x.items():
+            row_b = rows[b]
+            pairs += [(b, c) for c in (every if u == ZERO else rows[u])
+                      if c != b and c not in row_b and (b < c or c not in row_x)]
+        for b, c in pairs:
+            if b != x and c != x and not jacobi_vanishes(x, b, c):
+                raise StructureError(f"{label}: Jacobi fails on roots {roots[x]}, "
+                                     f"{roots[b]}, {roots[c]}")
 
 
 # ---------------------------------------------------------------------------

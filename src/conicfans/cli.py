@@ -18,6 +18,8 @@ from . import chevalley, conicatlas, fixtures, lunavust, verify
 from .rootcore import InvalidTypeError, UnsupportedAlgebraError
 
 TABLES = ("satake", "chow", "hilb", "planes", "cosets", "colors")
+PINNED_MAX_RANK = 8
+"""The default rank cap, and the one the shipped golden files hold every label of."""
 
 
 def _labels_for(arg: str | None, max_rank: int) -> list[str]:
@@ -132,17 +134,28 @@ def cmd_verify(args) -> int:
         print("verify writes --format text or json, not csv", file=sys.stderr)
         return 2
     if args.bless:
+        # a narrower scope or cap would rewrite the files without the labels
+        # it leaves out
+        if args.scope != "all" or args.max_rank < PINNED_MAX_RANK:
+            print(f"verify --bless rewrites every pinned label: use scope all and "
+                  f"--max-rank {PINNED_MAX_RANK} or more", file=sys.stderr)
+            return 2
         payload = verify.golden_payload(args.max_rank)
         target = verify.golden_dir()
         try:
             old = verify.load_golden(target)
         except FileNotFoundError:
             old = {}
+        status = {}
         for name in verify.GOLDEN_FILES:
             before = json.dumps(old.get(name, {}), sort_keys=True)
             after = json.dumps(payload[name], sort_keys=True)
-            status = "unchanged" if before == after else "REWRITTEN"
-            print(f"bless {name}.json: {status}")
+            status[name] = "unchanged" if before == after else "REWRITTEN"
+        if args.format == "json":
+            sys.stdout.write(json.dumps({"bless": status}, indent=1, sort_keys=True) + "\n")
+        else:
+            for name, st in status.items():
+                print(f"bless {name}.json: {st}")
         verify.write_golden(payload, target)
         return 0
     try:
@@ -271,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tables, colored fans, and conic orbit structure "
                     "for adjoint varieties outside types A and C.")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--max-rank", type=_max_rank, default=8,
+    p.add_argument("--max-rank", type=_max_rank, default=PINNED_MAX_RANK,
                    help="rank cap for the B and D families (at least 3)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all sampled checks")

@@ -14,8 +14,9 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 
-from .linalg import Vec, det, inverse, mat_mul, qvec, transpose
+from .linalg import det, inverse, mat_mul, transpose
 
 ORBIT_CAP_DEFAULT = 10**7
 
@@ -384,14 +385,6 @@ class RootDatum(Record):
                 return self.killing_int(root, root) == m
         raise StructureError("root support crosses components")
 
-    @cached_property
-    def half_sum_positive(self) -> Vec:
-        acc = [Q(0)] * self.rank
-        for g in self.positive_roots:
-            for k in range(self.rank):
-                acc[k] += g[k]
-        return qvec(x / 2 for x in acc)
-
 
 class WeylWord(Record):
     """A word in the simple reflections, applied left to right."""
@@ -450,6 +443,7 @@ def subdatum(rd: RootDatum, keep) -> tuple[RootDatum, dict[int, int]]:
     return RootDatum(cart), {old: new + 1 for new, old in enumerate(kept)}
 
 
+@lru_cache(maxsize=None)
 def highest_root(rd: RootDatum) -> tuple[int, ...]:
     if len(rd.components) != 1:
         raise InvalidTypeError("highest root is defined for irreducible systems")
@@ -479,6 +473,7 @@ def weyl_apply(rd: RootDatum, word: WeylWord, v):
     return out
 
 
+@lru_cache(maxsize=None)
 def longest_element(rd: RootDatum) -> WeylWord:
     # 2 rho, the sum of the positive roots: integral, with the signs of rho
     v = tuple(map(sum, zip(*rd.positive_roots)))
@@ -494,8 +489,13 @@ def longest_element(rd: RootDatum) -> WeylWord:
     return WeylWord(tuple(word))
 
 
-def duality_involution(rd: RootDatum) -> dict[int, int]:
-    """The permutation theta with -w0(alpha_i) = alpha_theta(i)."""
+@lru_cache(maxsize=None)
+def duality_involution(rd: RootDatum) -> MappingProxyType:
+    """The permutation theta with -w0(alpha_i) = alpha_theta(i), read-only.
+
+    The result is cached per datum and shared by every caller, hence a
+    read-only view of the dict.
+    """
     w0 = longest_element(rd)
     theta = {}
     e = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
@@ -511,7 +511,7 @@ def duality_involution(rd: RootDatum) -> dict[int, int]:
         for j in theta:
             if rd.cartan[i - 1][j - 1] != rd.cartan[theta[i] - 1][theta[j] - 1]:
                 raise StructureError("duality involution breaks the Cartan matrix")
-    return theta
+    return MappingProxyType(theta)
 
 
 def parabolic_intersection(*subsets: ParabolicSubset) -> ParabolicSubset:

@@ -323,6 +323,7 @@ def g_fixed_subalgebra_components(series: str, rank: int) -> tuple[tuple[str, in
     return sub.components
 
 
+@lru_cache(maxsize=None)
 def contact_node(rd: RootDatum, rho) -> int:
     """The one simple root meeting the highest root `rho` (the contact node)."""
     e = identity(rd.rank)

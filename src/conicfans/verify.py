@@ -173,8 +173,9 @@ def rootcore_checks(label: str) -> list[CheckResult]:
     w0 = longest_element(rd)
     out.append(_res(len(w0.word) == len(rd.positive_roots),
                     f"rootcore.longest-element-length.{label}"))
-    v = rd.half_sum_positive
-    out.append(_res(weyl_apply(rd, w0, weyl_apply(rd, w0, v)) == v,
+    # 2 rho, the sum of the positive roots: integral, and w0 is linear
+    two_rho = tuple(map(sum, zip(*rd.positive_roots)))
+    out.append(_res(weyl_apply(rd, w0, weyl_apply(rd, w0, two_rho)) == two_rho,
                     f"rootcore.longest-element-involutive.{label}"))
     theta = duality_involution(rd)
     out.append(_res(all(theta[theta[i]] == i for i in theta),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -208,6 +209,140 @@ def test_jacobi_failure_detection(series, rank):
     bad = ch.StructureConstants(rd, tuple(sorted(corrupted.items())))
     with pytest.raises(rc.StructureError):
         ch._verify_jacobi(bad)
+
+
+def _exhaustive_jacobi(sc):
+    """The Jacobi identity on every root-vector triple whose sum can be nonzero.
+
+    The reference for `ch._verify_jacobi`, which checks the simple root
+    vectors only.  The bracket is alternating, so distinct triples suffice,
+    and triples holding a Cartan element hold by the linearity of the root
+    pairing (proved in `ch._verify_jacobi`).  J(e_a, e_b, e_c) is zero unless
+    a+b+c is in Phi u {0} and some pairwise sum is in Phi u {0}.  The sweep
+    lists exactly those triples: each pair (i, j) with a root-or-zero sum s,
+    then each k that lands in Phi u {0}, counting a triple only from its
+    first such pair in index order.  The row of s that lists k also gives the
+    term [e_k, [e_i, e_j]]; for s = 0 that term is [e_k, h_i] = -k(h_i) e_k.
+    """
+    tab = sc.tables
+    roots, rows, coroot, pairing = tab.roots, tab.rows, tab.coroot, tab.pairing
+    for i, row in enumerate(rows):
+        for j, (s, n_ij) in row.items():
+            if j <= i:
+                continue
+            row_j = rows[j]
+            # far[k] = (index of i+j+k, c) with [e_k, [e_i, e_j]] = -m c e_{i+j+k}
+            if s == ch.ZERO:
+                far = {k: (k, sum(map(mul, pk, coroot[i]))) for k, pk in enumerate(pairing)}
+                m = 1
+            else:
+                far, m = rows[s], n_ij
+            for k, (d, c) in far.items():
+                if k == i or k == j:
+                    continue
+                row_k = rows[k]
+                # count each triple once, from its first pair with a sum
+                if i < k < j and k in row:
+                    continue
+                if k < i and (i in row_k or j in row_k):
+                    continue
+                if d == ch.ZERO:
+                    n_jk, n_ki = row_j[k][1], row_k[i][1]
+                    ok = not any(n_jk * a + n_ki * b + n_ij * e
+                                 for a, b, e in zip(coroot[i], coroot[j], coroot[k]))
+                else:
+                    total = -m * c
+                    hit = row_j.get(k)            # [e_i, [e_j, e_k]]
+                    if hit:
+                        t, n_jk = hit
+                        total += (-sum(map(mul, pairing[i], coroot[j])) if t == ch.ZERO
+                                  else n_jk * row[t][1])
+                    hit = row_k.get(i)            # [e_j, [e_k, e_i]]
+                    if hit:
+                        t, n_ki = hit
+                        total += (-sum(map(mul, pairing[j], coroot[k])) if t == ch.ZERO
+                                  else n_ki * row_j[t][1])
+                    ok = total == 0
+                if not ok:
+                    raise rc.StructureError(
+                        f"{sc.rd.label}: Jacobi fails on roots {roots[i]}, "
+                        f"{roots[j]}, {roots[k]}")
+
+
+def _raises(check, sc) -> bool:
+    try:
+        check(sc)
+    except rc.StructureError:
+        return True
+    return False
+
+
+def _flipped(sc, flips):
+    """A fresh copy of sc with the special constants at the positions `flips` negated."""
+    return ch.StructureConstants(sc.rd, tuple(
+        (pair, -n if k in flips else n) for k, (pair, n) in enumerate(sc.n_special)))
+
+
+@pytest.mark.parametrize("series,rank", [("B", 3), ("G", 2), ("D", 4), ("F", 4), ("E", 6)],
+                         ids=["B3", "G2", "D4", "F4", "E6"])
+def test_jacobi_certificate_agrees_with_the_exhaustive_sweep(series, rank):
+    # every single sign flip of a special constant, then seeded multi-flip sets:
+    # the certificate raises exactly when the all-triples sweep raises
+    sc = sc_of(series, rank)
+    count = len(sc.n_special)
+    rng = random.Random(rank * 31 + ord(series))
+    trials = [{k} for k in range(count)]
+    trials += [set(rng.sample(range(count), rng.randint(2, min(4, count))))
+               for _ in range(12)]
+    verdicts = []
+    for flips in trials:
+        bad = _flipped(sc, flips)
+        verdicts.append(_raises(ch._verify_jacobi, bad))
+        assert verdicts[-1] == _raises(_exhaustive_jacobi, bad), sorted(flips)
+    assert True in verdicts
+    assert not _raises(ch._verify_jacobi, sc) and not _raises(_exhaustive_jacobi, sc)
+
+
+def _tampered(series, rank, edit):
+    """A fresh copy of the datum's constants whose rows `edit` rewrites in place."""
+    sc = sc_of(series, rank)
+    fresh = ch.StructureConstants(sc.rd, sc.n_special)
+    rows = [dict(row) for row in sc.tables.rows]
+    edit(sc.tables, rows)
+    fresh.__dict__["tables"] = sc.tables._replace(rows=tuple(rows))
+    return fresh
+
+
+def _first_sum_pair(tab):
+    """The first pair (a, b) of root indices with a + b a root, and its sum."""
+    return next((a, b, s) for a, row in enumerate(tab.rows)
+                for b, (s, _) in row.items() if s != ch.ZERO)
+
+
+def test_jacobi_certificate_rejects_a_broken_negation_identity():
+    def edit(tab, rows):
+        # negate N_{a,b} and N_{b,a} together: still alternating, but
+        # N_{-a,-b} = -N_{a,b} now fails at this pair
+        a, b, s = _first_sum_pair(tab)
+        rows[a][b] = (s, -rows[a][b][1])
+        rows[b][a] = (s, -rows[b][a][1])
+
+    with pytest.raises(rc.StructureError, match=r"^F4: N_\(-a,-b\) != -N_\(a,b\)"):
+        ch._verify_jacobi(_tampered("F", 4, edit))
+
+
+def test_jacobi_certificate_rejects_a_zero_constant():
+    def edit(tab, rows):
+        a, b, s = _first_sum_pair(tab)
+        rows[a][b] = rows[b][a] = (s, 0)
+
+    with pytest.raises(rc.StructureError, match=r"^D4: N vanishes on roots"):
+        ch._verify_jacobi(_tampered("D", 4, edit))
+
+
+@pytest.mark.parametrize("series", ["B", "D"])
+def test_jacobi_certificate_past_the_pinned_ranks(series):
+    ch.build_structure_constants(rc.build_root_datum(series, 12), verify="full")
 
 
 def test_constants_csv_rows():

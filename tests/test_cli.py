@@ -237,6 +237,45 @@ def test_bless_reports_unchanged(tmp_path, monkeypatch, capsys):
     assert out.count("unchanged") == len(verify.GOLDEN_FILES)
 
 
+def _golden_copy(tmp_path, monkeypatch):
+    work = tmp_path / "golden"
+    shutil.copytree(verify.golden_dir(), work)
+    monkeypatch.setenv(verify.GOLDEN_ENV, str(work))
+    return work
+
+
+def _snapshot(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-rank", "4", "verify", "rootcore", "--bless"],
+    ["--max-rank", "7", "verify", "all", "--bless"],
+    ["verify", "chevalley", "--bless"],
+], ids=["rank4-rootcore", "rank7-all", "chevalley"])
+def test_bless_below_the_pinned_labels_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # a narrower scope or rank cap would drop labels from the golden files
+    work = _golden_copy(tmp_path, monkeypatch)
+    before = _snapshot(work)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--bless" in captured.err
+    assert _snapshot(work) == before
+
+
+def test_bless_writes_one_json_object(tmp_path, monkeypatch, capsys):
+    work = _golden_copy(tmp_path, monkeypatch)
+    (work / "cosets.json").write_text("{}\n")
+    code, out = run(capsys, "--format", "json", "verify", "--bless")
+    assert code == 0
+    status = {name: "unchanged" for name in verify.GOLDEN_FILES}
+    status["cosets"] = "REWRITTEN"
+    assert json.loads(out) == {"bless": status}
+    assert _snapshot(work) == _snapshot(Path(verify.__file__).with_name("golden"))
+
+
 def test_import_generates_no_code_and_loads_no_resources():
     # a clean interpreter (-S: no site hooks that preload modules) importing
     # the CLI and the checks must not pull in dataclasses' code generation

@@ -70,7 +70,7 @@ def test_longest_element():
         rd = rc.build_root_datum(series, rank)
         w0 = rc.longest_element(rd)
         assert len(w0.word) == len(rd.positive_roots)
-        v = rd.half_sum_positive
+        v = tuple(map(sum, zip(*rd.positive_roots)))    # 2 rho
         image = rc.weyl_apply(rd, w0, v)
         assert all(rd.pairing(image, i) < 0 for i in range(1, rd.rank + 1))
         assert rc.weyl_apply(rd, w0, image) == v
