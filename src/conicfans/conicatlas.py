@@ -10,11 +10,10 @@ lists, and the orbit-type cross-checks.
 from __future__ import annotations
 
 import re
-from fractions import Fraction as Q
 from functools import lru_cache
 
 from . import fixtures
-from .linalg import identity, qvec
+from .linalg import identity, primitive
 from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
                        colored_faces, cone_contains, extremal_rays, is_colored_cone,
                        is_colored_fan, maximal_cones, orbit_poset, valuation_cone)
@@ -147,14 +146,12 @@ def solve_colors(rrd: RestrictedRootDatum, stabilizer_lists, target: ParabolicSu
     return f
 
 
-def resolve_ray(rrd: RestrictedRootDatum, symbol: str):
-    m = rrd.restricted.rank
+def resolve_ray(rrd: RestrictedRootDatum, symbol: str) -> tuple[int, ...]:
+    """The primitive integer ray of a table symbol: -g<j> is -gamma_j, l<j> is e_j."""
     if symbol.startswith("-g"):
-        j = int(symbol[2:])
-        return qvec(-x for x in rrd.gamma[j - 1])
+        return primitive([-x for x in rrd.gamma[int(symbol[2:]) - 1]])
     if symbol.startswith("l"):
-        j = int(symbol[1:])
-        return qvec(Q(1) if k == j - 1 else 0 for k in range(m))
+        return color_point(rrd, int(symbol[1:]))
     raise ValueError(f"unknown ray symbol {symbol!r}")
 
 

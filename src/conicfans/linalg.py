@@ -19,7 +19,8 @@ half-space a row bounds, so `rank`, `int_nullspace`, `feasible` and
 `fm_feasible` never leave the integers.  `Fraction`s appear at the boundary
 only: the reduced row echelon form is unique, so `solve` and `inverse` divide
 each pivot row by its pivot at the end, and `det` divides once by the factors
-the elimination recorded.
+the elimination recorded.  `int_inverse` never leaves the integers: on an
+integer matrix it returns the determinant and the adjugate.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from operator import attrgetter
 Q = Fraction
 Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
-
-
-def qvec(xs) -> Vec:
-    return tuple(Q(x) for x in xs)
 
 
 def vdot(a, b):
@@ -49,8 +46,8 @@ def transpose(m) -> Mat:
     return tuple(zip(*m, strict=True))
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -142,6 +139,22 @@ def inverse(m) -> Mat:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(Q(x, red[i][i]) for x in red[i][n:]) for i in range(n))
+
+
+def int_inverse(m) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """(det m, det m * m^-1) for a square integer matrix; (0, None) if it is singular.
+
+    det m * m^-1 is the adjugate, so both are integers.  The elimination of
+    [m | I] leaves row i as [r_i e_i | r_i * (row i of m^-1)], and the row
+    operations it records give det m.
+    """
+    n = len(m)
+    red = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    pivots, num, den = _echelon(red, track=True)
+    if pivots[:n] != list(range(n)):
+        return 0, None
+    d = prod(red[i][i] for i in range(n)) * den // num
+    return d, tuple(tuple(x * d // red[i][i] for x in red[i][n:]) for i in range(n))
 
 
 def det(m) -> Q:

@@ -9,22 +9,20 @@ meeting V, pointedness, completeness) is one or more `linalg.feasible` calls,
 i.e. Fourier-Motzkin elimination; the exponential H/V conversion
 `_rays_of_hcone` serves only `hrep` and `extremal_rays`.
 
-These questions and the conversion run on integer rows; only Ruzzi's
-smoothness test still works with rational dual bases.  A cone is its
-primitive integer generators (`QCone.generators`, stored by `QCone.of`) and
-a color point e_i / 2 is read through e_i: scaling a generator, a color
-point or a constraint row by a positive number changes neither the cone,
-nor its relative interior, nor any answer below.
+These questions, the conversion and Ruzzi's smoothness test run on integer
+rows.  A cone is its primitive integer generators (`QCone.generators`, stored
+by `QCone.of`) and a color point e_i / 2 is read through e_i: scaling a
+generator, a color point or a constraint row by a positive number changes
+neither the cone, nor its relative interior, nor any answer below.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction as Q
 from functools import lru_cache
 
-from .linalg import (Vec, det, feasible, int_nullspace, int_row, inverse, is_zero,
-                     primitive, qvec, rank, solve, transpose, vdot)
+from .linalg import (feasible, int_inverse, int_nullspace, int_row, inverse, is_zero,
+                     primitive, rank, transpose, vdot)
 from .rootcore import Record, StructureError, classify_component, subdatum
 
 Ray = tuple[int, ...]
@@ -138,10 +136,11 @@ def extremal_rays(cone: QCone) -> tuple[Ray, ...]:
     """Minimal primitive generating rays, canonically sorted."""
     if not cone.generators:
         return ()
-    if cone not in _rays_memo:
+    rays = _rays_memo.get(cone)
+    if rays is None:
         eqs, facets = hrep(cone)
-        _rays_memo[cone] = _rays_of_hcone(eqs, facets, cone.ambient_dim)
-    return _rays_memo[cone]
+        rays = _rays_memo[cone] = _rays_of_hcone(eqs, facets, cone.ambient_dim)
+    return rays
 
 
 def _cone_on_rays(rays) -> QCone:
@@ -168,14 +167,9 @@ def is_pointed(cone: QCone) -> bool:
 # through its `restricted.cartan` only: its rows A_i give the valuation cone
 # {x : A_i . x <= 0}.
 
-def color_point(rrd, i: int) -> Vec:
-    m = rrd.restricted.rank
-    return qvec(Q(1, 2) if k == i - 1 else 0 for k in range(m))
-
-
-def _color_ray(m: int, i: int) -> Ray:
-    """The color point e_i / 2 scaled to e_i."""
-    return tuple(int(k == i - 1) for k in range(m))
+def color_point(rrd, i: int) -> Ray:
+    """The color point e_i / 2 of color i, scaled to the integer vector e_i."""
+    return tuple(int(k == i - 1) for k in range(rrd.restricted.rank))
 
 
 def in_valuation_cone(rrd, x) -> bool:
@@ -257,7 +251,7 @@ def is_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
 def _check_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
     diags = []
     cone = cc.cone
-    eps = {i: _color_ray(rrd.restricted.rank, i) for i in sorted(cc.colors)}
+    eps = {i: color_point(rrd, i) for i in sorted(cc.colors)}
     for i, e in eps.items():
         if cone.generators and not cone_contains(cone, e):
             diags.append(f"color D{i} not inside the cone")
@@ -317,7 +311,7 @@ def _colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
         faces = {frozenset(range(len(rays)))}
         for t in tight:
             faces |= {s & t for s in faces}
-        points = {i: _color_ray(rrd.restricted.rank, i) for i in cc.colors}
+        points = {i: color_point(rrd, i) for i in cc.colors}
         inside = [i for i, x in points.items() if cone_contains(cone, x)]
         for s in faces:
             if not s:
@@ -468,30 +462,50 @@ def _order_path(rrd, comp) -> list[int] | None:
     return order
 
 
-def _factor_fundamental_weights(rrd, order) -> list[Vec]:
-    """Fundamental weights of the ordered sub-root-system, in pi coordinates.
+def _factor_fundamental_weights(rrd, order) -> tuple[int, list[Ray]]:
+    """(D, [D omega_1, ..., D omega_l]) for the ordered sub-root-system.
 
-    The i-th weight pairs delta_ik with the ordered factor coroots and lies
-    in the span of the factor's simple roots.
+    omega_i is the i-th fundamental weight in pi coordinates: it pairs
+    delta_ik with the ordered factor coroots and lies in the span of the
+    factor's simple roots, so it is row i of F^-1 times the restricted Cartan
+    rows of the factor's nodes, F being the factor's Cartan matrix.
+    D = det F makes every weight integral.
     """
-    m = rrd.restricted.rank
     cart = rrd.restricted.cartan
-    span_rows = [[Q(cart[s - 1][j]) for j in range(m)] for s in order]
-    out = []
-    for i in range(len(order)):
-        a = [[Q(cart[s - 1][t - 1]) for s in order] for t in order]
-        b = [Q(1) if k == i else Q(0) for k in range(len(order))]
-        c = solve(a, b)
-        if c is None:
-            raise StructureError(
-                f"factor Cartan on restricted nodes {list(order)} is singular "
-                f"(restricted Cartan {_rows_str(cart)})")
-        w = [Q(0)] * m
-        for coef, row in zip(c, span_rows):
-            for k in range(m):
-                w[k] += coef * row[k]
-        out.append(tuple(w))
-    return out
+    d, adj = int_inverse([[cart[s - 1][t - 1] for t in order] for s in order])
+    if not d:
+        raise StructureError(
+            f"factor Cartan on restricted nodes {list(order)} is singular "
+            f"(restricted Cartan {_rows_str(cart)})")
+    cols = list(zip(*(cart[s - 1] for s in order)))
+    return d, [tuple(vdot(row, col) for col in cols) for row in adj]
+
+
+def ruzzi_witness(rrd, order, duals, closer) -> bool:
+    """Whether ordered duals and a closer meet condition 3 on one Levi factor.
+
+    For the duals y_1, ..., y_l of the factor's colors in path order `order`,
+    a closer z and the factor's fundamental weights omega_i, condition 3 asks
+    y_i - i / (l + 1) z = 2 omega_i.  `duals` and `closer` hold the integral
+    halves y_i / 2 and z / 2, and both sides are scaled by (l + 1) D, with D
+    from `_factor_fundamental_weights`.
+    """
+    d, weights = _factor_fundamental_weights(rrd, order)
+    l1 = len(order) + 1
+    return all(all(d * (l1 * y - i * z) == l1 * w for y, z, w in zip(ys, closer, ws))
+               for i, (ys, ws) in enumerate(zip(duals, weights, strict=True), start=1))
+
+
+def half_duals(prim) -> tuple[int, list[Ray]]:
+    """(det P, [y_1 / 2, ..., y_m / 2]) for the doubled ray basis P = `prim`.
+
+    The duals y_i of the half-coroot basis P / 2 satisfy y_i . p_j / 2 =
+    delta_ij, so y_j / 2 is column j of P^-1.  When det P = +-1, that is
+    det P times column j of the adjugate, an integer vector; the halves are
+    meaningful only then.
+    """
+    d, adj = int_inverse(transpose(prim))
+    return d, [tuple(d * x for x in row) for row in adj or ()]
 
 
 def ruzzi_smooth(cc: ColoredCone, rrd) -> RuzziReport:
@@ -501,7 +515,9 @@ def ruzzi_smooth(cc: ColoredCone, rrd) -> RuzziReport:
     a product of type-A factors fitting inside the rank; condition 2 asks the
     cone's primitive rays to form a basis of the half-coroot lattice;
     condition 3 asks for an indexing of the dual basis compatible with the
-    factors' fundamental weights.
+    factors' fundamental weights.  Conditions 2 and 3 share one integer
+    inverse of the ray basis (`half_duals`), and a dual pairs with the color
+    point e_i / 2 in entry i of its half.
     """
     m = rrd.restricted.rank
     detail: list[str] = []
@@ -525,13 +541,13 @@ def ruzzi_smooth(cc: ColoredCone, rrd) -> RuzziReport:
         detail.append(f"{len(prim)} extremal rays in rank {m}: "
                       "not a simplicial cone of full rank")
     else:
-        d = det(prim)
+        d, duals = half_duals(prim)
         cond2 = abs(d) == 1
         if not cond2:
             detail.append(f"ray basis determinant {d} is not a unit")
 
     if cond2:
-        cond3 = _ruzzi_condition3(rrd, cc, prim, factors, detail)
+        cond3 = _ruzzi_condition3(rrd, prim, duals, factors, detail)
     else:
         cond3 = False
         detail.append("condition 3 unevaluated without a lattice basis")
@@ -539,43 +555,23 @@ def ruzzi_smooth(cc: ColoredCone, rrd) -> RuzziReport:
     return RuzziReport(cond1 and cond2 and cond3, cond1, cond2, cond3, tuple(detail))
 
 
-def ruzzi_dual_basis(prim) -> list[tuple[Q, ...]]:
-    """Dual basis (pi coordinates) of a half-coroot lattice basis.
-
-    `prim` holds the basis in doubled coordinates; the underlying vectors are
-    prim/2, so the duals are the rows of 2 * (P^t)^-1.
-    """
-    pinv_t = inverse(transpose([list(map(Q, p)) for p in prim]))
-    return [tuple(2 * x for x in row) for row in pinv_t]
-
-
-def _ruzzi_condition3(rrd, cc, prim, factors, detail) -> bool:
-    m = rrd.restricted.rank
-    duals = ruzzi_dual_basis(prim)
-    basis_vecs = [qvec(Q(x, 2) for x in p) for p in prim]
+def _ruzzi_condition3(rrd, prim, duals, factors, detail) -> bool:
+    """Match each selected color to the dual pairing 1 with it, then search the
+    factors' path orders and closers for a `ruzzi_witness` on every factor."""
     for yi, y in enumerate(duals):
-        for bj, b in enumerate(basis_vecs):
-            if sum(y[k] * b[k] for k in range(m)) != (1 if yi == bj else 0):
+        for bj, p in enumerate(prim):
+            if vdot(y, p) != int(yi == bj):
                 raise StructureError(
                     f"dual basis construction failed for rays {_rows_str(prim)} "
                     f"(doubled) over restricted Cartan {_rows_str(rrd.restricted.cartan)}")
-        for x in y:
-            if x.denominator != 1 or x.numerator % 2:
-                raise StructureError(
-                    f"dual basis of rays {_rows_str(prim)} (doubled) left the doubled "
-                    f"weight lattice over restricted Cartan "
-                    f"{_rows_str(rrd.restricted.cartan)}")
 
     selected = sorted(set().union(*factors)) if factors else []
-    pair = {yi: {col: sum(duals[yi][k] * color_point(rrd, col)[k] for k in range(m))
-                 for col in selected}
-            for yi in range(m)}
     dual_for_color: dict[int, int] = {}
-    for yi in range(m):
-        hits = [col for col in selected if pair[yi][col] != 0]
+    for yi, y in enumerate(duals):
+        hits = [col for col in selected if y[col - 1] != 0]
         if not hits:
             continue
-        if len(hits) > 1 or pair[yi][hits[0]] != 1:
+        if len(hits) > 1 or y[hits[0] - 1] != 1:
             detail.append("a dual pairs incompatibly with the selected colors")
             return False
         if hits[0] in dual_for_color:
@@ -586,18 +582,7 @@ def _ruzzi_condition3(rrd, cc, prim, factors, detail) -> bool:
         detail.append("some selected color has no dual pairing 1 with it")
         return False
 
-    pool = [yi for yi in range(m) if yi not in dual_for_color.values()]
-
-    def factor_ok(order, closer_yi) -> bool:
-        fw = _factor_fundamental_weights(rrd, order)
-        l = len(order)
-        z = duals[closer_yi]
-        for i, col in enumerate(order, start=1):
-            y = duals[dual_for_color[col]]
-            lhs = tuple(y[k] - Q(i, l + 1) * z[k] for k in range(m))
-            if lhs != tuple(2 * x for x in fw[i - 1]):
-                return False
-        return True
+    pool = [yi for yi in range(len(duals)) if yi not in dual_for_color.values()]
 
     def backtrack(j, remaining) -> bool:
         if j == len(factors):
@@ -608,7 +593,8 @@ def _ruzzi_condition3(rrd, cc, prim, factors, detail) -> bool:
         orders = [path] if len(path) == 1 else [path, list(reversed(path))]
         for closer in remaining:
             for order in orders:
-                if factor_ok(order, closer) and backtrack(
+                ys = [duals[dual_for_color[col]] for col in order]
+                if ruzzi_witness(rrd, order, ys, duals[closer]) and backtrack(
                         j + 1, [x for x in remaining if x != closer]):
                     return True
         return False

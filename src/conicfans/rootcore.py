@@ -270,7 +270,7 @@ class RootDatum(Record):
     def label(self) -> str:
         return "+".join(f"{s}{r}" for s, r in self.components)
 
-    def pairing(self, v, i: int) -> Q:
+    def pairing(self, v, i: int) -> int:
         """Cartan pairing <v | alpha_i> for v in simple-root coordinates."""
         col = i - 1
         return sum(v[k] * self.cartan[k][col] for k in range(self.rank))

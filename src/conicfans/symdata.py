@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from .linalg import det, identity, inverse
+from .linalg import identity, int_inverse, inverse
 from .rootcore import (ParabolicSubset, Record, RootDatum, StructureError,
                        UnsupportedAlgebraError, build_root_datum, highest_root,
                        longest_element, subdatum)
@@ -225,8 +225,7 @@ def _check_projected_roots(sd, restricted, lam2) -> None:
     # one factorization serves every root: x = adj(G) . rhs / det(G), then verify
     gram = [[sum(lam_cols[k][i] * lam_cols[k][j] for k in range(base.rank))
              for j in range(m)] for i in range(m)]
-    d = int(det(gram))
-    adj = [[int(x * d) for x in row] for row in inverse(gram)]
+    d, adj = int_inverse(gram)
     seen = set()
     for g in base.roots:
         img = sigma_on_characters(sd, g)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import zlib
 from fractions import Fraction as Q
 from pathlib import Path
 
 from . import chevalley, conicatlas, fixtures, lunavust, symdata
-from .linalg import identity, primitive, qvec
+from .linalg import identity, primitive
 from .rootcore import (Record, StructureError, build_root_datum,
                        duality_involution, highest_root, longest_element,
                        weyl_apply)
@@ -370,47 +371,37 @@ def _ruzzi_checks(label: str, entry) -> list[CheckResult]:
 
 
 def _verify_ruzzi_fixture(rrd, fx) -> tuple[bool, str]:
+    """A transcribed condition-3 witness, checked by `lunavust.ruzzi_witness`.
+
+    Its duals are y_j in the doubled weight lattice: halving one must leave
+    an integer vector, never a truncated one.
+    """
     cc = conicatlas.resolve_cone(rrd, fx["cone"], fx["colors"])
-    prim = set(lunavust.extremal_rays(cc.cone))
-    basis = [tuple(2 * Q(x) for x in b) for b in fx["basis"]]
-    if {tuple(int(x) for x in b) for b in basis} != prim:
+    prim = lunavust.extremal_rays(cc.cone)
+    if sorted(tuple(2 * Q(x) for x in b) for b in fx["basis"]) != sorted(prim):
         return False, "reference basis differs from the primitive extremal rays"
-    from .linalg import det
-    if abs(det([list(map(Q, b)) for b in basis])) != 1:
+    d, halves = lunavust.half_duals(prim)
+    if abs(d) != 1:
         return False, "reference basis is not unimodular in the half-coroot lattice"
-    duals = [y for grp in fx["groups"] for y in grp["duals"]]
-    m = rrd.restricted.rank
-    halves = [qvec(Q(x, 2) for x in b) for b in basis]
-    perm_cols = []
-    for y in duals:
-        col = [sum(Q(y[k]) * h[k] for k in range(m)) for h in halves]
-        if sorted(col) != [0] * (m - 1) + [1]:
-            return False, "reference duals do not form a dual basis"
-        perm_cols.append(col.index(1))
-    if sorted(perm_cols) != list(range(m)):
-        return False, "reference duals repeat a basis vector"
-    all_colors = [c for grp in fx["groups"] for c in grp["factor"]]
-    for grp in fx["groups"]:
-        factor = list(grp["factor"])
-        ys = grp["duals"]
+    if any(Q(x) % 2 for grp in fx["groups"] for y in grp["duals"] for x in y):
+        return False, "a reference dual is not twice an integer vector"
+    groups = [(list(grp["factor"]), [tuple(int(x) // 2 for x in y) for y in grp["duals"]])
+              for grp in fx["groups"]]
+    if sorted(y for _, ys in groups for y in ys) != sorted(halves):
+        return False, "reference duals do not form a dual basis"
+    all_colors = [c for factor, _ in groups for c in factor]
+    if not all(1 <= c <= rrd.restricted.rank for c in all_colors):
+        return False, "a reference factor names no restricted color"
+    for factor, ys in groups:
         if factor and len(ys) != len(factor) + 1:
             return False, "factor group has the wrong number of duals"
         for i, y in enumerate(ys):
             for col in all_colors:
-                eps = lunavust.color_point(rrd, col)
-                val = sum(Q(y[k]) * eps[k] for k in range(m))
-                want = 1 if (factor and i < len(factor) and factor[i] == col) else 0
-                if val != want:
-                    return False, f"pairing of a dual with color {col} is {val}, not {want}"
-        if factor:
-            fw = lunavust._factor_fundamental_weights(rrd, factor)
-            l = len(factor)
-            closer = ys[-1]
-            for i in range(l):
-                lhs = tuple(Q(ys[i][k]) - Q(i + 1, l + 1) * Q(closer[k])
-                            for k in range(m))
-                if lhs != tuple(2 * x for x in fw[i]):
-                    return False, "dual-basis weight condition fails"
+                want = 1 if i < len(factor) and factor[i] == col else 0
+                if y[col - 1] != want:
+                    return False, f"pairing of a dual with color {col} is {y[col - 1]}, not {want}"
+        if factor and not lunavust.ruzzi_witness(rrd, factor, ys[:-1], ys[-1]):
+            return False, "dual-basis weight condition fails"
     return True, ""
 
 
@@ -442,7 +433,6 @@ def chevalley_checks(label: str, seed: int) -> list[CheckResult]:
 
     ad = conicatlas.adjoint_data(series, rank)
     rho = ad.rho
-    import random
     rng = random.Random(local_seed)
     ok = True
     for _ in range(20):

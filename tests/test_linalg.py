@@ -243,3 +243,17 @@ def systems(draw):
 def test_feasible_matches_the_minimal_face_enumeration(system):
     nvars, eqs, ineqs = system
     assert linalg.feasible(eqs, ineqs, nvars) == _feasible_by_minimal_faces(eqs, ineqs, nvars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+def test_int_inverse_is_the_determinant_and_the_adjugate(data):
+    _, rows = data
+    ints = [linalg.int_row(r) for r in rows]
+    d, adj = linalg.int_inverse(ints)
+    assert type(d) is int and d == _ref_det(ints)
+    if d == 0:
+        assert adj is None
+        return
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == tuple(tuple(d * x for x in row) for row in linalg.inverse(ints))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -5,11 +6,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conicfans import conicatlas, fixtures
+from conicfans import conicatlas, fixtures, verify
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
-from conicfans.linalg import feasible, int_nullspace, primitive
-from conicfans.rootcore import StructureError
+from conicfans.linalg import (det, feasible, int_nullspace, inverse, primitive, solve,
+                              transpose)
+from conicfans.rootcore import StructureError, classify_component
 
 
 def rrd_of(series, rank):
@@ -264,6 +266,205 @@ def test_ruzzi_condition1_names_each_failing_levi_factor(label, colors, detail):
     rep = lv.ruzzi_smooth(lv.ColoredCone(cone, frozenset(colors)), entry.rrd)
     assert not rep.cond1 and rep.cond2
     assert rep.detail == detail + ("a dual pairs incompatibly with the selected colors",)
+
+
+# Reference for Ruzzi's criterion: the rational dual-basis route that the
+# integer witness check replaced.
+
+def _rational_dual_basis(prim):
+    """Dual basis (pi coordinates) of the half-coroot basis prim / 2: rows of 2 (P^t)^-1."""
+    pinv_t = inverse(transpose([list(map(Q, p)) for p in prim]))
+    return [tuple(2 * x for x in row) for row in pinv_t]
+
+
+def _rational_fundamental_weights(rrd, order):
+    """Fundamental weights of the ordered factor in pi coordinates, one solve each."""
+    m = rrd.restricted.rank
+    cart = rrd.restricted.cartan
+    span_rows = [[Q(cart[s - 1][j]) for j in range(m)] for s in order]
+    a = [[Q(cart[s - 1][t - 1]) for s in order] for t in order]
+    out = []
+    for i in range(len(order)):
+        c = solve(a, [Q(int(k == i)) for k in range(len(order))])
+        out.append(tuple(sum(coef * row[k] for coef, row in zip(c, span_rows))
+                         for k in range(m)))
+    return out
+
+
+def _rational_condition3(rrd, prim, factors, detail):
+    m = rrd.restricted.rank
+    duals = _rational_dual_basis(prim)
+    basis_vecs = [tuple(Q(x, 2) for x in p) for p in prim]
+    for yi, y in enumerate(duals):
+        for bj, b in enumerate(basis_vecs):
+            assert sum(y[k] * b[k] for k in range(m)) == (1 if yi == bj else 0)
+        assert all(x.denominator == 1 and x.numerator % 2 == 0 for x in y)
+
+    selected = sorted(set().union(*factors)) if factors else []
+    points = {col: unit(col, m) for col in selected}
+    pair = {yi: {col: sum(duals[yi][k] * points[col][k] / 2 for k in range(m))
+                 for col in selected}
+            for yi in range(m)}
+    dual_for_color = {}
+    for yi in range(m):
+        hits = [col for col in selected if pair[yi][col] != 0]
+        if not hits:
+            continue
+        if len(hits) > 1 or pair[yi][hits[0]] != 1:
+            detail.append("a dual pairs incompatibly with the selected colors")
+            return False
+        if hits[0] in dual_for_color:
+            detail.append("two duals pair with the same color")
+            return False
+        dual_for_color[hits[0]] = yi
+    if len(dual_for_color) != len(selected):
+        detail.append("some selected color has no dual pairing 1 with it")
+        return False
+
+    pool = [yi for yi in range(m) if yi not in dual_for_color.values()]
+
+    def factor_ok(order, closer_yi):
+        fw = _rational_fundamental_weights(rrd, order)
+        l = len(order)
+        z = duals[closer_yi]
+        for i, col in enumerate(order, start=1):
+            y = duals[dual_for_color[col]]
+            lhs = tuple(y[k] - Q(i, l + 1) * z[k] for k in range(m))
+            if lhs != tuple(2 * x for x in fw[i - 1]):
+                return False
+        return True
+
+    def backtrack(j, remaining):
+        if j == len(factors):
+            return True
+        path = lv._order_path(rrd, factors[j])
+        if path is None:
+            return False
+        orders = [path] if len(path) == 1 else [path, list(reversed(path))]
+        return any(factor_ok(order, closer)
+                   and backtrack(j + 1, [x for x in remaining if x != closer])
+                   for closer in remaining for order in orders)
+
+    if not backtrack(0, pool):
+        detail.append("no admissible indexing of the dual basis exists")
+        return False
+    return True
+
+
+def _rational_ruzzi_smooth(cc, rrd):
+    m = rrd.restricted.rank
+    detail = []
+    factors = lv.levi_subsystem_factors(rrd, cc.colors)
+    cond1 = True
+    for comp in factors:
+        if classify_component(rrd.restricted.cartan, [a - 1 for a in comp])[0] != "A":
+            cond1 = False
+            detail.append(f"Levi factor {comp} is not of type A")
+    budget = sum(len(c) + 1 for c in factors)
+    if budget > m:
+        cond1 = False
+        detail.append(f"sum of (rank+1) over Levi factors is {budget} > {m}")
+    prim = lv.extremal_rays(cc.cone)
+    if len(prim) != m:
+        cond2 = False
+        detail.append(f"{len(prim)} extremal rays in rank {m}: "
+                      "not a simplicial cone of full rank")
+    else:
+        d = det(prim)
+        cond2 = abs(d) == 1
+        if not cond2:
+            detail.append(f"ray basis determinant {d} is not a unit")
+    if cond2:
+        cond3 = _rational_condition3(rrd, prim, factors, detail)
+    else:
+        cond3 = False
+        detail.append("condition 3 unevaluated without a lattice basis")
+    return lv.RuzziReport(cond1 and cond2 and cond3, cond1, cond2, cond3, tuple(detail))
+
+
+@pytest.mark.parametrize("label", ["B3", "B4", "D4", "F4", "G2"])
+def test_ruzzi_smooth_matches_the_rational_reference(label):
+    """Every maximal Chow and Hilbert cone, with every set of restricted nodes as colors."""
+    entry = conicatlas.build_entry(label)
+    rrd = entry.rrd
+    m = rrd.restricted.rank
+    verdicts = set()
+    for fan in (entry.chow_fan, entry.hilb_fan):
+        for c in lv.maximal_cones(fan, rrd):
+            for k in range(m + 1):
+                for colors in itertools.combinations(range(1, m + 1), k):
+                    cc = lv.ColoredCone(c.cone, frozenset(colors))
+                    rep = lv.ruzzi_smooth(cc, rrd)
+                    assert rep == _rational_ruzzi_smooth(cc, rrd)
+                    verdicts.add((rep.smooth, rep.cond3))
+    assert {(True, True), (False, False)} <= verdicts
+
+
+@pytest.mark.parametrize("series, order", [
+    ("B", [1, 2]), ("B", [3, 2, 1]), ("F", [1, 2]), ("F", [4, 3]), ("G", [2])])
+def test_ruzzi_witness_matches_the_rational_weight_condition(series, order):
+    """Factors of rank 2 and 3, which no pinned cone's condition 3 reaches."""
+    rrd = rrd_of(series, 2 if series == "G" else 4)
+    m, l = rrd.restricted.rank, len(order)
+    fw = _rational_fundamental_weights(rrd, order)
+    rng = random.Random(l)
+    for _ in range(20):
+        z = tuple(rng.randint(-4, 4) for _ in range(m))
+        ys = [tuple(w[k] + Q(i, l + 1) * z[k] for k in range(m))
+              for i, w in enumerate(fw, start=1)]
+        assert lv.ruzzi_witness(rrd, order, ys, z)
+        i, k = rng.randrange(l), rng.randrange(m)
+        bad = list(ys)
+        bad[i] = tuple(x + int(j == k) for j, x in enumerate(ys[i]))
+        assert not lv.ruzzi_witness(rrd, order, bad, z)
+
+
+def _fixture_cases():
+    """One label per fixture kind, with that kind's condition-3 witnesses."""
+    cases = {}
+    for label in ("B3", "B4", "D4", "E6", "G2"):
+        entry = conicatlas.build_entry(label)
+        cases.setdefault(entry.kind, (entry.rrd, fixtures.RUZZI_FIXTURES[entry.kind]))
+    assert set(cases) == set(fixtures.RUZZI_FIXTURES)
+    return [(rrd, fx) for rrd, fxs in cases.values() for fx in fxs]
+
+
+def _dual_perturbations(fx, deltas):
+    for g, grp in enumerate(fx["groups"]):
+        for y, dual in enumerate(grp["duals"]):
+            for k in range(len(dual)):
+                for delta in deltas:
+                    bad = copy.deepcopy(fx)
+                    row = list(dual)
+                    row[k] += delta
+                    bad["groups"][g]["duals"][y] = tuple(row)
+                    yield bad
+
+
+def test_ruzzi_fixture_check_rejects_every_perturbation():
+    count = 0
+    for rrd, fx in _fixture_cases():
+        assert verify._verify_ruzzi_fixture(rrd, fx) == (True, "")
+        for b, vec in enumerate(fx["basis"]):
+            for k in range(len(vec)):
+                bad = copy.deepcopy(fx)
+                row = list(vec)
+                row[k] += Q(1, 2)
+                bad["basis"][b] = tuple(row)
+                assert not verify._verify_ruzzi_fixture(rrd, bad)[0]
+                count += 1
+        for bad in _dual_perturbations(fx, (-2, 2)):
+            assert not verify._verify_ruzzi_fixture(rrd, bad)[0]
+            count += 1
+    assert count > 100
+
+
+def test_ruzzi_fixture_check_names_an_odd_dual_entry():
+    """Halving by truncation would accept y + e_k for an even entry y_k >= 0."""
+    for rrd, fx in _fixture_cases():
+        for bad in _dual_perturbations(fx, (-1, 1)):
+            assert verify._verify_ruzzi_fixture(rrd, bad) == (
+                False, "a reference dual is not twice an integer vector")
 
 
 def test_fan_json_round_trip():
