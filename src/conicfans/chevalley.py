@@ -21,12 +21,12 @@ Integer core on root indices.  Every structure constant, root pairing and
 coroot coordinate is an integer, and every table (`RootTables`) is indexed by
 the position of a root in `rd.roots`.  The special constants are built on the
 datum's tables, and the Jacobi certificate, the bracket `_int_bracket`,
-extremality and the contact forms all read the signed rows.  Rational
-elements enter by clearing denominators, [x, y] = [d x, d' y] / (d d');
-`LieElement` and `bracket` are the exact rational view on top.  Extremality
-of x is projective and the contact cubic and quadratic are homogeneous in v,
-so whether they vanish does not change when x or v is scaled by its common
-denominator.
+extremality and the contact forms all read the signed rows.  Elements are
+integral too: a `LieElement` is an integer projective representative.  Every
+claim checked here is projective: extremality of x, the vanishing of the
+contact cubic and quadratic, which are homogeneous in v, and the points of
+the twistor conic, where t = p/q enters as the sample times 2q^2.  So no
+coefficient ever needs a denominator.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from __future__ import annotations
 import itertools as it
 import random
 from collections import namedtuple
-from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 from .rootcore import Record, RootDatum, StructureError
 
@@ -388,82 +387,59 @@ def _combine(terms: list[tuple[int, IntElement]]) -> IntElement:
 
 
 # ---------------------------------------------------------------------------
-# Lie elements over Q
+# Integer Lie elements
 
 class LieElement(Record):
-    """h: coroot coordinates of the Cartan part; e: root -> coefficient."""
+    """An integer projective representative of an element.
 
-    h: tuple[Q, ...]
-    e: tuple[tuple[Root, Q], ...]
+    h: coroot coordinates of the Cartan part; e: sorted (root, coefficient)
+    pairs with nonzero coefficients.
+    """
+
+    h: tuple[int, ...]
+    e: tuple[tuple[Root, int], ...]
 
     @staticmethod
     def make(rank: int, h=None, e=None) -> "LieElement":
-        hh = tuple(Q(x) for x in (h or [0] * rank))
-        ee = tuple(sorted((tuple(r), Q(c)) for r, c in (e or {}).items() if c != 0))
-        return LieElement(hh, ee)
+        """The element with integer coordinates h and {root: coefficient} e; a
+        non-integer coefficient, a `Fraction` included, raises TypeError."""
+        e = {tuple(r): index(c) for r, c in (e or {}).items()}
+        return LieElement(tuple(map(index, h or (0,) * rank)),
+                          tuple(sorted((r, c) for r, c in e.items() if c)))
 
     @staticmethod
-    def root_vector(rank: int, root: Root, coeff=1) -> "LieElement":
-        return LieElement.make(rank, None, {tuple(root): Q(coeff)})
-
-    @staticmethod
-    def cartan(rank: int, h) -> "LieElement":
-        return LieElement.make(rank, h, None)
+    def root_vector(rank: int, root: Root) -> "LieElement":
+        return LieElement((0,) * rank, ((tuple(root), 1),))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.h) and not self.e
-
-    def add(self, other: "LieElement") -> "LieElement":
-        h = tuple(a + b for a, b in zip(self.h, other.h))
-        e = dict(self.e)
-        for r, c in other.e:
-            e[r] = e.get(r, Q(0)) + c
-        return LieElement.make(len(h), h, e)
-
-    def scale(self, c) -> "LieElement":
-        c = Q(c)
-        return LieElement.make(len(self.h), [c * x for x in self.h],
-                               {r: c * v for r, v in self.e})
+        return not any(self.h) and not self.e
 
 
-def _to_int(tab: RootTables, x: LieElement) -> tuple[IntElement, int]:
-    """(d x, d) for the least common denominator d of x's coefficients."""
-    d = lcm(*(c.denominator for c in x.h), *(c.denominator for _, c in x.e))
+def _to_int(tab: RootTables, x: LieElement) -> IntElement:
+    """x on root indices."""
     try:
-        e = {tab.index[r]: c.numerator * (d // c.denominator) for r, c in x.e}
+        return x.h, {tab.index[r]: c for r, c in x.e}
     except KeyError as exc:
         raise ValueError(f"{exc.args[0]} is not a root") from None
-    return (tuple(c.numerator * (d // c.denominator) for c in x.h), e), d
 
 
-def _to_lie(tab: RootTables, z: IntElement, d: int) -> LieElement:
-    """The rational element z / d."""
+def _to_lie(tab: RootTables, z: IntElement) -> LieElement:
+    """z on roots."""
     h, e = z
-    roots = tab.roots
-    return LieElement(tuple(Q(c, d) for c in h),
-                      tuple(sorted((roots[i], Q(c, d)) for i, c in e.items())))
-
-
-def bracket(sc: StructureConstants, x: LieElement, y: LieElement) -> LieElement:
-    """The exact bracket [x, y]: [d x, d' y] / (d d') on the integer core."""
-    tab = sc.tables
-    xi, dx = _to_int(tab, x)
-    yi, dy = _to_int(tab, y)
-    return _to_lie(tab, _int_bracket(tab, xi, yi), dx * dy)
+    return LieElement(h, tuple(sorted((tab.roots[i], c) for i, c in e.items())))
 
 
 def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
     """Whether [x, [x, -]] lands in the line through x for every basis vector.
 
-    The test is projective, so it runs on x times its common denominator.  On
-    coordinates k < rank for the simple coroot h_k and rank + i for e_i, the
+    On coordinates k < rank for the simple coroot h_k and rank + i for e_i, the
     columns [x, b] of ad_x are computed once; [x, [x, b]] is the combination
     of columns whose coefficients are the coordinates of [x, b].
     """
     if x.is_zero():
         raise ValueError("the zero element is not projective")
     tab = sc.tables
-    (xh, xe), _ = _to_int(tab, x)
+    xh, xe = _to_int(tab, x)
     rows, pairing, coroot = tab.rows, tab.pairing, tab.coroot
     rank = sc.rank
     # [x, h_k] = -sum_i x_i roots[i](h_k) e_i; [x, e_j] = x_h(e_j) + sum_i x_i [e_i, e_j]
@@ -498,18 +474,19 @@ def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
 def twistor_conic_sample(sc: StructureConstants, rho: Root, t) -> LieElement:
     """Projective representative of the standard transverse conic at time t.
 
-    The point is e_rho + t [e_-rho, e_rho] + t^2/2 [e_-rho, [e_-rho, e_rho]];
-    with t = p/q it is computed as 2q^2 times that, divided out at the end.
+    The point is e_rho + t [e_-rho, e_rho] + t^2/2 [e_-rho, [e_-rho, e_rho]].
+    For t = p/q, an int or a `Fraction`, this returns 2q^2 times it,
+    2q^2 e_rho + 2pq [e_-rho, e_rho] + p^2 [e_-rho, [e_-rho, e_rho]], a binary
+    quadratic form in (p : q) whose e_rho and e_-rho coefficients are 2q^2
+    and -2p^2, so it is never zero.
     """
-    t = Q(t)
     p, q = t.numerator, t.denominator
     tab = sc.tables
     e_rho = _root_element(sc.rank, tab.index[rho])
     e_neg = _root_element(sc.rank, tab.index[tuple(-x for x in rho)])
     first = _int_bracket(tab, e_neg, e_rho)
     second = _int_bracket(tab, e_neg, first)
-    return _to_lie(tab, _combine([(2 * q * q, e_rho), (2 * p * q, first),
-                                  (p * p, second)]), 2 * q * q)
+    return _to_lie(tab, _combine([(2 * q * q, e_rho), (2 * p * q, first), (p * p, second)]))
 
 
 class ContactDomainError(ValueError):
@@ -523,22 +500,22 @@ def contact_hyperplane_roots(rd: RootDatum, j0: int) -> tuple[Root, ...]:
 
 def contact_cubic(sc: StructureConstants, rho: Root, j0: int,
                   v: LieElement) -> LieElement:
-    """[v, [v, [v, e_rho]]] for v on the contact hyperplane, exactly."""
+    """[v, [v, [v, e_rho]]] for v on the contact hyperplane."""
     tab = sc.tables
     if any(v.h) or any(r[j0 - 1] != -1 or r not in tab.index for r, _ in v.e):
         raise ContactDomainError("vector is not supported on the contact hyperplane")
-    vi, d = _to_int(tab, v)
+    vi = _to_int(tab, v)
     quad = _int_bracket(tab, vi, _int_bracket(tab, vi, _root_element(sc.rank, tab.index[rho])))
-    return _to_lie(tab, _int_bracket(tab, vi, quad), d ** 3)
+    return _to_lie(tab, _int_bracket(tab, vi, quad))
 
 
 def contact_quadratic(sc: StructureConstants, rho: Root,
                       v: LieElement) -> LieElement:
-    """[v, [v, e_rho]], exactly."""
+    """[v, [v, e_rho]]."""
     tab = sc.tables
-    vi, d = _to_int(tab, v)
-    quad = _int_bracket(tab, vi, _int_bracket(tab, vi, _root_element(sc.rank, tab.index[rho])))
-    return _to_lie(tab, quad, d ** 2)
+    vi = _to_int(tab, v)
+    return _to_lie(tab, _int_bracket(tab, vi, _int_bracket(
+        tab, vi, _root_element(sc.rank, tab.index[rho]))))
 
 
 class ImplicationReport(Record):
@@ -623,11 +600,11 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
             if not _vanishes(quad, w):
                 violations.append(f"{tag}: cubic vanishes but quadratic does not")
 
-    # {a: 1, b: c} runs as {a: den(c), b: num(c)}
-    weights = [(c.denominator, c.numerator, c) for c in (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2))]
+    # {a: 1, b: num/den} runs as {a: den, b: num}
     for a, b in it.combinations(range(m), 2):
-        for ca, cb, c in weights:
-            run({a: ca, b: cb}, f"pair({a},{b},{c})")
+        for den, num in ((1, 1), (1, -1), (1, 2), (1, -2), (2, 1)):
+            c = num if den == 1 else f"{num}/{den}"
+            run({a: den, b: num}, f"pair({a},{b},{c})")
     while tested < samples:
         # a random rational num/den per drawn coordinate
         draws = {a: (rng.randint(-20, 20), rng.randint(1, 20))
@@ -639,7 +616,10 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
 
 def find_cubic_zero_quadratic_nonzero(sc: StructureConstants, rho: Root,
                                       j0: int) -> LieElement | None:
-    """Deterministic search for a contact direction of a genuine smooth conic."""
+    """Deterministic search for a contact direction of a genuine smooth conic.
+
+    The direction is returned with the integer weights that were tested.
+    """
     dom = contact_hyperplane_roots(sc.rd, j0)
     quad, cubic = _contact_forms(sc, rho, j0)
     coeffs = [(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (1, 2), (-1, 2)]
@@ -649,9 +629,7 @@ def find_cubic_zero_quadratic_nonzero(sc: StructureConstants, rho: Root,
                 d = lcm(*(den for _, den in cs))
                 w = {first: d, **{a: num * (d // den) for a, (num, den) in zip(rest, cs)}}
                 if not _vanishes(quad, w) and _vanishes(cubic, w):
-                    weights = {dom[first]: 1}
-                    weights.update((dom[a], Q(num, den)) for a, (num, den) in zip(rest, cs))
-                    return LieElement.make(sc.rank, None, weights)
+                    return LieElement.make(sc.rank, None, {dom[a]: c for a, c in w.items()})
     return None
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 from operator import mul
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conicfans import chevalley as ch
 from conicfans import conicatlas as ca
 from conicfans import rootcore as rc
+from conicfans import verify
 
 
 def sc_of(series, rank, verify="none"):
@@ -21,14 +23,92 @@ def coroot_of(rd, root):
     return tuple(Q(root[i] * rd.killing_int(a, a), n) for i, a in enumerate(simple))
 
 
+# The tests' element is a plain pair (h, {root: coefficient}), rational or
+# integral; the engine's elements are integral.
+
+def _pair(x):
+    """The pair of a `ch.LieElement`."""
+    return x.h, dict(x.e)
+
+
+def _combo(rank, terms):
+    """The pair sum of c * x over the (c, x) in terms."""
+    h, e = (0,) * rank, {}
+    for c, (xh, xe) in terms:
+        h = tuple(a + c * b for a, b in zip(h, xh))
+        for r, v in xe.items():
+            e[r] = e.get(r, 0) + c * v
+    return h, {r: v for r, v in e.items() if v}
+
+
+def _integral(x):
+    """A pair with integral rational coefficients, as an integer pair."""
+    h, e = x
+    assert all(Q(c).denominator == 1 for c in (*h, *e.values()))
+    return tuple(map(int, h)), {r: int(c) for r, c in e.items()}
+
+
+def _cleared(x):
+    """A rational pair times the least common denominator of its coefficients."""
+    h, e = x
+    return _integral(_combo(len(h), [(lcm(*(Q(c).denominator for c in (*h, *e.values()))), x)]))
+
+
+def _bracket(sc, x, y):
+    """[x, y] of two integer pairs on the engine's `ch._int_bracket`."""
+    tab = sc.tables
+    xi, yi = ((tuple(h), {tab.index[r]: c for r, c in e.items()}) for h, e in (x, y))
+    h, e = ch._int_bracket(tab, xi, yi)
+    return h, {tab.roots[i]: c for i, c in e.items()}
+
+
+def _oracle_bracket(sc, x, y):
+    """[x, y] of two pairs, expanded bilinearly from N, the integer coroots and the pairings."""
+    rank, tab = sc.rank, sc.tables
+    (xh, xe), (yh, ye) = x, y
+    h, e = [Q(0)] * rank, {}
+    for r, c in ye.items():
+        e[r] = e.get(r, Q(0)) + c * sum(a * p for a, p in zip(xh, tab.pairing[tab.index[r]]))
+    for r, c in xe.items():
+        e[r] = e.get(r, Q(0)) - c * sum(b * p for b, p in zip(yh, tab.pairing[tab.index[r]]))
+    for ra, cx in xe.items():
+        for rb, cy in ye.items():
+            s = tuple(a + b for a, b in zip(ra, rb))
+            if not any(s):
+                h = [v + cx * cy * k for v, k in zip(h, tab.coroot[tab.index[ra]])]
+            elif sc.rd.is_root(s):
+                e[s] = e.get(s, Q(0)) + cx * cy * sc.n(ra, rb)
+    return tuple(h), {r: c for r, c in e.items() if c}
+
+
+def _oracle_extremal(sc, x):
+    """[x, [x, b]] on the oracle bracket is a multiple of the pair x for every basis vector b."""
+    rank = sc.rank
+    xh, xe = x
+    probes = [(tuple(int(i == k) for i in range(rank)), {}) for k in range(rank)]
+    probes += [((0,) * rank, {g: 1}) for g in sc.rd.roots]
+    k = next((k for k, c in enumerate(xh) if c), None)
+    r0 = next(iter(xe)) if k is None else None
+    for b in probes:
+        z = _oracle_bracket(sc, x, _oracle_bracket(sc, x, b))
+        lam = Q(z[0][k]) / xh[k] if k is not None else Q(z[1].get(r0, 0)) / xe[r0]
+        if z != _combo(rank, [(lam, x)]):
+            return False
+    return True
+
+
+def _scaled(k, x):
+    """The `ch.LieElement` k x, for an integer k."""
+    return ch.LieElement.make(len(x.h), [k * a for a in x.h], {r: k * c for r, c in x.e})
+
+
 def test_sl2_relations():
     sc = sc_of("A", 1, verify="full")
-    e = ch.LieElement.root_vector(1, (1,))
-    f = ch.LieElement.root_vector(1, (-1,))
-    h = ch.bracket(sc, e, f)
-    assert h == ch.LieElement.cartan(1, [1])
-    assert ch.bracket(sc, h, e) == e.scale(2)
-    assert ch.bracket(sc, h, f) == f.scale(-2)
+    e, f = ((0,), {(1,): 1}), ((0,), {(-1,): 1})
+    h = _bracket(sc, e, f)
+    assert h == ((1,), {})
+    assert _bracket(sc, h, e) == ((0,), {(1,): 2})
+    assert _bracket(sc, h, f) == ((0,), {(-1,): -2})
 
 
 def test_g2_string_lengths():
@@ -54,12 +134,28 @@ def test_antisymmetry_and_negation():
                 assert sc.n(na, nb) == -sc.n(a, b)
 
 
+@pytest.mark.parametrize("series,rank", [("G", 2), ("F", 4), ("E", 6)],
+                         ids=["G2", "F4", "E6"])
+def test_constant_magnitudes_are_weyl_invariant(series, rank):
+    # |N_{s a, s b}| = |N_{a,b}| for every simple reflection s: the Weyl group
+    # lifts to automorphisms that map e_a to +-e_{s a}
+    sc = sc_of(series, rank)
+    rd = sc.rd
+    for i in range(1, rank + 1):
+        image = {g: rc.reflect(rd, g, i) for g in rd.roots}
+        for a in rd.roots:
+            for b in rd.roots:
+                assert abs(sc.n(image[a], image[b])) == abs(sc.n(a, b)), (i, a, b)
+
+
 def test_jacobi_exhaustive_small_ranks():
     for series, rank in [("B", 3), ("G", 2), ("D", 4)]:
         ch.build_structure_constants(rc.build_root_datum(series, rank), verify="full")
 
 
 def test_jacobi_on_random_rational_elements():
+    # random rational elements, cleared of denominators: the Jacobi identity
+    # is trilinear, so it holds on x, y, z iff it holds on their multiples
     sc = sc_of("B", 4)
     rng = random.Random(11)
     roots = sc.rd.roots
@@ -68,29 +164,28 @@ def test_jacobi_on_random_rational_elements():
         h = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
         e = {roots[rng.randrange(len(roots))]: Q(rng.randint(-3, 3), rng.randint(1, 2))
              for _ in range(3)}
-        return ch.LieElement.make(4, h, e)
+        return _cleared((h, e))
 
+    zero = ((0,) * 4, {})
     for _ in range(60):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
-        total = ch.bracket(sc, x, ch.bracket(sc, y, z))
-        total = total.add(ch.bracket(sc, y, ch.bracket(sc, z, x)))
-        total = total.add(ch.bracket(sc, z, ch.bracket(sc, x, y)))
-        assert total.is_zero()
-        assert ch.bracket(sc, x, x).is_zero()
+        total = _combo(4, [(1, _bracket(sc, x, _bracket(sc, y, z))),
+                           (1, _bracket(sc, y, _bracket(sc, z, x))),
+                           (1, _bracket(sc, z, _bracket(sc, x, y)))])
+        assert total == zero
+        assert _bracket(sc, x, x) == zero
 
 
 def test_rho_sl2_triple():
     sc = sc_of("B", 3)
     rho = rc.highest_root(sc.rd)
-    e_rho = ch.LieElement.root_vector(3, rho)
-    e_neg = ch.LieElement.root_vector(3, tuple(-x for x in rho))
-    h = ch.bracket(sc, e_rho, e_neg)
-    coroot = coroot_of(sc.rd, rho)
-    assert h == ch.LieElement.cartan(3, coroot)
-    once = ch.bracket(sc, e_neg, e_rho)
-    twice = ch.bracket(sc, e_neg, once)
-    assert twice == e_neg.scale(-2)
-    assert ch.bracket(sc, e_neg, twice).is_zero()
+    neg = tuple(-x for x in rho)
+    e_rho, e_neg = ((0,) * 3, {rho: 1}), ((0,) * 3, {neg: 1})
+    assert _bracket(sc, e_rho, e_neg) == (coroot_of(sc.rd, rho), {})
+    once = _bracket(sc, e_neg, e_rho)
+    twice = _bracket(sc, e_neg, once)
+    assert twice == ((0,) * 3, {neg: -2})
+    assert _bracket(sc, e_neg, twice) == ((0,) * 3, {})
 
 
 def test_extremal_elements():
@@ -102,25 +197,78 @@ def test_extremal_elements():
     for g in rd.roots:
         v = ch.LieElement.root_vector(3, g)
         assert ch.is_extremal(sc, v) == rd.is_long(g)
-    mixed = e_rho.add(ch.LieElement.root_vector(3, tuple(-x for x in rho)))
+    mixed = ch.LieElement.make(3, None, {rho: 1, tuple(-x for x in rho): 1})
     assert not ch.is_extremal(sc, mixed)
     with pytest.raises(ValueError):
         ch.is_extremal(sc, ch.LieElement.make(3))
+
+
+def test_make_takes_integer_coefficients_only():
+    x = ch.LieElement.make(2, [1, 0], {(1, 0): 3, (0, 1): 0})
+    assert x == ch.LieElement((1, 0), (((1, 0), 3),))
+    for h, e in ((None, {(1, 0): Q(1, 2)}), (None, {(1, 0): Q(2)}), ([Q(1), 0], None),
+                 (None, {(1, 0): 1.0})):
+        with pytest.raises(TypeError):
+            ch.LieElement.make(2, h, e)
+
+
+def test_a_non_root_key_is_named():
+    sc = sc_of("G", 2)
+    ad = ca.adjoint_data("G", 2)
+    x = ch.LieElement.make(2, None, {(5, 5): 1})
+    with pytest.raises(ValueError, match=r"^\(5, 5\) is not a root$"):
+        ch.is_extremal(sc, x)
+    with pytest.raises(ValueError, match=r"^\(5, 5\) is not a root$"):
+        ch.contact_quadratic(sc, ad.rho, x)
 
 
 def test_twistor_samples():
     sc = sc_of("G", 2)
     rho = rc.highest_root(sc.rd)
     at0 = ch.twistor_conic_sample(sc, rho, 0)
-    assert at0 == ch.LieElement.root_vector(2, rho)
+    assert at0 == ch.LieElement.make(2, None, {rho: 2})
     at1 = ch.twistor_conic_sample(sc, rho, 1)
     neg = tuple(-x for x in rho)
-    assert dict(at1.e)[neg] == -1
-    assert at1.h == tuple(-x for x in coroot_of(sc.rd, rho))
+    assert dict(at1.e)[neg] == -2
+    assert at1.h == tuple(-2 * x for x in coroot_of(sc.rd, rho))
     for t in (2, Q(1, 3), Q(-5, 7)):
-        s = ch.twistor_conic_sample(sc, rho, t)
-        assert dict(s.e)[neg] == -Q(t) ** 2
-        assert ch.is_extremal(sc, s)
+        assert ch.is_extremal(sc, ch.twistor_conic_sample(sc, rho, t))
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "E6"])
+def test_twistor_sample_is_the_integer_point(label):
+    # at t = p/q the sample is 2q^2 e_rho + 2pq [e_-rho, e_rho] + p^2 [e_-rho, [e_-rho, e_rho]]
+    series, rank = ca.parse_label(label)
+    sc = sc_of(series, rank)
+    rho = rc.highest_root(sc.rd)
+    neg = tuple(-x for x in rho)
+    e_neg = ((0,) * rank, {neg: 1})
+    first = _bracket(sc, e_neg, ((0,) * rank, {rho: 1}))
+    second = _bracket(sc, e_neg, first)
+    for t in (0, 1, 2, -3, Q(1, 3), Q(-5, 7), Q(9, 2)):
+        p, q = Q(t).numerator, Q(t).denominator
+        sample = ch.twistor_conic_sample(sc, rho, t)
+        coeffs = dict(sample.e)
+        assert (coeffs[rho], coeffs.get(neg, 0)) == (2 * q * q, -2 * p * p)
+        assert _pair(sample) == _combo(rank, [(2 * q * q, ((0,) * rank, {rho: 1})),
+                                              (2 * p * q, first), (p * p, second)])
+
+
+def test_twistor_check_names_the_first_failing_t(monkeypatch):
+    sc = sc_of("B", 4)
+    neg = tuple(-x for x in rc.highest_root(sc.rd))
+    extremal = ch.is_extremal
+
+    def fails_at_3_and_5(sc, x):
+        # the sample at an integer t has e_-rho coefficient -2 t^2
+        return dict(x.e).get(neg, 0) not in (-18, -50) and extremal(sc, x)
+
+    monkeypatch.setattr(ch, "is_extremal", fails_at_3_and_5)
+    results = {r.name: r for r in verify.chevalley_checks("B4", 0)}
+    twistor = results["chevalley.twistor-extremal.B4"]
+    assert not twistor.ok
+    assert twistor.detail == "the twistor sample at t = 3 is not extremal"
+    assert all(r.ok for name, r in results.items() if name != twistor.name)
 
 
 def test_contact_cubic_domain_and_witnesses():
@@ -135,7 +283,7 @@ def test_contact_cubic_domain_and_witnesses():
     with pytest.raises(ch.ContactDomainError):
         ch.contact_cubic(sc, rho, j0, ch.LieElement.root_vector(3, rho))
     with pytest.raises(ch.ContactDomainError):
-        ch.contact_cubic(sc, rho, j0, ch.LieElement.cartan(3, [1, 0, 0]))
+        ch.contact_cubic(sc, rho, j0, ch.LieElement.make(3, [1, 0, 0]))
 
 
 def test_contact_cubic_torus_scaling_invariance():
@@ -153,16 +301,19 @@ def test_contact_cubic_torus_scaling_invariance():
         return out
 
     def tau(x):
-        return ch.LieElement.make(3, x.h, {r: chi(r) * c for r, c in x.e})
+        return x[0], {r: chi(r) * c for r, c in x[1].items()}
 
+    def cubic(x):
+        return _pair(ch.contact_cubic(sc, rho, j0, ch.LieElement.make(3, *x)))
+
+    # d tau(v) is integral for every integer v on the hyperplane
+    d = lcm(*(chi(g).denominator for g in dom))
     for _ in range(25):
-        v = ch.LieElement.make(
-            3, None, {g: Q(rng.randint(-4, 4), rng.randint(1, 3)) for g in dom})
-        lhs = ch.contact_cubic(sc, rho, j0, tau(v))
+        v = ((0,) * 3, {g: c for g in dom if (c := rng.randint(-4, 4))})
         # cubic(tau v) picks up 1/chi(rho) against tau(cubic(v)), so the
         # vanishing locus is invariant under the torus
-        rhs = tau(ch.contact_cubic(sc, rho, j0, v)).scale(1 / chi(rho))
-        assert lhs == rhs
+        lhs = cubic(_integral(_combo(3, [(d, tau(v))])))
+        assert lhs == _combo(3, [(d ** 3 / chi(rho), tau(cubic(v)))])
 
 
 def test_g2_implication_and_b3_witness():
@@ -355,24 +506,6 @@ def test_constants_csv_rows():
         and sc.rd.is_root(tuple(x + y for x, y in zip(a, b))))
 
 
-def _oracle_bracket(sc, x, y):
-    """[x, y] expanded bilinearly from N, the integer coroots and the pairings."""
-    rank, tab = sc.rank, sc.tables
-    h, e = [Q(0)] * rank, {}
-    for r, c in y.e:
-        e[r] = e.get(r, Q(0)) + c * sum(a * p for a, p in zip(x.h, tab.pairing[tab.index[r]]))
-    for r, c in x.e:
-        e[r] = e.get(r, Q(0)) - c * sum(b * p for b, p in zip(y.h, tab.pairing[tab.index[r]]))
-    for ra, ca in x.e:
-        for rb, cb in y.e:
-            s = tuple(a + b for a, b in zip(ra, rb))
-            if not any(s):
-                h = [v + ca * cb * k for v, k in zip(h, tab.coroot[tab.index[ra]])]
-            elif sc.rd.is_root(s):
-                e[s] = e.get(s, Q(0)) + ca * cb * sc.n(ra, rb)
-    return ch.LieElement.make(rank, h, e)
-
-
 @pytest.mark.parametrize("series,rank", [("G", 2), ("F", 4), ("E", 6)],
                          ids=["G2", "F4", "E6"])
 def test_bracket_matches_bilinear_oracle(series, rank):
@@ -381,62 +514,47 @@ def test_bracket_matches_bilinear_oracle(series, rank):
     rng = random.Random(rank)
 
     def rand_elem():
-        h = [Q(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(rank)]
-        e = {roots[rng.randrange(len(roots))]: Q(rng.randint(-4, 4), rng.randint(1, 5))
-             for _ in range(6)}
-        return ch.LieElement.make(rank, h, e)
+        h = tuple(rng.randint(-4, 4) for _ in range(rank))
+        e = {roots[rng.randrange(len(roots))]: rng.randint(-4, 4) for _ in range(6)}
+        return h, {r: c for r, c in e.items() if c}
 
     for _ in range(40):
         x, y = rand_elem(), rand_elem()
-        assert ch.bracket(sc, x, y) == _oracle_bracket(sc, x, y)
+        assert _bracket(sc, x, y) == _oracle_bracket(sc, x, y)
     for a in roots:
         for b in roots[::3]:
-            x, y = ch.LieElement.root_vector(rank, a), ch.LieElement.root_vector(rank, b)
-            assert ch.bracket(sc, x, y) == _oracle_bracket(sc, x, y)
+            x, y = ((0,) * rank, {a: 1}), ((0,) * rank, {b: 1})
+            assert _bracket(sc, x, y) == _oracle_bracket(sc, x, y)
 
 
 @pytest.mark.parametrize("c", [Q(-3), Q(2, 7)], ids=["-3", "2/7"])
 def test_projective_and_homogeneous_scaling(c):
     # extremality is projective; the cubic and quadratic are homogeneous of
-    # degree 3 and 2, so the integer core may scale away denominators
+    # degree 3 and 2.  Scaling by c = num/den is checked as scaling by the
+    # integers num and den
     sc = sc_of("B", 3)
     rd = sc.rd
     ad = ca.adjoint_data("B", 3)
     rho, j0 = ad.rho, ad.j0
+    ks = (c.numerator, c.denominator)
     samples = [ch.twistor_conic_sample(sc, rho, t) for t in (1, Q(-5, 7))]
-    samples += [ch.LieElement.root_vector(3, g, Q(3, 4)) for g in rd.roots]
-    samples.append(ch.LieElement.make(3, [1, Q(1, 2), 0], {rho: Q(2, 3)}))
+    samples += [ch.LieElement.make(3, None, {g: 3}) for g in rd.roots]
+    samples.append(ch.LieElement.make(3, [6, 3, 0], {rho: 4}))
     for x in samples:
-        assert ch.is_extremal(sc, x) == ch.is_extremal(sc, x.scale(c))
+        assert all(ch.is_extremal(sc, x) == ch.is_extremal(sc, _scaled(k, x)) for k in ks)
 
     dom = ch.contact_hyperplane_roots(rd, j0)
     rng = random.Random(5)
     vectors = [ch.LieElement.make(3, None, {dom[0]: 1, dom[1]: 1})]
-    vectors += [ch.LieElement.make(3, None, {g: Q(rng.randint(-3, 3), rng.randint(1, 4))
+    vectors += [ch.LieElement.make(3, None, {g: rng.randint(-3, 3)
                                              for g in dom if rng.random() < 0.5})
                 for _ in range(20)]
     for v in vectors:
         cubic = ch.contact_cubic(sc, rho, j0, v)
         quad = ch.contact_quadratic(sc, rho, v)
-        assert ch.contact_cubic(sc, rho, j0, v.scale(c)) == cubic.scale(c ** 3)
-        assert ch.contact_quadratic(sc, rho, v.scale(c)) == quad.scale(c ** 2)
-        assert ch.contact_cubic(sc, rho, j0, v.scale(c)).is_zero() == cubic.is_zero()
-        assert ch.contact_quadratic(sc, rho, v.scale(c)).is_zero() == quad.is_zero()
-
-
-def _oracle_extremal(sc, x):
-    """[x, [x, b]] on the exact bracket is a multiple of x for every basis vector b."""
-    rank = sc.rank
-    probes = [ch.LieElement.cartan(rank, [int(i == k) for i in range(rank)])
-              for k in range(rank)]
-    probes += [ch.LieElement.root_vector(rank, g) for g in sc.rd.roots]
-    k = next((k for k, c in enumerate(x.h) if c), None)
-    for b in probes:
-        z = ch.bracket(sc, x, ch.bracket(sc, x, b))
-        lam = z.h[k] / x.h[k] if k is not None else dict(z.e).get(x.e[0][0], 0) / x.e[0][1]
-        if z != x.scale(lam):
-            return False
-    return True
+        for k in ks:
+            assert ch.contact_cubic(sc, rho, j0, _scaled(k, v)) == _scaled(k ** 3, cubic)
+            assert ch.contact_quadratic(sc, rho, _scaled(k, v)) == _scaled(k ** 2, quad)
 
 
 @pytest.mark.parametrize("series,rank", [("G", 2), ("B", 3), ("F", 4)], ids=["G2", "B3", "F4"])
@@ -447,42 +565,43 @@ def test_is_extremal_matches_a_bracket_oracle(series, rank):
     neg = tuple(-x for x in rho)
     rng = random.Random(rank)
     xs = [ch.twistor_conic_sample(sc, rho, t) for t in (0, 1, Q(-5, 7), Q(9, 2))]
-    xs += [ch.LieElement.root_vector(rank, g, Q(rng.randint(1, 5), rng.randint(1, 5)))
-           for g in rd.roots[::2]]
-    xs += [ch.LieElement.root_vector(rank, rho).add(ch.LieElement.root_vector(rank, neg)),
-           ch.LieElement.cartan(rank, [1] + [0] * (rank - 1)),
-           ch.LieElement.make(rank, [Q(1, 2)] * rank, {rho: 1})]
+    xs += [ch.LieElement.make(rank, None, {g: rng.randint(1, 5)}) for g in rd.roots[::2]]
+    xs += [ch.LieElement.make(rank, None, {rho: 1, neg: 1}),
+           ch.LieElement.make(rank, [1] + [0] * (rank - 1)),
+           ch.LieElement.make(rank, [1] * rank, {rho: 2})]
     for _ in range(8):
         xs.append(ch.LieElement.make(rank, None, {
-            rd.roots[rng.randrange(len(rd.roots))]: Q(rng.randint(-4, 4), rng.randint(1, 3))
-            for _ in range(2)}))
+            rd.roots[rng.randrange(len(rd.roots))]: rng.randint(-4, 4) for _ in range(2)}))
     verdicts = []
     for x in xs:
         if x.is_zero():
             continue
         verdicts.append(ch.is_extremal(sc, x))
-        assert verdicts[-1] == _oracle_extremal(sc, x), x
+        assert verdicts[-1] == _oracle_extremal(sc, _pair(x)), x
     assert True in verdicts and False in verdicts
 
 
 def _implication_by_brackets(sc, rho, j0, samples, seed):
-    """The sampled implication check evaluated per sample on the exact bracket.
+    """The sampled implication check evaluated per sample on the oracle bracket.
 
-    Same draws, order and tags as `contact_implication_check`, each vector
-    tested through the public rational `contact_cubic` and `contact_quadratic`.
+    Same draws, order and tags as `contact_implication_check`, each rational
+    vector tested through [v, [v, e_rho]] and [v, [v, [v, e_rho]]] on
+    `_oracle_bracket`.
     """
     rng = random.Random(seed)
     dom = ch.contact_hyperplane_roots(sc.rd, j0)
+    e_rho = ((0,) * sc.rank, {rho: 1})
     violations, hits, tested = [], 0, 0
 
     def run(e, tag):
         nonlocal hits
-        v = ch.LieElement.make(sc.rank, None, e)
-        if v.is_zero():
+        v = ((0,) * sc.rank, {g: c for g, c in e.items() if c})
+        if not v[1]:
             return
-        if ch.contact_cubic(sc, rho, j0, v).is_zero():
+        quad = _oracle_bracket(sc, v, _oracle_bracket(sc, v, e_rho))
+        if not any(_oracle_bracket(sc, v, quad)[1].values()):
             hits += 1
-            if not ch.contact_quadratic(sc, rho, v).is_zero():
+            if any(quad[0]) or quad[1]:
                 violations.append(f"{tag}: cubic vanishes but quadratic does not")
 
     for a in range(len(dom)):
