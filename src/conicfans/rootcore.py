@@ -270,10 +270,14 @@ class RootDatum(Record):
     def label(self) -> str:
         return "+".join(f"{s}{r}" for s, r in self.components)
 
+    @cached_property
+    def _cartan_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column i of the Cartan matrix: the pairings <alpha_k | alpha_i> over k."""
+        return tuple(zip(*self.cartan))
+
     def pairing(self, v, i: int) -> int:
         """Cartan pairing <v | alpha_i> for v in simple-root coordinates."""
-        col = i - 1
-        return sum(v[k] * self.cartan[k][col] for k in range(self.rank))
+        return sum(map(mul, v, self._cartan_columns[i - 1]))
 
     def reflect(self, v, i: int):
         c = self.pairing(v, i)
@@ -284,16 +288,13 @@ class RootDatum(Record):
     @cached_property
     def roots(self) -> tuple[tuple[int, ...], ...]:
         n = self.rank
-        cart = self.cartan
-        cols = tuple(tuple(cart[k][i] for k in range(n)) for i in range(n))
         simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
         seen = set(simples)
         todo = list(simples)
         while todo:
             v = todo.pop()
-            for i in range(n):
-                col = cols[i]
-                c = sum(v[k] * col[k] for k in range(n) if v[k])
+            for i, col in enumerate(self._cartan_columns):
+                c = sum(map(mul, v, col))
                 if c:
                     w = list(v)
                     w[i] -= c
@@ -336,7 +337,7 @@ class RootDatum(Record):
         """
         n = self.rank
         cart = self.cartan
-        pvs = [tuple(sum(g[k] * cart[k][i] for k in range(n)) for i in range(n))
+        pvs = [tuple(sum(map(mul, g, col)) for col in self._cartan_columns)
                for g in self.roots]
         gram = [[sum(pv[i] * pv[j] for pv in pvs) for j in range(n)]
                 for i in range(n)]

@@ -418,7 +418,7 @@ def _anticanonical_checks(label: str, entry, golden) -> list[CheckResult]:
     return out
 
 
-def chevalley_checks(label: str, seed: int) -> list[CheckResult]:
+def chevalley_checks(label: str) -> list[CheckResult]:
     series, rank = conicatlas.parse_label(label)
     rd = build_root_datum(series, rank)
     out = []
@@ -457,10 +457,9 @@ def chevalley_checks(label: str, seed: int) -> list[CheckResult]:
     out.append(_res(dim_do == 2 * ad.n, f"chevalley.contact-dimension.{label}"))
 
     if label == "G2":
-        rep = chevalley.contact_implication_check(sc, rho, ad.j0, 10_000, seed)
-        out.append(_res(rep.clean and rep.cubic_zero_hits > 0,
-                        f"chevalley.g2-implication.{label}",
-                        "; ".join(rep.violations)))
+        # exact on the whole hyperplane: D q_i^2 = sum_j a_ij c_j
+        cert, why = chevalley.contact_certificate(sc, rho, ad.j0)
+        out.append(_res(cert is not None, f"chevalley.g2-implication.{label}", why))
     if label == "B3":
         wit = chevalley.find_cubic_zero_quadratic_nonzero(sc, rho, ad.j0)
         out.append(_res(wit is not None,
@@ -469,8 +468,7 @@ def chevalley_checks(label: str, seed: int) -> list[CheckResult]:
     return out
 
 
-def checks_for_label(label: str, scope: str, golden: dict,
-                     seed: int) -> list[CheckResult]:
+def checks_for_label(label: str, scope: str, golden: dict) -> list[CheckResult]:
     out = []
     if scope in ("all", "rootcore"):
         out.extend(rootcore_checks(label))
@@ -486,12 +484,12 @@ def checks_for_label(label: str, scope: str, golden: dict,
             if scope in ("all", "lunavust", "conicatlas"):
                 out.extend(atlas_checks(label, golden))
     if scope in ("all", "chevalley"):
-        out.extend(chevalley_checks(label, seed))
+        out.extend(chevalley_checks(label))
     return out
 
 
-def run_checks(scope: str = "all", max_rank: int = 8, seed: int = 0,
-               golden: dict | None = None, jobs: int = 1) -> list[CheckResult]:
+def run_checks(scope: str = "all", max_rank: int = 8, golden: dict | None = None,
+               jobs: int = 1) -> list[CheckResult]:
     if scope not in ("all", "rootcore", "symdata", "lunavust", "conicatlas",
                      "chevalley"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -500,10 +498,10 @@ def run_checks(scope: str = "all", max_rank: int = 8, seed: int = 0,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(labels))) as pool:
-            futures = [pool.submit(checks_for_label, label, scope, golden, seed)
+            futures = [pool.submit(checks_for_label, label, scope, golden)
                        for label in labels]
             return [c for f in futures for c in f.result()]
     out = []
     for label in labels:
-        out.extend(checks_for_label(label, scope, golden, seed))
+        out.extend(checks_for_label(label, scope, golden))
     return out

@@ -264,7 +264,7 @@ def test_twistor_check_names_the_first_failing_t(monkeypatch):
         return dict(x.e).get(neg, 0) not in (-18, -50) and extremal(sc, x)
 
     monkeypatch.setattr(ch, "is_extremal", fails_at_3_and_5)
-    results = {r.name: r for r in verify.chevalley_checks("B4", 0)}
+    results = {r.name: r for r in verify.chevalley_checks("B4")}
     twistor = results["chevalley.twistor-extremal.B4"]
     assert not twistor.ok
     assert twistor.detail == "the twistor sample at t = 3 is not extremal"
@@ -626,3 +626,72 @@ def test_implication_check_matches_the_bracket_loop(label, seed):
     assert rep == _implication_by_brackets(sc, ad.rho, ad.j0, 800, seed)
     assert rep.cubic_zero_hits > 0
     assert rep.clean == (label == "G2")
+
+
+def _contact_polynomials_of(label):
+    series, rank = ca.parse_label(label)
+    ad = ca.adjoint_data(series, rank)
+    sc = sc_of(series, rank)
+    m = len(ch.contact_hyperplane_roots(ad.g, ad.j0))
+    return sc, ad, m, ch._contact_polynomials(sc, ad.rho, ad.j0)
+
+
+@pytest.mark.parametrize("label,n_quads,outside", [("G2", 3, 0), ("B3", 6, 3)])
+def test_quadratic_coordinates_against_a_groebner_radical_oracle(label, n_quads, outside):
+    # Rabinowitsch: q lies in the radical of (c_1, ..., c_n) iff the ideal
+    # (c_1, ..., c_n, 1 - t q) is the unit ideal
+    sympy = pytest.importorskip("sympy")
+    _, _, m, (quads, cubics) = _contact_polynomials_of(label)
+    v = sympy.symbols(f"v0:{m}")
+    t = sympy.Symbol("t")
+
+    def expr(p):
+        return sum(c * sympy.Mul(*(v[k] for k in mono)) for mono, c in p.items())
+
+    cs = [expr(c) for c in cubics]
+    in_radical = [sympy.groebner(cs + [1 - t * expr(q)], *v, t, order="grevlex").exprs == [1]
+                  for q in quads]
+    assert (len(quads), in_radical.count(False)) == (n_quads, outside)
+
+
+def test_g2_contact_certificate_is_exact_and_every_change_breaks_it():
+    sc, ad, m, (quads, cubics) = _contact_polynomials_of("G2")
+    cert, why = ch.contact_certificate(sc, ad.rho, ad.j0)
+    assert why == ""
+    assert (cert.quadratics, cert.cubics) == (quads, cubics)
+    assert (len(quads), len(cubics), m) == (3, 4, 4)
+    assert ch._certificate_holds(cert)
+    for i, (d, forms) in enumerate(cert.multipliers):
+        changed = [(d + 1, forms)]
+        for j, a in enumerate(forms):
+            for k in range(m):
+                # one coefficient of a_ij, zero or not, moved by one
+                a2 = {**a, (k,): a.get((k,), 0) + 1}
+                changed.append((d, forms[:j] + ({x: c for x, c in a2.items() if c},)
+                                + forms[j + 1:]))
+        for mult in changed:
+            multipliers = cert.multipliers[:i] + (mult,) + cert.multipliers[i + 1:]
+            assert not ch._certificate_holds(ch.ContactCertificate(quads, cubics, multipliers))
+
+
+def test_b3_has_no_contact_certificate():
+    sc, ad, _, _ = _contact_polynomials_of("B3")
+    cert, why = ch.contact_certificate(sc, ad.rho, ad.j0)
+    assert cert is None
+    assert why == "quadratic coordinate 1 of 6 is no linear combination of the cubic's"
+
+
+@pytest.mark.parametrize("zero,detail", [(0, "the contact quadratic is zero"),
+                                         (1, "the contact cubic is zero")])
+def test_a_zero_contact_form_is_a_named_failure(monkeypatch, zero, detail):
+    polys = ch._contact_polynomials
+
+    def emptied(sc, rho, j0):
+        forms = list(polys(sc, rho, j0))
+        forms[zero] = ()
+        return tuple(forms)
+
+    monkeypatch.setattr(ch, "_contact_polynomials", emptied)
+    results = {r.name: r for r in verify.chevalley_checks("G2")}
+    check = results["chevalley.g2-implication.G2"]
+    assert not check.ok and check.detail == detail

@@ -354,3 +354,14 @@ def test_verify_pool_checks_the_callers_golden_data(pool_sizes):
                                                     jobs=jobs) if not r.ok]
         assert failed == ["symdata.satake-black.B3"]
     assert pool_sizes == [2]
+
+
+def test_verify_output_does_not_depend_on_the_seed(capsys):
+    reports = []
+    for seed in ("3", "17"):
+        code, out = run(capsys, "--format", "json", "--seed", seed, "verify",
+                        "chevalley", "--jobs", "1")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert [r.pop("seed") for r in reports] == [3, 17]
+    assert reports[0] == reports[1]
