@@ -692,8 +692,9 @@ def contact_certificate(sc: StructureConstants, rho: Root,
     D_i q_i^2 = sum_j a_ij c_j.  At any complex point of the hyperplane where
     every c_j vanishes, q_i^2 = 0, so q_i = 0: the cubic's zero locus lies in
     the quadratic's, on the whole hyperplane and not only at sampled points.
-    The a_ij solve a linear system over Q, one unknown per coefficient, and
-    the result is accepted only once `_certificate_holds` has expanded each
+    The a_ij solve a linear system over Q, one unknown per coefficient;
+    `linalg.solve` returns them as integers over their least denominator D_i.
+    The result is accepted only once `_certificate_holds` has expanded each
     identity in integers.
 
     Returns (certificate, "") or (None, the reason there is none).  A zero
@@ -713,13 +714,12 @@ def contact_certificate(sc: StructureConstants, rho: Root,
     for i, q in enumerate(quads):
         square = _poly_mul(q, q)
         monos = sorted(set(square).union(*columns))
-        x = solve([[col.get(mono, 0) for col in columns] for mono in monos],
-                  [square.get(mono, 0) for mono in monos])
-        if x is None:
+        sol = solve([[col.get(mono, 0) for col in columns] for mono in monos],
+                    [square.get(mono, 0) for mono in monos])
+        if sol is None:
             return None, (f"quadratic coordinate {i} of {len(quads)} is no "
                           f"linear combination of the cubic's")
-        d = lcm(*(y.denominator for y in x))
-        a = [int(y * d) for y in x]
+        d, a = sol
         multipliers.append((d, tuple({(k,): a[j * m + k] for k in range(m) if a[j * m + k]}
                                      for j in range(len(cubics)))))
     cert = ContactCertificate(quads, cubics, tuple(multipliers))

@@ -13,10 +13,11 @@ import re
 from functools import lru_cache
 
 from . import fixtures
-from .linalg import identity, primitive
+from .linalg import identity
 from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
                        colored_faces, cone_contains, extremal_rays, is_colored_cone,
-                       is_colored_fan, maximal_cones, orbit_poset, valuation_cone)
+                       is_colored_fan, maximal_cones, neg_gamma_rays, orbit_poset,
+                       valuation_cone)
 from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
                        StructureError, build_root_datum, double_coset_count,
                        duality_involution, highest_root, parabolic_intersection,
@@ -149,7 +150,7 @@ def solve_colors(rrd: RestrictedRootDatum, stabilizer_lists, target: ParabolicSu
 def resolve_ray(rrd: RestrictedRootDatum, symbol: str) -> tuple[int, ...]:
     """The primitive integer ray of a table symbol: -g<j> is -gamma_j, l<j> is e_j."""
     if symbol.startswith("-g"):
-        return primitive([-x for x in rrd.gamma[int(symbol[2:]) - 1]])
+        return neg_gamma_rays(rrd.restricted.cartan)[int(symbol[2:]) - 1]
     if symbol.startswith("l"):
         return color_point(rrd, int(symbol[1:]))
     raise ValueError(f"unknown ray symbol {symbol!r}")

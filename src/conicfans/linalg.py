@@ -1,37 +1,30 @@
-"""Exact linear algebra over Q on one integer elimination core.
+"""Exact linear algebra on one integer elimination core.
 
 No floating point is used anywhere.  Vectors are tuples and matrices are
-tuples of row tuples; entries are ints or Fractions.
+tuples of row tuples.  Every kernel takes `int` entries and returns `int`s; a
+`Fraction` or a float raises TypeError.  `primitive` is the one boundary: it
+takes a rational vector to the primitive integer vector on its ray.
 
-Integer core.  Every elimination runs in `_echelon` on `int` rows: Gauss-Jordan
-elimination that clears an entry b under or above a pivot a > 0 by replacing
-the row r with a r - b p, p being the pivot row, and then divides r by the gcd
-of its entries.  So every row stays primitive and every pivot positive, and no
+Every elimination runs in `_echelon` on `int` rows: Gauss-Jordan elimination
+that clears an entry b under or above a pivot a > 0 by replacing the row r
+with a r - b p, p being the pivot row, and then divides r by the gcd of its
+entries.  So every row stays primitive and every pivot positive, and no
 division is ever inexact.  The primitive rows are the fraction-free
 counterpart of Bareiss' exact division by the previous pivot (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian elimination",
 Math. Comp. 22, 1968): an eliminated row is the primitive vector of a line
 fixed by the rows it came from, so its size stays that of a minor.
 
-Rational input enters the core by scaling each row by the lcm of its
-denominators.  A positive factor changes neither a row space nor the
-half-space a row bounds, so `rank`, `int_nullspace`, `feasible` and
-`fm_feasible` never leave the integers.  `Fraction`s appear at the boundary
-only: the reduced row echelon form is unique, so `solve` and `inverse` divide
-each pivot row by its pivot at the end, and `det` divides once by the factors
-the elimination recorded.  `int_inverse` never leaves the integers: on an
-integer matrix it returns the determinant and the adjugate.
+A positive factor changes neither a row space nor the half-space a row
+bounds, so `rank`, `int_nullspace`, `feasible` and `fm_feasible` read the
+rows as given.  The reduced row echelon form is unique, so `solve` scales
+its solution by the least common denominator, and `int_inverse` returns the
+determinant and the adjugate.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import attrgetter
-
-Q = Fraction
-Vec = tuple[Q, ...]
-Mat = tuple[Vec, ...]
 
 
 def vdot(a, b):
@@ -42,7 +35,7 @@ def is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def transpose(m) -> Mat:
+def transpose(m):
     return tuple(zip(*m, strict=True))
 
 
@@ -50,31 +43,13 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
+def mat_mul(a, b):
     bt = transpose(b)
     return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
 # ---------------------------------------------------------------------------
 # Integer core
-
-_numerator = attrgetter("numerator")
-
-
-def _denominator(row) -> int:
-    return lcm(*map(attrgetter("denominator"), row))
-
-
-def int_row(row) -> list[int]:
-    """The row times the lcm of its denominators: integral, on the same ray.
-
-    This is how rational rows enter the integer core.
-    """
-    d = _denominator(row)
-    if d == 1:
-        return list(map(_numerator, row))
-    return [x.numerator * (d // x.denominator) for x in row]
-
 
 def _echelon(m: list[list[int]], track: bool = False) -> tuple[list[int], int, int]:
     """Fraction-free reduced echelon form of integer rows, in place.
@@ -123,22 +98,13 @@ def _echelon(m: list[list[int]], track: bool = False) -> tuple[list[int], int, i
     return pivots, num, den
 
 
-def _reduced(rows) -> tuple[list[list[int]], list[int]]:
-    m = [int_row(r) for r in rows]
+def _reduced(rows) -> tuple[list, list[int]]:
+    m = list(rows)
     return m, _echelon(m)[0]
 
 
 def rank(rows) -> int:
     return len(_reduced(rows)[1])
-
-
-def inverse(m) -> Mat:
-    n = len(m)
-    red, pivots = _reduced([list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(m)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(Q(x, red[i][i]) for x in red[i][n:]) for i in range(n))
 
 
 def int_inverse(m) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
@@ -157,27 +123,20 @@ def int_inverse(m) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
     return d, tuple(tuple(x * d // red[i][i] for x in red[i][n:]) for i in range(n))
 
 
-def det(m) -> Q:
-    n = len(m)
-    red = [int_row(r) for r in m]
-    pivots, num, den = _echelon(red, track=True)
-    if len(pivots) < n:
-        return Q(0)
-    # red is diagonal now; undo the row operations and the integer scaling
-    return Q(prod(red[i][i] for i in range(n)) * den,
-             num * prod(_denominator(r) for r in m))
+def solve(a, b) -> tuple[int, tuple[int, ...]] | None:
+    """(d, x) with a x = d b in integers, d > 0 least; None if inconsistent.
 
-
-def solve(a, b) -> Vec | None:
-    """One exact solution of a x = b, or None if inconsistent."""
+    x / d is the solution that is zero on every free column.
+    """
     nc = len(a[0]) if a else len(b)
     red, pivots = _reduced([list(row) + [b[i]] for i, row in enumerate(a)])
     if nc in pivots:
         return None
-    x = [Q(0)] * nc
+    d = lcm(*(row[c] // gcd(row[c], row[-1]) for row, c in zip(red, pivots)))
+    x = [0] * nc
     for row, c in zip(red, pivots):
-        x[c] = Q(row[-1], row[c])
-    return tuple(x)
+        x[c] = row[-1] * d // row[c]
+    return d, tuple(x)
 
 
 def int_nullspace(rows, ncols: int | None = None) -> list[tuple[int, ...]]:
@@ -216,8 +175,13 @@ def _primitive_ints(r) -> tuple[int, ...]:
 
 
 def primitive(v) -> tuple[int, ...]:
-    """Primitive integer vector on the same ray (positive rescaling only)."""
-    ints = int_row(v)
+    """Primitive integer vector on the same ray (positive rescaling only).
+
+    The one function here that takes rational entries: the vector is scaled
+    by the lcm of its denominators first.
+    """
+    d = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (d // x.denominator) for x in v]
     if not any(ints):
         raise ValueError("zero vector has no primitive representative")
     return _primitive_ints(ints)
@@ -227,10 +191,9 @@ def fm_feasible(ineqs, nvars: int) -> bool:
     """Fourier-Motzkin feasibility of {x : row[:n] . x + row[n] >= 0}.
 
     Rows are affine: the last entry is the constant term.  Every row is
-    scaled to its primitive integer form, so equal half-spaces dedupe and
-    the elimination never leaves the integers.
+    scaled to its primitive form, so equal half-spaces dedupe.
     """
-    rows = {_primitive_ints(int_row(r)) for r in ineqs}
+    rows = {_primitive_ints(r) for r in ineqs}
     for v in range(nvars):
         pos, neg, rest = [], [], []
         for r in rows:
@@ -271,7 +234,7 @@ def feasible(eqs, ineqs, nvars: int) -> bool:
         return False
     proj = []
     keep = [c for c in range(nvars) if c not in pivots] + [nvars]
-    for row in map(int_row, ineqs):
+    for row in ineqs:
         for prow, c in zip(red, pivots):
             b = row[c]
             if b:

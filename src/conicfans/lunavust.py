@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .linalg import (feasible, int_inverse, int_nullspace, int_row, inverse, is_zero,
-                     primitive, rank, transpose, vdot)
+from .linalg import (feasible, int_inverse, int_nullspace, is_zero, primitive, rank,
+                     transpose, vdot)
 from .rootcore import Record, StructureError, classify_component, subdatum
 
 Ray = tuple[int, ...]
@@ -88,8 +88,7 @@ def _rays_of_hcone(equalities, inequalities, dim) -> tuple[Ray, ...]:
     space down to a line; a candidate survives if it satisfies every
     inequality.  Exact and complete for pointed cones.
     """
-    eqs = [int_row(r) for r in equalities]
-    ineqs = [int_row(r) for r in inequalities]
+    eqs, ineqs = list(equalities), list(inequalities)
     if int_nullspace(eqs + ineqs, dim):
         raise StructureError(
             f"cone {{x : E x = 0, M x >= 0}} with E = {_rows_str(equalities)}, "
@@ -125,7 +124,6 @@ def cone_contains(cone: QCone, x) -> bool:
     if not cone.generators:
         return False
     eqs, facets = hrep(cone)
-    x = int_row(x)
     return all(vdot(e, x) == 0 for e in eqs) and all(vdot(f, x) >= 0 for f in facets)
 
 
@@ -173,19 +171,28 @@ def color_point(rrd, i: int) -> Ray:
 
 
 def in_valuation_cone(rrd, x) -> bool:
-    x = int_row(x)
     return all(vdot(row, x) <= 0 for row in rrd.restricted.cartan)
 
 
-def valuation_cone(rrd) -> QCone:
-    """The negative Weyl chamber as a generator cone (spanned by -gamma_j).
+@lru_cache(maxsize=None)
+def neg_gamma_rays(cartan) -> tuple[Ray, ...]:
+    """The primitive rays of -gamma_1, ..., -gamma_m for the Cartan matrix A.
 
-    V = {c : A c <= 0} = {-A^-1 y : y >= 0}, so the -gamma_j are the columns
-    of -A^-1; they are read off the restricted Cartan matrix A alone.
+    gamma_j is column j of A^-1 = adj(A) / det A, so -gamma_j lies on the ray
+    of column j of -adj(A): det A > 0, as `build_root_datum` proves the
+    Killing form positive definite.
     """
-    ainv = inverse(rrd.restricted.cartan)
-    return QCone.of(sorted(primitive([-row[j] for row in ainv])
-                           for j in range(len(ainv))))
+    adj = int_inverse(cartan)[1]
+    return tuple(primitive([-x for x in col]) for col in zip(*adj))
+
+
+def valuation_cone(rrd) -> QCone:
+    """The negative Weyl chamber as a generator cone, spanned by the -gamma_j.
+
+    V = {c : A c <= 0} = {-A^-1 y : y >= 0}, so V is spanned by the columns
+    of -A^-1, the `neg_gamma_rays` of the restricted Cartan matrix A.
+    """
+    return QCone.of(sorted(neg_gamma_rays(rrd.restricted.cartan)))
 
 
 def relints_meet_in_valuation(rrd, *cones: QCone) -> bool:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from types import MappingProxyType
 
-from .linalg import det, inverse, mat_mul, transpose
+from .linalg import int_inverse, mat_mul, transpose
 
 ORBIT_CAP_DEFAULT = 10**7
 
@@ -332,8 +332,9 @@ class RootDatum(Record):
 
         The Killing form is the inverse of the trace form B(h_i, h_j) on the
         simple coroots, read through the Cartan pairings: C G^-1 C^t.  D is
-        the lcm of its denominators, so D <a, b> is an integer on the root
-        lattice and ratios of pairings need no fractions.
+        the least common denominator: (K, D) with gcd 1 is unique, so it is
+        C adj(G) C^t and det G reduced by their gcd.  D <a, b> is an integer on
+        the root lattice and ratios of pairings need no fractions.
         """
         n = self.rank
         cart = self.cartan
@@ -341,10 +342,8 @@ class RootDatum(Record):
                for g in self.roots]
         gram = [[sum(pv[i] * pv[j] for pv in pvs) for j in range(n)]
                 for i in range(n)]
-        ginv = inverse(gram)
-        d = lcm(*(x.denominator for row in ginv for x in row))
-        ginv = [[x.numerator * (d // x.denominator) for x in row] for row in ginv]
-        k = mat_mul(mat_mul(cart, ginv), transpose(cart))
+        d, adj = int_inverse(gram)    # G is positive definite: d > 0
+        k = mat_mul(mat_mul(cart, adj), transpose(cart))
         g = gcd(d, *(x for row in k for x in row))
         return tuple(tuple(x // g for x in row) for row in k), d // g
 
@@ -431,7 +430,7 @@ def _validate_datum(rd: RootDatum, series: str, rank: int) -> None:
                 raise StructureError("Killing form does not reproduce Cartan integers")
     # positive definiteness via leading principal minors
     for m in range(1, rank + 1):
-        if det([row[:m] for row in k[:m]]) <= 0:
+        if int_inverse([row[:m] for row in k[:m]])[0] <= 0:
             raise StructureError("Killing form is not positive definite")
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from .linalg import identity, int_inverse, inverse
+from .linalg import identity, int_inverse
 from .rootcore import (ParabolicSubset, Record, RootDatum, StructureError,
-                       UnsupportedAlgebraError, build_root_datum, highest_root,
-                       longest_element, subdatum)
+                       UnsupportedAlgebraError, build_root_datum, duality_involution,
+                       highest_root, longest_element, subdatum)
 
 
 def supported_pair(series: str, rank: int) -> tuple[str, int]:
@@ -83,14 +83,13 @@ def satake_of(series: str, rank: int) -> SatakeDiagram:
 
 
 @lru_cache(maxsize=None)
-def _sigma_matrix(sd: SatakeDiagram) -> tuple[tuple[Q, ...], ...]:
+def _sigma_matrix(sd: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     """Matrix of the involution on characters, columns = images of simples."""
     rd = sd.base
     perm = {}
     if sd.black:
         sub, mapping = subdatum(rd, sorted(sd.black))
         back = {v: k for k, v in mapping.items()}
-        from .rootcore import duality_involution
         theta_sub = duality_involution(sub)
         w0_sub = longest_element(sub)
         w0_ambient = tuple(back[i] for i in w0_sub.word)
@@ -200,15 +199,16 @@ def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
         raise StructureError("restricted simple roots are not distinct")
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            cij = Q(2 * base.killing_int(lam2[i], lam2[j]),
-                    base.killing_int(lam2[j], lam2[j]))
-            if cij != restricted.cartan[i - 1][j - 1]:
+            num = 2 * base.killing_int(lam2[i], lam2[j])
+            den = base.killing_int(lam2[j], lam2[j])
+            if num != restricted.cartan[i - 1][j - 1] * den:
                 raise StructureError(
-                    f"restricted Cartan mismatch at ({i},{j}): got {cij}")
+                    f"restricted Cartan mismatch at ({i},{j}): got {num}/{den}")
     _check_projected_roots(sd, restricted, lam2)
 
-    ainv = inverse(restricted.cartan)
-    gamma = tuple(tuple(ainv[i][j] for i in range(m)) for j in range(m))
+    # gamma_j is column j of A^-1 = adj(A) / det A
+    d, adj = int_inverse(restricted.cartan)
+    gamma = tuple(tuple(Q(adj[i][j], d) for i in range(m)) for j in range(m))
     return RestrictedRootDatum(sd, restricted, rmap, gamma)
 
 
@@ -274,13 +274,12 @@ def color_table(rrd: RestrictedRootDatum) -> tuple[ColorInfo, ...]:
             elif sph != cand:
                 raise StructureError(
                     f"spherical root for color {i} depends on the representative")
-        sph_int = tuple(int(x) for x in sph)
         ctype = "b"
         for w in reps:
             unit = tuple(1 if k == w - 1 else 0 for k in range(base.rank))
-            if sph_int == unit:
+            if sph == unit:
                 ctype = "a"
-            if sph_int == tuple(2 * x for x in unit):
+            if sph == tuple(2 * x for x in unit):
                 ctype = "2a"
         if ctype in ("a", "2a"):
             a_coeff = 1
@@ -291,11 +290,10 @@ def color_table(rrd: RestrictedRootDatum) -> tuple[ColorInfo, ...]:
             if len(vals) != 1:
                 raise StructureError(
                     f"anticanonical coefficient for color {i} depends on the representative")
-            a_val = vals.pop()
-            if a_val != int(a_val) or a_val <= 0:
-                raise StructureError("anticanonical coefficient is not a positive integer")
-            a_coeff = int(a_val)
-        out.append(ColorInfo(i, ParabolicSubset(frozenset(reps)), ctype, a_coeff, sph_int))
+            a_coeff = vals.pop()
+            if a_coeff <= 0:
+                raise StructureError("anticanonical coefficient is not positive")
+        out.append(ColorInfo(i, ParabolicSubset(frozenset(reps)), ctype, a_coeff, sph))
     return tuple(out)
 
 
@@ -313,10 +311,18 @@ def g_fixed_subalgebra_components(series: str, rank: int) -> tuple[tuple[str, in
             ext[i][j] = rd.cartan[i - 1][j - 1]
     e = identity(n)
     lowest = tuple(-x for x in rho)
+
+    def entry(i, j, a, b):
+        # the Cartan integer 2 <a, b> / <b, b> of the extended diagram at (i, j)
+        val, rem = divmod(2 * rd.killing_int(a, b), rd.killing_int(b, b))
+        if rem:
+            raise StructureError(f"{rd.label}: extended Cartan entry ({i},{j}) "
+                                 f"is not an integer")
+        return val
+
     for j in range(1, n + 1):
-        ext[0][j] = int(Q(2 * rd.killing_int(lowest, e[j - 1]),
-                          rd.killing_int(e[j - 1], e[j - 1])))
-        ext[j][0] = int(Q(2 * rd.killing_int(e[j - 1], lowest), rd.killing_int(rho, rho)))
+        ext[0][j] = entry(0, j, lowest, e[j - 1])
+        ext[j][0] = entry(j, 0, e[j - 1], lowest)
     keep = [i for i in range(n + 1) if i != j0]
     sub = RootDatum(tuple(tuple(ext[i][j] for j in keep) for i in keep))
     return sub.components

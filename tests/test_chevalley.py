@@ -660,6 +660,7 @@ def test_g2_contact_certificate_is_exact_and_every_change_breaks_it():
     assert why == ""
     assert (cert.quadratics, cert.cubics) == (quads, cubics)
     assert (len(quads), len(cubics), m) == (3, 4, 4)
+    assert tuple(d for d, _ in cert.multipliers) == (3, 3, 3)
     assert ch._certificate_holds(cert)
     for i, (d, forms) in enumerate(cert.multipliers):
         changed = [(d + 1, forms)]

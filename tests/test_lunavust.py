@@ -4,13 +4,13 @@ import json
 import random
 from fractions import Fraction as Q
 
+import fraction_ref as ref
 import pytest
 
 from conicfans import conicatlas, fixtures, verify
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
-from conicfans.linalg import (det, feasible, int_nullspace, inverse, primitive, solve,
-                              transpose)
+from conicfans.linalg import int_nullspace, primitive
 from conicfans.rootcore import StructureError, classify_component
 
 
@@ -56,12 +56,11 @@ def test_extremal_rays_reject_nonpointed():
 
 
 def test_b4_gamma3_is_absorbed():
-    from conicfans.linalg import primitive
     rrd = rrd_of("B", 5)
     g = rrd.gamma
     cone = lv.QCone.of([neg(g[0]), neg(g[1]), neg(g[3]), unit(2, 4), unit(4, 4)])
     rays = lv.extremal_rays(cone)
-    assert lv.cone_contains(cone, neg(g[2]))
+    assert lv.cone_contains(cone, primitive(neg(g[2])))
     assert primitive(neg(g[2])) not in rays
     # the identification behind the absorption: -g3 = -g4 + l4 / 2
     diff = tuple(a - b for a, b in zip(neg(g[2]), neg(g[3])))
@@ -273,7 +272,7 @@ def test_ruzzi_condition1_names_each_failing_levi_factor(label, colors, detail):
 
 def _rational_dual_basis(prim):
     """Dual basis (pi coordinates) of the half-coroot basis prim / 2: rows of 2 (P^t)^-1."""
-    pinv_t = inverse(transpose([list(map(Q, p)) for p in prim]))
+    pinv_t = ref.inverse(list(zip(*prim)))
     return [tuple(2 * x for x in row) for row in pinv_t]
 
 
@@ -285,7 +284,7 @@ def _rational_fundamental_weights(rrd, order):
     a = [[Q(cart[s - 1][t - 1]) for s in order] for t in order]
     out = []
     for i in range(len(order)):
-        c = solve(a, [Q(int(k == i)) for k in range(len(order))])
+        c = ref.solve(a, [int(k == i) for k in range(len(order))], len(order))
         out.append(tuple(sum(coef * row[k] for coef, row in zip(c, span_rows))
                          for k in range(m)))
     return out
@@ -370,7 +369,7 @@ def _rational_ruzzi_smooth(cc, rrd):
         detail.append(f"{len(prim)} extremal rays in rank {m}: "
                       "not a simplicial cone of full rank")
     else:
-        d = det(prim)
+        d = ref.det(prim)
         cond2 = abs(d) == 1
         if not cond2:
             detail.append(f"ray basis determinant {d} is not a unit")
@@ -491,7 +490,7 @@ def test_dot_export_mentions_all_nodes():
 
 
 def _faces_by_facet_subsets(cc, rrd):
-    """Reference: one H-system per subset of facets, relint meeting V by `feasible`."""
+    """Reference: one H-system per subset of facets, relint meeting V by minimal faces."""
     out = [lv.ColoredCone(lv.QCone(()), frozenset()).key()]
     if not cc.cone.generators:
         return out
@@ -586,14 +585,14 @@ def _is_pointed_by_hrep(cone):
 
 
 def _relint_meets_by_rays(rrd, cone):
-    """x = sum t_i g_i with every t_i >= 1 and A x <= 0, by `feasible`."""
+    """x = sum t_i g_i with every t_i >= 1 and A x <= 0, by the minimal faces."""
     if not cone.generators:
         return True
     gens = cone.generators
     ineqs = [[Q(int(i == j)) for j in range(len(gens))] + [Q(-1)] for i in range(len(gens))]
     ineqs += [[-sum(Q(a) * x for a, x in zip(row, g)) for g in gens] + [Q(0)]
               for row in rrd.restricted.cartan]
-    return feasible([], ineqs, len(gens))
+    return ref.feasible([], ineqs, len(gens))
 
 
 def _colored_cone_diagnostics_by_hrep(cc, rrd):
@@ -708,12 +707,16 @@ def test_relint_conventions_for_the_zero_cone():
 
 
 def test_valuation_cone_rays_are_the_negative_gammas():
+    """The rays read off adj(A) are those of the rational gamma_j."""
     for series, rank in (("B", 3), ("B", 4), ("D", 4), ("F", 4), ("G", 2)):
         rrd = rrd_of(series, rank)
-        rows = [[-Q(x) for x in row] for row in rrd.restricted.cartan]
+        rows = [[-x for x in row] for row in rrd.restricted.cartan]
+        want = tuple(primitive(neg(g)) for g in rrd.gamma)
+        assert tuple(conicatlas.resolve_ray(rrd, f"-g{j}")
+                     for j in range(1, rank + 1)) == want
+        assert lv.valuation_cone(rrd).generators == tuple(sorted(want))
         assert lv.extremal_rays(lv.valuation_cone(rrd)) \
-            == lv._rays_of_hcone([], rows, rank) \
-            == tuple(sorted(primitive(neg(g)) for g in rrd.gamma))
+            == lv._rays_of_hcone([], rows, rank) == tuple(sorted(want))
 
 
 def test_cone_checks_solve_no_h_system_once_cached(monkeypatch):

@@ -258,3 +258,25 @@ def test_cartan_matrices_match_sympy_up_to_renumbering():
     for label, series, rank in _pinned_types():
         theirs = cartan_matrix.CartanMatrix(label).tolist()
         assert _simultaneous_permutation(rc.simple_cartan(series, rank), theirs), label
+
+
+def test_scaled_killing_is_the_reduced_rational_killing_matrix():
+    """(K, D) against C G^-1 C^t from the Fraction elimination, for every label."""
+    from math import lcm
+
+    import fraction_ref as ref
+
+    from conicfans.conicatlas import parse_label
+    from conicfans.fixtures import supported_labels
+    for label in supported_labels(8):
+        rd = rc.build_root_datum(*parse_label(label))
+        n = rd.rank
+        pvs = [[rd.pairing(g, i) for i in range(1, n + 1)] for g in rd.roots]
+        gram = [[sum(pv[i] * pv[j] for pv in pvs) for j in range(n)] for i in range(n)]
+        ginv = ref.inverse(gram)
+        killing = [[sum(rd.cartan[i][a] * ginv[a][b] * rd.cartan[j][b]
+                        for a in range(n) for b in range(n)) for j in range(n)]
+                   for i in range(n)]
+        d = lcm(*(x.denominator for row in killing for x in row))
+        assert rd._scaled_killing == (tuple(tuple(int(x * d) for x in row)
+                                            for row in killing), d), label

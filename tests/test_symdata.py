@@ -163,3 +163,17 @@ def test_contact_node_is_unique_and_named_on_failure():
     a3 = build_root_datum("A", 3)   # the highest root meets nodes 1 and 3
     with pytest.raises(StructureError, match=r"^A3: .*found \[1, 3\]"):
         sy.contact_node(a3, highest_root(a3))
+
+
+def test_extended_diagram_entries_divide_exactly(monkeypatch):
+    """A non-integer Cartan entry is a named failure, not a truncated integer.
+
+    With the weight a1 + 2 a2 of G2 in place of the highest root,
+    2 <a1, -(a1 + 2 a2)> / <a1 + 2 a2, a1 + 2 a2> = 4 / 7.
+    """
+    from conicfans.rootcore import StructureError
+    monkeypatch.setattr(sy, "highest_root", lambda rd: (1, 2))
+    monkeypatch.setattr(sy, "contact_node", lambda rd, rho: 2)
+    with pytest.raises(StructureError,
+                       match=r"^G2: extended Cartan entry \(1,0\) is not an integer$"):
+        sy.g_fixed_subalgebra_components("G", 2)
