@@ -149,6 +149,23 @@ def test_feasible_matches_the_minimal_face_enumeration(system):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(square=True))
+def test_det_and_inverse_match_the_fraction_elimination(data):
+    """det m and adj(m)/det m are the Fraction determinant and Gauss-Jordan inverse."""
+    n, rows = data
+    d, adj = linalg.int_inverse(rows)
+    assert d == ref.det(rows)
+    if d == 0:
+        assert adj is None
+        return
+    red, _ = ref.rref([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(rows)])
+    inv = tuple(tuple(Q(x, d) for x in row) for row in adj)
+    assert inv == tuple(tuple(r[n:]) for r in red)
+    assert linalg.mat_mul(rows, inv) == linalg.mat_mul(inv, rows) == linalg.identity(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
 def test_int_inverse_is_the_determinant_and_the_adjugate(data):
     n, rows = data
     d, adj = linalg.int_inverse(rows)
