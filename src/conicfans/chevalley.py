@@ -19,8 +19,9 @@ Both proofs are in `_verify_jacobi`.
 
 Integer core on root indices.  Every structure constant, root pairing and
 coroot coordinate is an integer, and every table (`RootTables`) is indexed by
-the position of a root in `rd.roots`.  The special constants are built on the
-datum's tables, and the Jacobi certificate, the bracket `_int_bracket`,
+the position of a root in `rd.roots`; the per-root rows are the datum's own
+`RootDatum.root_table`.  The special constants are built on the datum's
+tables, and the Jacobi certificate, the bracket `_int_bracket`,
 extremality and the contact forms all read the signed rows.  Elements are
 integral too: a `LieElement` is an integer projective representative.  Every
 claim checked here is projective: extremality of x, the vanishing of the
@@ -58,19 +59,19 @@ ZERO = -1
 """Sum index of a pair of opposite roots in `RootTables.sums` and `.rows`."""
 
 
-class RootTables(namedtuple("RootTables", "roots index sums neg order norm2 pairing "
+class RootTables(namedtuple("RootTables", "roots index neg pairing norm2 sums order "
                                           "coroot rows", defaults=(None,))):
     """Integer tables on root indices, the positions of the roots in `rd.roots`.
 
-    sums[i] maps every j with roots[i] + roots[j] in Phi u {0} to the index
-    of the sum, or ZERO for opposite roots; rows[i] maps the same j to (that
-    index, N_{i,j}), with N = 0 for ZERO.  neg[i] is the index of -roots[i];
-    order[i] the place of a positive root in the height-then-lex order, -1
-    for a negative one; norm2[i] the squared length (`RootDatum.killing_int`);
-    pairing[i] holds roots[i](h_k) for the simple coroots h_k, and coroot[i]
-    the coroot in simple-coroot coordinates; index maps each root to its
-    position.  All but rows depend on the datum alone (`_root_index`);
-    `StructureConstants.tables` adds the rows, None until then.
+    roots, index, neg, pairing and norm2 are the datum's own root table
+    (`rootcore.RootTable`), shared and not copied.  On top of it, sums[i] maps
+    every j with roots[i] + roots[j] in Phi u {0} to the index of the sum, or
+    ZERO for opposite roots; rows[i] maps the same j to (that index,
+    N_{i,j}), with N = 0 for ZERO.  order[i] is the place of a positive root
+    in the height-then-lex order, -1 for a negative one, and coroot[i] the
+    coroot in simple-coroot coordinates.  All but rows depend on the datum
+    alone (`_root_index`); `StructureConstants.tables` adds the rows, None
+    until then.
     """
 
     __slots__ = ()
@@ -78,25 +79,23 @@ class RootTables(namedtuple("RootTables", "roots index sums neg order norm2 pair
 
 @lru_cache(maxsize=None)
 def _root_index(rd: RootDatum) -> RootTables:
-    roots = rd.roots
-    n = rd.rank
+    tab = rd.root_table
+    roots, neg, norm2 = tab.roots, tab.neg, tab.norm2
     # a linear key read in base 6M + 1 for the largest root coordinate M: a
     # sum of two roots minus a root has coordinates of size at most 3M, so
     # equal keys mean equal vectors
     base = 6 * max(abs(x) for g in roots for x in g) + 1
     key = [sum(x * base ** k for k, x in enumerate(g)) for g in roots]
     at = {kk: i for i, kk in enumerate(key)}
-    neg = tuple(at[-kk] for kk in key)
     # filling sums[i] and sums[j] for i < j keeps every row in ascending order
     sums = [{} for _ in roots]
-    for i, ka in enumerate(key):
+    for i, (ka, ni) in enumerate(zip(key, neg)):
         for j in range(i + 1, len(roots)):
-            s = ZERO if j == neg[i] else at.get(ka + key[j])
+            s = ZERO if j == ni else at.get(ka + key[j])
             if s is not None:
                 sums[i][j] = sums[j][i] = s
     place = {g: k for k, g in enumerate(rd.positive_roots)}
-    norm2 = tuple(rd.killing_int(g, g) for g in roots)
-    simple_norms = [norm2[at[base ** k]] for k in range(n)]
+    simple_norms = [norm2[at[base ** k]] for k in range(rd.rank)]
     coroot = []
     for g, ng in zip(roots, norm2):
         # alpha^vee has coordinate k equal to alpha_k |alpha_k|^2 / |alpha|^2
@@ -104,11 +103,8 @@ def _root_index(rd: RootDatum) -> RootTables:
         if any(r for _, r in qr):
             raise StructureError(f"{rd.label}: coroot of {g} has non-integer coordinates")
         coroot.append(tuple(c for c, _ in qr))
-    return RootTables(
-        roots, {g: i for i, g in enumerate(roots)}, tuple(sums), neg,
-        tuple(place.get(g, -1) for g in roots), norm2,
-        tuple(tuple(rd.pairing(g, k) for k in range(1, n + 1)) for g in roots),
-        tuple(coroot))
+    return RootTables(roots, tab.index, neg, tab.pairing, norm2, tuple(sums),
+                      tuple(place.get(g, -1) for g in roots), tuple(coroot))
 
 
 def _n(ix: RootTables, special: dict[tuple[int, int], int], i: int, j: int, s: int) -> int:
@@ -154,15 +150,36 @@ class StructureConstants(Record):
 
     @cached_property
     def tables(self) -> RootTables:
-        """The signed root-index tables, built on first use (see `RootTables`)."""
+        """The signed root-index tables, built on first use (see `RootTables`).
+
+        The rows of the positive roots come first, from the special constants
+        by the identities of `_n`; a negative root's row then reads them,
+        N_{a,b} = -N_{b,a} for b positive and -N_{-a,-b} for b negative.
+        """
         ix = _root_index(self.rd)
-        special = {(ix.index[a], ix.index[b]): n for (a, b), n in self._special.items()}
-        rows = [{} for _ in ix.roots]
-        for i, row in enumerate(ix.sums):
-            for j, s in row.items():
-                if j > i:
-                    n = 0 if s == ZERO else _n(ix, special, i, j, s)
-                    rows[i][j], rows[j][i] = (s, n), (s, -n)
+        index, neg, norm2, order = ix.index, ix.neg, ix.norm2, ix.order
+        pos: list[dict[int, int]] = [{} for _ in order]    # N on positive pairs
+        for (a, b), n in self._special.items():
+            i, j = index[a], index[b]
+            pos[i][j], pos[j][i] = n, -n
+        rows: list[dict] = [{} for _ in order]
+        half = len(order) // 2                  # the negative roots come first
+        for i in (*range(half, len(order)), *range(half)):
+            for j, s in ix.sums[i].items():
+                if s == ZERO:
+                    n = 0
+                elif order[i] < 0:
+                    n = -(rows[j][i] if order[j] >= 0 else rows[neg[i]][neg[j]])[1]
+                elif order[j] >= 0:
+                    n = pos[i][j]
+                else:
+                    # -N_{-j,s} |s|^2/|i|^2 for s positive, else -N_{i,-s} |s|^2/|j|^2
+                    m, den = ((pos[neg[j]][s], norm2[i]) if order[s] >= 0
+                              else (pos[i][neg[s]], norm2[j]))
+                    n, rem = divmod(-m * norm2[s], den)
+                    if rem:
+                        raise StructureError("non-integer structure constant")
+                rows[i][j] = (s, n)
         return ix._replace(rows=tuple(rows))
 
     def n(self, alpha: Root, beta: Root) -> int:
@@ -286,7 +303,8 @@ def _verify_jacobi(sc: StructureConstants) -> None:
     b, c, distinct and other than a_i (J is alternating, so a repeated
     argument gives 0), for i = 1..r.  Every term of J has weight a_i + b + c, and
     a term is zero unless one pairwise sum is in Phi u {0}.  The certificate
-    lists exactly the unordered pairs {b, c} that can give a nonzero J:
+    visits exactly the unordered pairs {b, c} that can give a nonzero J, in
+    one flat loop per simple root with J expanded inline:
       - b + c = 0, of weight a_i;
       - b + c = t a root with a_i + t in Phi u {0}; for a_i + t = 0 the sum
         is Cartan, N_{b,c} h_a_i + N_{c,a_i} h_b + N_{a_i,b} h_c;
@@ -314,27 +332,15 @@ def _verify_jacobi(sc: StructureConstants) -> None:
             if a < b:
                 by_sum[s].append((a, b))
 
-    def jacobi_vanishes(a: int, b: int, c: int) -> bool:
-        """Whether J(e_a, e_b, e_c) = 0, for a + b + c in Phi u {0}."""
-        s, n_bc = rows[b].get(c, (None, 0))
-        if s is not None and s != ZERO and rows[a][s][0] == ZERO:
-            n_ca, n_ab = rows[c][a][1], rows[a][b][1]
-            return not any(n_bc * u + n_ca * v + n_ab * w
-                           for u, v, w in zip(coroot[a], coroot[b], coroot[c]))
-        total = 0
-        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-            hit = rows[q].get(r)               # [e_p, [e_q, e_r]]
-            if hit:
-                t, n = hit
-                total += (-sum(map(mul, pairing[p], coroot[q])) if t == ZERO
-                          else n * rows[p][t][1])
-        return total == 0
+    def on(p: int, q: int) -> int:
+        """[e_p, h_q] = -p(h_q) e_p, the term of a zero inner sum q + (-q)."""
+        return -sum(map(mul, pairing[p], coroot[q]))
 
     every = range(len(roots))
     opposite = [(b, neg[b]) for b in every if b < neg[b]]
     for k in range(sc.rank):
         x = tab.index[tuple(int(m == k) for m in range(sc.rank))]
-        row_x = rows[x]
+        row_x, nx = rows[x], neg[x]
         pairs = list(opposite)
         for t in row_x:
             pairs += by_sum[t]
@@ -342,8 +348,28 @@ def _verify_jacobi(sc: StructureConstants) -> None:
             row_b = rows[b]
             pairs += [(b, c) for c in (every if u == ZERO else rows[u])
                       if c != b and c not in row_b and (b < c or c not in row_x)]
+        # J(e_x, e_b, e_c) = [e_x, [e_b, e_c]] + [e_b, [e_c, e_x]] + [e_c, [e_x, e_b]]
         for b, c in pairs:
-            if b != x and c != x and not jacobi_vanishes(x, b, c):
+            if b == x or c == x:
+                continue
+            row_b, row_c = rows[b], rows[c]
+            hit = row_b.get(c)
+            if hit and hit[0] == nx:
+                # weight 0: J = N_{b,c} h_x + N_{c,x} h_b + N_{x,b} h_c
+                n_bc, n_cx, n_xb = hit[1], row_c[x][1], row_x[b][1]
+                total = any(n_bc * u + n_cx * v + n_xb * w
+                            for u, v, w in zip(coroot[x], coroot[b], coroot[c]))
+            else:
+                total = 0
+                if hit:
+                    total = on(x, b) if hit[0] == ZERO else hit[1] * row_x[hit[0]][1]
+                hit = row_c.get(x)
+                if hit:
+                    total += on(b, c) if hit[0] == ZERO else hit[1] * row_b[hit[0]][1]
+                hit = row_x.get(b)
+                if hit:
+                    total += on(c, x) if hit[0] == ZERO else hit[1] * row_c[hit[0]][1]
+            if total:
                 raise StructureError(f"{label}: Jacobi fails on roots {roots[x]}, "
                                      f"{roots[b]}, {roots[c]}")
 
@@ -473,6 +499,8 @@ def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
         for b, c in col.items():
             for a, v in cols[b].items():
                 z[a] = z.get(a, 0) + c * v
+        if not any(z.values()):
+            continue                    # z = 0, as for most b
         # z is a multiple of x when every 2x2 minor with the pivot p vanishes
         zp = z.get(p, 0)
         if (any(v and a not in xv for a, v in z.items())

@@ -43,11 +43,6 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
-
-
 # ---------------------------------------------------------------------------
 # Integer core
 
@@ -123,12 +118,18 @@ def int_inverse(m) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
     return d, tuple(tuple(x * d // red[i][i] for x in red[i][n:]) for i in range(n))
 
 
-def solve(a, b) -> tuple[int, tuple[int, ...]] | None:
+def solve(a, b, ncols: int | None = None) -> tuple[int, tuple[int, ...]] | None:
     """(d, x) with a x = d b in integers, d > 0 least; None if inconsistent.
 
-    x / d is the solution that is zero on every free column.
+    x / d is the solution that is zero on every free column.  A system with
+    no rows needs its number of unknowns as ncols, which it solves with d = 1
+    and x = 0.
     """
-    nc = len(a[0]) if a else len(b)
+    if not a:
+        if ncols is None:
+            raise ValueError("need ncols for empty system")
+        return 1, (0,) * ncols
+    nc = len(a[0])
     red, pivots = _reduced([list(row) + [b[i]] for i, row in enumerate(a)])
     if nc in pivots:
         return None

@@ -10,13 +10,14 @@ block-diagonal Cartan matrix.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 from types import MappingProxyType
 
-from .linalg import int_inverse, mat_mul, transpose
+from .linalg import int_inverse
 
 ORBIT_CAP_DEFAULT = 10**7
 
@@ -43,15 +44,18 @@ class Record:
     It behaves like ``@dataclass(frozen=True)`` without generating code when a
     class is created.  The constructor takes the fields by position or keyword
     (a default is a class attribute of the field's name) and then calls
-    ``__post_init__``.  Equality holds only between instances of one class,
-    the hash is that of the field tuple, and the repr reads
+    ``__post_init__``.  Equality holds only between instances of one class
+    and compares the fields in order.  The hash is that of the field tuple,
+    computed on first use and kept as the int ``_hash``.  The repr reads
     ``QualName(field=value, ...)``.  Assigning or deleting an attribute raises
     ``AttributeError``; ``functools.cached_property`` writes the instance
-    ``__dict__`` directly, so it still works, and pickling uses the default
-    ``object`` reduce.  Records do not inherit from one another.
+    ``__dict__`` directly, so it still works.  Pickling uses the default
+    ``object`` reduce without ``_hash``, since another process may hash
+    strings with another seed.  Records do not inherit from one another.
     """
 
     _fields: tuple[str, ...] = ()
+    _hash: int | None = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -86,17 +90,27 @@ class Record:
     def __post_init__(self):
         pass
 
-    def _values(self) -> tuple:
-        d = self.__dict__
-        return tuple([d[name] for name in self._fields])
-
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        d, e = self.__dict__, other.__dict__
+        for name in self._fields:
+            if d[name] != e[name]:
+                return False
+        return True
 
     def __hash__(self):
-        return hash(self._values())
+        h = self._hash
+        if h is None:
+            d = self.__dict__
+            h = d["_hash"] = hash(tuple([d[name] for name in self._fields]))
+        return h
+
+    def __getstate__(self):
+        state = self.__dict__
+        if "_hash" in state:
+            state = {k: v for k, v in state.items() if k != "_hash"}
+        return state
 
     def __repr__(self):
         d = self.__dict__
@@ -231,8 +245,55 @@ def _simple_root_count(series: str, rank: int) -> int:
     return _EXCEPTIONAL_COUNTS[(series, rank)]
 
 
+class RootTable(namedtuple("RootTable", "roots index neg pairing norm2 killing")):
+    """The integer root table of a datum, on root indices: positions in `roots`.
+
+    roots is sorted, so the negative roots come first; index maps each root to
+    its position.  Negation reverses the sorted order, so the index neg[i] of
+    -roots[i] is len(roots) - 1 - i.  pairing[i] holds the pairings
+    roots[i](h_k) with the simple coroots h_k, and norm2[i] the squared norm
+    `RootDatum.killing_int(roots[i], roots[i])`.  killing is the scaled
+    Killing matrix (K, D) of `_scaled_killing_of`.  `RootDatum.root_table`
+    fills it in one closure pass, and no other structure repeats its rows.
+    """
+
+    __slots__ = ()
+
+
+def _scaled_killing_of(cartan, half) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(K, D): the Killing matrix of the simple roots is K / D, K integral.
+
+    The Killing form is the inverse of the trace form B(h_i, h_j) on the
+    simple coroots, read through the Cartan pairings: C G^-1 C^t.  G is the
+    sum over the roots of the products of their pairing rows, twice the sum
+    over `half`, the rows of one root of each pair +-a.  D is the least
+    common denominator: (K, D) with gcd 1 is unique, so it is C adj(G) C^t
+    and det G reduced by their gcd.  D <a, b> is an integer on the root
+    lattice and ratios of pairings need no fractions.
+    """
+    cols = list(zip(*half))
+    gram = [[0] * len(cols) for _ in cols]
+    for i, a in enumerate(cols):
+        for j in range(i, len(cols)):
+            gram[i][j] = gram[j][i] = 2 * sum(map(mul, a, cols[j]))
+    d, adj = int_inverse(gram)    # G is positive definite: d > 0
+    # adj(G) is symmetric, so its rows are its columns
+    ca = [[sum(map(mul, row, col)) for col in adj] for row in cartan]
+    k = [[sum(map(mul, x, row)) for row in cartan] for x in ca]
+    g = gcd(d, *(x for row in k for x in row))
+    return tuple(tuple(x // g for x in row) for row in k), d // g
+
+
 class RootDatum(Record):
-    """A (possibly reducible) root system with exact Killing pairings."""
+    """A (possibly reducible) root system with exact Killing pairings.
+
+    Everything per root lives in one integer table, `root_table`, filled by
+    the closure pass: the roots, their index map and negation, their pairings
+    with the simple coroots and their squared norms.  `roots`, `is_root`,
+    `killing_int`, `is_long` and `highest_root` read it.  `pairing` and
+    `reflect` compute from the Cartan matrix on any vector and never read it,
+    so the rootcore checks reflect the roots independently of the closure.
+    """
 
     cartan: tuple[tuple[int, ...], ...]
 
@@ -286,31 +347,52 @@ class RootDatum(Record):
         return tuple(out)
 
     @cached_property
-    def roots(self) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        seen = set(simples)
-        todo = list(simples)
+    def root_table(self) -> RootTable:
+        """The integer root table, filled by one closure pass under the simple reflections.
+
+        A root enters with its negative, and the pass expands one of the two.
+        Its pairing row gives its reflections s_i v = v - v(h_i) alpha_i, each
+        with its own row, row(v) - v(h_i) row(alpha_i), and negated it gives
+        the row of -v, whose reflections are the negated ones.  The Killing
+        matrix comes from the rows (`_scaled_killing_of`), and the norms from its
+        diagonal: D |v|^2 = sum_k v_k v(h_k) D |alpha_k|^2 / 2.
+        """
+        cart = self.cartan
+        rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        todo, half = [], []         # half: the rows of one root of each pair +-v
+
+        def add(v, row):
+            rows[v], rows[tuple([-x for x in v])] = row, tuple([-c for c in row])
+            half.append(row)
+            todo.append(v)
+
+        for i, row in enumerate(cart):      # the row of alpha_i is row i of C
+            add(tuple(int(k == i) for k in range(len(cart))), row)
         while todo:
             v = todo.pop()
-            for i, col in enumerate(self._cartan_columns):
-                c = sum(map(mul, v, col))
+            row = rows[v]
+            for i, c in enumerate(row):
                 if c:
                     w = list(v)
                     w[i] -= c
                     w = tuple(w)
-                    if w not in seen:
-                        seen.add(w)
-                        todo.append(w)
-            nv = tuple(-x for x in v)
-            if nv not in seen:
-                seen.add(nv)
-                todo.append(nv)
+                    if w not in rows:
+                        add(w, tuple([p - c * q for p, q in zip(row, cart[i])]))
         expected = sum(_simple_root_count(s, r) for s, r in self.components)
-        if len(seen) != expected:
+        if len(rows) != expected:
             raise StructureError(
-                f"closure produced {len(seen)} roots, expected {expected}")
-        return tuple(sorted(seen))
+                f"closure produced {len(rows)} roots, expected {expected}")
+        roots = tuple(sorted(rows))
+        pairing = tuple([rows[g] for g in roots])
+        killing = _scaled_killing_of(cart, half)
+        diag = [row[k] for k, row in enumerate(killing[0])]
+        norm2 = tuple([sum(map(mul, map(mul, g, p), diag)) // 2 for g, p in zip(roots, pairing)])
+        return RootTable(roots, {g: i for i, g in enumerate(roots)},
+                         tuple(range(len(roots) - 1, -1, -1)), pairing, norm2, killing)
+
+    @cached_property
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        return self.root_table.roots
 
     @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
@@ -320,32 +402,12 @@ class RootDatum(Record):
         return tuple(sorted(pos, key=lambda v: (sum(v), v)))
 
     def is_root(self, v) -> bool:
-        return tuple(v) in self._root_set
-
-    @cached_property
-    def _root_set(self) -> frozenset:
-        return frozenset(self.roots)
+        return tuple(v) in self.root_table.index
 
     @cached_property
     def _scaled_killing(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(K, D): the Killing matrix of the simple roots is K / D, K integral.
-
-        The Killing form is the inverse of the trace form B(h_i, h_j) on the
-        simple coroots, read through the Cartan pairings: C G^-1 C^t.  D is
-        the least common denominator: (K, D) with gcd 1 is unique, so it is
-        C adj(G) C^t and det G reduced by their gcd.  D <a, b> is an integer on
-        the root lattice and ratios of pairings need no fractions.
-        """
-        n = self.rank
-        cart = self.cartan
-        pvs = [tuple(sum(map(mul, g, col)) for col in self._cartan_columns)
-               for g in self.roots]
-        gram = [[sum(pv[i] * pv[j] for pv in pvs) for j in range(n)]
-                for i in range(n)]
-        d, adj = int_inverse(gram)    # G is positive definite: d > 0
-        k = mat_mul(mat_mul(cart, adj), transpose(cart))
-        g = gcd(d, *(x for row in k for x in row))
-        return tuple(tuple(x // g for x in row) for row in k), d // g
+        """(K, D) of `_scaled_killing_of`, kept in the root table."""
+        return self.root_table.killing
 
     def killing_int(self, a, b):
         """D <a, b> for the datum's fixed D > 0; an integer on the root lattice.
@@ -370,19 +432,21 @@ class RootDatum(Record):
     @cached_property
     def _component_max_norm(self) -> tuple[tuple[frozenset[int], int], ...]:
         """(0-based node set, largest scaled root norm) for each irreducible component."""
+        tab = self.root_table
         out = []
         for nodes in self.component_nodes:
             idx = frozenset(i - 1 for i in nodes)
-            out.append((idx, max(self.killing_int(g, g) for g in self.roots
+            out.append((idx, max(m for g, m in zip(tab.roots, tab.norm2)
                                  if {k for k, x in enumerate(g) if x != 0} <= idx)))
         return tuple(out)
 
     def is_long(self, root) -> bool:
         """Maximal length within the root's own irreducible component."""
+        tab = self.root_table
         support = {k for k, x in enumerate(root) if x != 0}
         for idx, m in self._component_max_norm:
             if support <= idx:
-                return self.killing_int(root, root) == m
+                return tab.norm2[tab.index[tuple(root)]] == m
         raise StructureError("root support crosses components")
 
 
@@ -447,9 +511,10 @@ def subdatum(rd: RootDatum, keep) -> tuple[RootDatum, dict[int, int]]:
 def highest_root(rd: RootDatum) -> tuple[int, ...]:
     if len(rd.components) != 1:
         raise InvalidTypeError("highest root is defined for irreducible systems")
+    tab = rd.root_table
     best = None
-    for g in rd.roots:
-        if all(rd.pairing(g, i) >= 0 for i in range(1, rd.rank + 1)):
+    for g, p in zip(tab.roots, tab.pairing):
+        if min(p) >= 0:
             if best is None or all(g[k] >= best[k] for k in range(rd.rank)):
                 best = g
     if best is None or not all(

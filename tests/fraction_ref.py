@@ -20,6 +20,11 @@ def clear(row) -> list[int]:
     return [int(x * d) for x in row]
 
 
+def mat_mul(a, b):
+    """The matrix product, of integer or rational entries."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
 def rref(rows):
     m = [[Q(x) for x in row] for row in rows]
     if not m:

@@ -434,8 +434,9 @@ def _flipped(sc, flips):
         (pair, -n if k in flips else n) for k, (pair, n) in enumerate(sc.n_special)))
 
 
-@pytest.mark.parametrize("series,rank", [("B", 3), ("G", 2), ("D", 4), ("F", 4), ("E", 6)],
-                         ids=["B3", "G2", "D4", "F4", "E6"])
+@pytest.mark.parametrize("series,rank", [("B", 3), ("B", 4), ("G", 2), ("D", 4), ("D", 5),
+                                         ("F", 4), ("E", 6)],
+                         ids=["B3", "B4", "G2", "D4", "D5", "F4", "E6"])
 def test_jacobi_certificate_agrees_with_the_exhaustive_sweep(series, rank):
     # every single sign flip of a special constant, then seeded multi-flip sets:
     # the certificate raises exactly when the all-triples sweep raises
@@ -452,6 +453,14 @@ def test_jacobi_certificate_agrees_with_the_exhaustive_sweep(series, rank):
         assert verdicts[-1] == _raises(_exhaustive_jacobi, bad), sorted(flips)
     assert True in verdicts
     assert not _raises(ch._verify_jacobi, sc) and not _raises(_exhaustive_jacobi, sc)
+
+
+def test_chevalley_tables_share_the_datum_root_table():
+    # the per-root rows are the datum's own, not copies of them
+    rd = rc.build_root_datum("E", 7)
+    tab, root = ch.build_structure_constants(rd, verify="none").tables, rd.root_table
+    for name in ("roots", "index", "neg", "pairing", "norm2"):
+        assert getattr(tab, name) is getattr(root, name), name
 
 
 def _tampered(series, rank, edit):

@@ -1,6 +1,7 @@
 import pytest
 
 from conicfans import rootcore as rc
+from conicfans.fixtures import supported_labels
 
 COUNTS = {("A", 1): 2, ("A", 2): 6, ("B", 3): 18, ("B", 4): 32, ("C", 3): 18,
           ("D", 4): 24, ("E", 6): 72, ("E", 7): 126, ("E", 8): 240,
@@ -182,6 +183,19 @@ def test_record_equality_is_per_class_and_hash_follows_fields():
     assert len({rc.WeylWord((1, 2)), rc.WeylWord((1, 2)), rc.WeylWord((2, 1))}) == 2
 
 
+def test_record_hash_is_cached_once_and_never_pickled():
+    import pickle
+    a, b = rc.WeylWord((1, 2)), rc.WeylWord((1, 2))
+    assert "_hash" not in vars(a)
+    assert hash(a) == hash(b) == hash(((1, 2),))
+    assert vars(a)["_hash"] == hash(a)
+    # another process may hash strings with another seed, so no cached hash travels
+    back = pickle.loads(pickle.dumps(a))
+    assert "_hash" not in vars(back) and "_hash" in vars(a)
+    assert back == a and hash(back) == hash(a)
+    assert rc.WeylWord((1, 2)) != rc.WeylWord((2, 1))
+
+
 def test_record_is_frozen():
     w = rc.WeylWord((1,))
     with pytest.raises(AttributeError):
@@ -242,7 +256,6 @@ def _simultaneous_permutation(a, b):
 
 def _pinned_types():
     from conicfans.conicatlas import parse_label
-    from conicfans.fixtures import supported_labels
     return [(label, *parse_label(label)) for label in supported_labels(8)]
 
 
@@ -267,7 +280,6 @@ def test_scaled_killing_is_the_reduced_rational_killing_matrix():
     import fraction_ref as ref
 
     from conicfans.conicatlas import parse_label
-    from conicfans.fixtures import supported_labels
     for label in supported_labels(8):
         rd = rc.build_root_datum(*parse_label(label))
         n = rd.rank
@@ -280,3 +292,17 @@ def test_scaled_killing_is_the_reduced_rational_killing_matrix():
         d = lcm(*(x.denominator for row in killing for x in row))
         assert rd._scaled_killing == (tuple(tuple(int(x * d) for x in row)
                                             for row in killing), d), label
+
+
+@pytest.mark.parametrize("label", [*supported_labels(8), "B12", "D12"])
+def test_root_table_rows_are_the_pairings_and_norms(label):
+    """Each row of the closure's table, recomputed root by root."""
+    rd = rc.build_root_datum(label[0], int(label[1:]))
+    tab = rd.root_table
+    assert tab.roots == rd.roots == tuple(sorted(tab.roots))
+    assert tab.killing == rd._scaled_killing
+    for i, g in enumerate(tab.roots):
+        assert tab.index[g] == i
+        assert tab.roots[tab.neg[i]] == tuple(-x for x in g)
+        assert tab.pairing[i] == tuple(rd.pairing(g, k) for k in range(1, rd.rank + 1))
+        assert tab.norm2[i] == rd.killing_int(g, g)
