@@ -311,45 +311,22 @@ def _verify_jacobi(sc: StructureConstants) -> None:
       - b + c not in Phi u {0}, a_i + b = u in Phi u {0} and c in rows[u],
         every c when u = 0, counted once when a_i + c is in Phi u {0} too.
     Otherwise J has a weight outside Phi u {0}, or every term is zero.
+    `_jacobi_pairs` lists those pairs.
     """
     tab = sc.tables
     roots, rows, neg, pairing, coroot = tab.roots, tab.rows, tab.neg, tab.pairing, tab.coroot
     label = sc.rd.label
-    by_sum: list[list[tuple[int, int]]] = [[] for _ in roots]  # pairs b < c, b + c = t
-    for a, row in enumerate(rows):
-        row_neg = rows[neg[a]]
-        for b, (s, n) in row.items():
-            if rows[b].get(a) != (s, -n):
-                raise StructureError(f"{label}: N_(b,a) != -N_(a,b) on roots "
-                                     f"{roots[a]}, {roots[b]}")
-            if s == ZERO:
-                continue
-            if not n:
-                raise StructureError(f"{label}: N vanishes on roots {roots[a]}, {roots[b]}")
-            if row_neg[neg[b]][1] != -n:
-                raise StructureError(f"{label}: N_(-a,-b) != -N_(a,b) on roots "
-                                     f"{roots[a]}, {roots[b]}")
-            if a < b:
-                by_sum[s].append((a, b))
+    by_sum = _checked_pairs(tab, label)
 
     def on(p: int, q: int) -> int:
         """[e_p, h_q] = -p(h_q) e_p, the term of a zero inner sum q + (-q)."""
         return -sum(map(mul, pairing[p], coroot[q]))
 
-    every = range(len(roots))
-    opposite = [(b, neg[b]) for b in every if b < neg[b]]
     for k in range(sc.rank):
         x = tab.index[tuple(int(m == k) for m in range(sc.rank))]
         row_x, nx = rows[x], neg[x]
-        pairs = list(opposite)
-        for t in row_x:
-            pairs += by_sum[t]
-        for b, (u, _) in row_x.items():
-            row_b = rows[b]
-            pairs += [(b, c) for c in (every if u == ZERO else rows[u])
-                      if c != b and c not in row_b and (b < c or c not in row_x)]
         # J(e_x, e_b, e_c) = [e_x, [e_b, e_c]] + [e_b, [e_c, e_x]] + [e_c, [e_x, e_b]]
-        for b, c in pairs:
+        for b, c in _jacobi_pairs(tab, by_sum, x):
             if b == x or c == x:
                 continue
             row_b, row_c = rows[b], rows[c]
@@ -372,6 +349,52 @@ def _verify_jacobi(sc: StructureConstants) -> None:
             if total:
                 raise StructureError(f"{label}: Jacobi fails on roots {roots[x]}, "
                                      f"{roots[b]}, {roots[c]}")
+
+
+def _checked_pairs(tab: RootTables, label: str) -> list[list[tuple[int, int]]]:
+    """The pairs a < b with a + b a root, grouped by the index of the sum.
+
+    On the way it checks, on every pair with a sum in Phi u {0}, that
+    N_{b,a} = -N_{a,b}, and on every pair with a root sum that N_{a,b} != 0
+    and N_{-a,-b} = -N_{a,b}; raise StructureError.
+    """
+    roots, rows, neg = tab.roots, tab.rows, tab.neg
+    by_sum: list[list[tuple[int, int]]] = [[] for _ in roots]
+    for a, row in enumerate(rows):
+        row_neg = rows[neg[a]]
+        for b, (s, n) in row.items():
+            if rows[b].get(a) != (s, -n):
+                raise StructureError(f"{label}: N_(b,a) != -N_(a,b) on roots "
+                                     f"{roots[a]}, {roots[b]}")
+            if s == ZERO:
+                continue
+            if not n:
+                raise StructureError(f"{label}: N vanishes on roots {roots[a]}, {roots[b]}")
+            if row_neg[neg[b]][1] != -n:
+                raise StructureError(f"{label}: N_(-a,-b) != -N_(a,b) on roots "
+                                     f"{roots[a]}, {roots[b]}")
+            if a < b:
+                by_sum[s].append((a, b))
+    return by_sum
+
+
+def _jacobi_pairs(tab: RootTables, by_sum, x: int) -> list[tuple[int, int]]:
+    """The unordered pairs {b, c} that can give a nonzero J(e_x, e_b, e_c).
+
+    The three kinds of `_verify_jacobi`, each pair once; by_sum is what
+    `_checked_pairs` returns.  A pair may hold x itself, where J is zero.
+    """
+    rows, neg = tab.rows, tab.neg
+    row_x = rows[x]
+    every = range(len(tab.roots))
+    pairs = [(b, neg[b]) for b in every if b < neg[b]]
+    for t in row_x:
+        pairs += by_sum[t]
+    for b, (u, _) in row_x.items():
+        row_b = rows[b]
+        pairs += [(b, c) for c in (every if u == ZERO else rows[u])
+                  if c != b and c not in row_b and (b < c or c not in row_x)]
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +799,10 @@ def find_cubic_zero_quadratic_nonzero(sc: StructureConstants, rho: Root,
 
 
 def constants_csv_rows(sc: StructureConstants):
-    """Rows (alpha, beta, N) over all pairs with alpha+beta a root."""
+    """(alpha, [(beta, N_{alpha,beta}), ...]) for every root alpha, in order.
+
+    The list holds every beta with alpha + beta a root.
+    """
     tab = sc.tables
     for a, row in zip(tab.roots, tab.rows):
-        for j, (s, n) in row.items():
-            if s != ZERO:
-                yield (a, tab.roots[j], n)
+        yield a, [(tab.roots[j], n) for j, (s, n) in row.items() if s != ZERO]

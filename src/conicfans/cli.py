@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A closed
 standard output also exits 1, silently.
+
+Every command is a fresh process, so each one imports only the layers it
+runs: `contact-eq` and `export constants-csv` need the adjoint data and the
+Chevalley constants alone, and never compile the cone layer or the checks.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import io
 import json
 import os
 import sys
-from pathlib import Path
 
-from . import chevalley, conicatlas, fixtures, lunavust, verify
 from .rootcore import InvalidTypeError, UnsupportedAlgebraError
+from .symdata import (AdjointData, adjoint_data, color_table,
+                      g_fixed_subalgebra_components, parse_label)
 
 TABLES = ("satake", "chow", "hilb", "planes", "cosets", "colors")
 PINNED_MAX_RANK = 8
@@ -23,6 +27,7 @@ PINNED_MAX_RANK = 8
 
 
 def _labels_for(arg: str | None, max_rank: int) -> list[str]:
+    from . import fixtures
     labels = fixtures.supported_labels(max_rank)
     if arg is None:
         return labels
@@ -32,13 +37,13 @@ def _labels_for(arg: str | None, max_rank: int) -> list[str]:
 
 
 def _table_rows(name: str, labels: list[str]) -> tuple[list[str], list[list[str]]]:
+    from . import conicatlas, fixtures, lunavust
     rows = []
     if name == "satake":
         header = ["g", "fixed_subalgebra", "black", "arrows", "restricted", "lambda"]
         for label in labels:
             e = conicatlas.build_entry(label)
             series, rank = e.series, e.rank
-            from .symdata import g_fixed_subalgebra_components
             gs = "+".join(f"{s}{r}" for s, r in
                           g_fixed_subalgebra_components(series, rank))
             lam = "; ".join(
@@ -75,7 +80,7 @@ def _table_rows(name: str, labels: list[str]) -> tuple[list[str], list[list[str]
                    "E8": ("E8", "E8"), "F4": ("F4", "F4"), "G2": ("G2", "G2")}
         wanted_keys = []
         for label in labels:
-            key = fixtures.family_key(*conicatlas.parse_label(label))
+            key = fixtures.family_key(*parse_label(label))
             if key not in wanted_keys:
                 wanted_keys.append(key)
         for key in fixtures.FAMILY_KEYS:
@@ -87,7 +92,6 @@ def _table_rows(name: str, labels: list[str]) -> tuple[list[str], list[list[str]
         header = ["g", "color", "type", "a", "spherical_root"]
         for label in labels:
             e = conicatlas.build_entry(label)
-            from .symdata import color_table
             for c in color_table(e.rrd):
                 sph = "+".join(f"{v}a{k+1}" for k, v in enumerate(c.spherical_root) if v)
                 rows.append([label, f"D{c.index}", c.color_type, str(c.a_coeff), sph])
@@ -133,6 +137,7 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         print("verify writes --format text or json, not csv", file=sys.stderr)
         return 2
+    from . import verify
     if args.bless:
         # a narrower scope or cap would rewrite the files without the labels
         # it leaves out
@@ -189,44 +194,58 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def _adjoint_data(label: str) -> conicatlas.AdjointData:
-    return conicatlas.adjoint_data(*conicatlas.parse_label(label))
+def _adjoint_data(label: str) -> AdjointData:
+    return adjoint_data(*parse_label(label))
+
+
+def _fan_text(kind: str, label: str, which: str) -> str:
+    """The fan JSON or Hasse DOT text of one label's `which` compactification."""
+    from . import conicatlas, lunavust
+    entry = conicatlas.build_entry(label)
+    if kind == "fan-json":
+        fan = entry.chow_fan if which == "chow" else entry.hilb_fan
+        return json.dumps(lunavust.fan_to_json_dict(fan, entry.rrd.space_label),
+                          indent=1, sort_keys=True) + "\n"
+    rep = conicatlas.orbit_report(entry, which)
+    return lunavust.poset_to_dot(rep.poset, labels=rep.types,
+                                 name=f"{label}_{which}") + "\n"
+
+
+def _constants_csv(ad: AdjointData):
+    """The CSV text of the signed constants N_{alpha,beta}, one chunk per alpha.
+
+    The bytes are those of `csv.writer`: a header, no quoting, \\r\\n line
+    ends.  Each root is formatted once.
+    """
+    from . import chevalley
+    sc = chevalley.build_structure_constants(ad.g, verify="none")
+    names = {r: " ".join(map(str, r)) for r in ad.g.roots}
+    yield "alpha,beta,n\r\n"
+    for a, row in chevalley.constants_csv_rows(sc):
+        name = names[a]
+        yield "".join(f"{name},{names[b]},{n}\r\n" for b, n in row)
 
 
 def cmd_export(args) -> int:
-    build = _adjoint_data if args.kind == "constants-csv" else conicatlas.build_entry
     try:
-        entry = build(args.g)
+        if args.kind == "constants-csv":
+            chunks = _constants_csv(_adjoint_data(args.g))
+        else:
+            chunks = [_fan_text(args.kind, args.g, args.which)]
     except (UnsupportedAlgebraError, InvalidTypeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.kind == "fan-json":
-        fan = entry.chow_fan if args.which == "chow" else entry.hilb_fan
-        text = json.dumps(lunavust.fan_to_json_dict(fan, entry.rrd.space_label),
-                          indent=1, sort_keys=True) + "\n"
-    elif args.kind == "hasse-dot":
-        rep = conicatlas.orbit_report(entry, args.which)
-        text = lunavust.poset_to_dot(rep.poset, labels=rep.types,
-                                     name=f"{args.g}_{args.which}") + "\n"
-    elif args.kind == "constants-csv":
-        sc = chevalley.build_structure_constants(entry.g, verify="none")
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["alpha", "beta", "n"])
-        for a, b, n in chevalley.constants_csv_rows(sc):
-            w.writerow([" ".join(map(str, a)), " ".join(map(str, b)), n])
-        text = buf.getvalue()
-    else:
-        print(f"unknown export kind {args.kind!r}", file=sys.stderr)
+    if not args.output:
+        sys.stdout.writelines(chunks)
+        return 0
+    # a closed standard output is a BrokenPipeError, an OSError that main
+    # handles; only the file's errors are usage errors
+    try:
+        with open(args.output, "w", encoding="utf-8") as sink:
+            sink.writelines(chunks)
+    except OSError as exc:
+        print(f"cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -236,6 +255,7 @@ def cmd_contact_eq(args) -> int:
     except (UnsupportedAlgebraError, InvalidTypeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    from . import chevalley
     rd = ad.g
     sc = chevalley.build_structure_constants(rd, verify="none")
     rho, j0 = ad.rho, ad.j0

@@ -1,6 +1,6 @@
-"""Per-algebra pipeline: adjoint data, distinguished planes, colored fans of
-the two conic compactifications, orbit posets with conic-type labels, and
-double-coset counts.
+"""Per-algebra pipeline on the adjoint data of `symdata`: distinguished
+planes, colored fans of the two conic compactifications, orbit posets with
+conic-type labels, and double-coset counts.
 
 Cone tables enter as data and are then validated against everything the
 machinery can derive: fan axioms, completeness, isotropy equations, face
@@ -9,7 +9,6 @@ lists, and the orbit-type cross-checks.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 
 from . import fixtures
@@ -18,67 +17,10 @@ from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
                        colored_faces, cone_contains, extremal_rays, is_colored_cone,
                        is_colored_fan, maximal_cones, neg_gamma_rays, orbit_poset,
                        valuation_cone)
-from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
-                       StructureError, build_root_datum, double_coset_count,
-                       duality_involution, highest_root, parabolic_intersection,
-                       subdatum)
-from .symdata import (RestrictedRootDatum, SatakeDiagram, contact_node,
-                      restricted_datum, satake_of, supported_pair)
-
-_LABEL_RE = re.compile(r"^([A-G])(\d+)$")
-
-
-def parse_label(label: str) -> tuple[str, int]:
-    m = _LABEL_RE.match(label.strip())
-    if not m:
-        raise InvalidTypeError(f"cannot parse algebra label {label!r}")
-    return m.group(1), int(m.group(2))
-
-
-class AdjointData(Record):
-    series: str
-    rank: int
-    g: RootDatum
-    rho: tuple[int, ...]
-    j0: int
-    n: int
-    neighbors: frozenset[int]
-    pss: RootDatum
-    q_crossed: ParabolicSubset             # crossed nodes of Q inside pss
-
-
-@lru_cache(maxsize=None)
-def adjoint_data(series: str, rank: int) -> AdjointData:
-    series, rank = supported_pair(series, rank)
-    g = build_root_datum(series, rank)
-    rho = highest_root(g)
-    e = identity(g.rank)
-    j0 = contact_node(g, rho)
-    if not g.is_long(e[j0 - 1]):
-        raise StructureError("contact node is not long")
-    rho_norm = g.killing_int(rho, rho)
-    grade_counts: dict[int, int] = {}
-    for a in g.roots:
-        grade = a[j0 - 1]
-        if 2 * g.killing_int(a, rho) != grade * rho_norm or grade not in (-2, -1, 0, 1, 2):
-            raise StructureError("grading by the contact node disagrees with pairing")
-        grade_counts[grade] = grade_counts.get(grade, 0) + 1
-    if grade_counts.get(2, 0) != 1 or grade_counts.get(-2, 0) != 1:
-        raise StructureError("contact grading must have one-dimensional ends")
-    if grade_counts.get(-1, 0) % 2:
-        raise StructureError("contact hyperplane is odd dimensional")
-    n = grade_counts[-1] // 2
-    below = tuple(r - (1 if k == j0 - 1 else 0) for k, r in enumerate(rho))
-    for a in g.roots:
-        if a != rho and not all(b - x >= 0 for b, x in zip(below, a)):
-            raise StructureError(
-                "the root below the highest one must dominate everything else")
-    neighbors = frozenset(i for i in range(1, g.rank + 1)
-                          if i != j0 and g.cartan[j0 - 1][i - 1] != 0)
-    keep = [i for i in range(1, g.rank + 1) if i != j0]
-    pss, mapping = subdatum(g, keep)
-    q = ParabolicSubset(frozenset(mapping[i] for i in neighbors))
-    return AdjointData(series, rank, g, rho, j0, n, neighbors, pss, q)
+from .rootcore import (ParabolicSubset, Record, StructureError, double_coset_count,
+                       duality_involution, parabolic_intersection)
+from .symdata import (AdjointData, RestrictedRootDatum, SatakeDiagram, adjoint_data,
+                      parse_label, restricted_datum, satake_of, supported_pair)
 
 
 def line_stabilizer(ad: AdjointData) -> ParabolicSubset:

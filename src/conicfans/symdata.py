@@ -1,4 +1,5 @@
-"""Satake diagrams, restricted root systems, colors, and anticanonical data.
+"""Algebra labels, adjoint data, Satake diagrams, restricted root systems,
+colors, and anticanonical data.
 
 The ten supported families are the symmetric spaces attached to the simple
 algebras outside types A and C: B_r (r >= 3), D_r (r >= 4), E6, E7, E8, F4,
@@ -11,13 +12,23 @@ time.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from functools import lru_cache
 
 from .linalg import identity, int_inverse
-from .rootcore import (ParabolicSubset, Record, RootDatum, StructureError,
-                       UnsupportedAlgebraError, build_root_datum, duality_involution,
-                       highest_root, longest_element, subdatum)
+from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
+                       StructureError, UnsupportedAlgebraError, build_root_datum,
+                       duality_involution, highest_root, longest_element, subdatum)
+
+_LABEL_RE = re.compile(r"^([A-G])(\d+)$")
+
+
+def parse_label(label: str) -> tuple[str, int]:
+    m = _LABEL_RE.match(label.strip())
+    if not m:
+        raise InvalidTypeError(f"cannot parse algebra label {label!r}")
+    return m.group(1), int(m.group(2))
 
 
 def supported_pair(series: str, rank: int) -> tuple[str, int]:
@@ -338,6 +349,61 @@ def contact_node(rd: RootDatum, rho) -> int:
         raise StructureError(f"{rd.label}: expected a unique simple root meeting "
                              f"the highest root, found {hits}")
     return hits[0]
+
+
+class AdjointData(Record):
+    series: str
+    rank: int
+    g: RootDatum
+    rho: tuple[int, ...]
+    j0: int
+    n: int
+    neighbors: frozenset[int]
+    pss: RootDatum
+    q_crossed: ParabolicSubset             # crossed nodes of Q inside pss
+
+
+@lru_cache(maxsize=None)
+def adjoint_data(series: str, rank: int) -> AdjointData:
+    """The highest root, contact node and contact grading of one algebra.
+
+    Each StructureError it raises starts with the label: the commands that
+    read only this data call it outside `conicatlas`, which adds the label
+    to the errors of the cone layer.
+    """
+    series, rank = supported_pair(series, rank)
+    label = f"{series}{rank}"
+    g = build_root_datum(series, rank)
+    rho = highest_root(g)
+    e = identity(g.rank)
+    j0 = contact_node(g, rho)
+    if not g.is_long(e[j0 - 1]):
+        raise StructureError(f"{label}: contact node is not long")
+    rho_norm = g.killing_int(rho, rho)
+    grade_counts: dict[int, int] = {}
+    for a in g.roots:
+        grade = a[j0 - 1]
+        if 2 * g.killing_int(a, rho) != grade * rho_norm or grade not in (-2, -1, 0, 1, 2):
+            raise StructureError(
+                f"{label}: grading by the contact node disagrees with pairing")
+        grade_counts[grade] = grade_counts.get(grade, 0) + 1
+    if grade_counts.get(2, 0) != 1 or grade_counts.get(-2, 0) != 1:
+        raise StructureError(f"{label}: contact grading must have one-dimensional ends")
+    if grade_counts.get(-1, 0) % 2:
+        raise StructureError(f"{label}: contact hyperplane is odd dimensional")
+    n = grade_counts[-1] // 2
+    below = tuple(r - (1 if k == j0 - 1 else 0) for k, r in enumerate(rho))
+    for a in g.roots:
+        if a != rho and not all(b - x >= 0 for b, x in zip(below, a)):
+            raise StructureError(
+                f"{label}: the root below the highest one must dominate "
+                "everything else")
+    neighbors = frozenset(i for i in range(1, g.rank + 1)
+                          if i != j0 and g.cartan[j0 - 1][i - 1] != 0)
+    keep = [i for i in range(1, g.rank + 1) if i != j0]
+    pss, mapping = subdatum(g, keep)
+    q = ParabolicSubset(frozenset(mapping[i] for i in neighbors))
+    return AdjointData(series, rank, g, rho, j0, n, neighbors, pss, q)
 
 
 class AnticanonicalData(Record):

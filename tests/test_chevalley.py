@@ -455,6 +455,42 @@ def test_jacobi_certificate_agrees_with_the_exhaustive_sweep(series, rank):
     assert not _raises(ch._verify_jacobi, sc) and not _raises(_exhaustive_jacobi, sc)
 
 
+def _nonzero_term_pairs(sc, x):
+    """The pairs {b, c} of roots other than x where a term of J(e_x, e_b, e_c) is
+    nonzero, each term expanded on the oracle bracket."""
+    tab = sc.tables
+    roots = tab.roots
+    e = [((0,) * sc.rank, {r: 1}) for r in roots]
+    out = set()
+    for b in range(len(roots)):
+        for c in range(b + 1, len(roots)):
+            if x in (b, c):
+                continue
+            for p, q, r in ((x, b, c), (b, c, x), (c, x, b)):
+                h, z = _oracle_bracket(sc, e[p], _oracle_bracket(sc, e[q], e[r]))
+                if any(h) or z:
+                    out.add(frozenset((b, c)))
+                    break
+    return out
+
+
+@pytest.mark.parametrize("series,rank", [("G", 2), ("B", 3), ("D", 4), ("F", 4)],
+                         ids=["G2", "B3", "D4", "F4"])
+def test_jacobi_certificate_visits_every_pair_with_a_nonzero_term(series, rank):
+    # the certificate checks J(e_x, e_b, e_c) only on the pairs `_jacobi_pairs`
+    # lists; a pair it skipped could hide a failure no sign flip happens to show
+    sc = sc_of(series, rank)
+    tab = sc.tables
+    by_sum = ch._checked_pairs(tab, sc.rd.label)
+    for k in range(rank):
+        x = tab.index[tuple(int(m == k) for m in range(rank))]
+        pairs = [frozenset(p) for p in ch._jacobi_pairs(tab, by_sum, x) if x not in p]
+        assert all(len(p) == 2 for p in pairs)
+        assert len(set(pairs)) == len(pairs), "a pair listed twice"
+        missing = _nonzero_term_pairs(sc, x) - set(pairs)
+        assert not missing, sorted(tuple(tab.roots[i] for i in p) for p in missing)
+
+
 def test_chevalley_tables_share_the_datum_root_table():
     # the per-root rows are the datum's own, not copies of them
     rd = rc.build_root_datum("E", 7)
@@ -507,7 +543,7 @@ def test_jacobi_certificate_past_the_pinned_ranks(series):
 
 def test_constants_csv_rows():
     sc = sc_of("G", 2)
-    rows = list(ch.constants_csv_rows(sc))
+    rows = [(a, b, n) for a, row in ch.constants_csv_rows(sc) for b, n in row]
     assert all(n != 0 for _, _, n in rows)
     assert len(rows) == sum(
         1 for a in sc.rd.roots for b in sc.rd.roots

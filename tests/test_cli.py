@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conicfans import cli, verify
+from conicfans import cli, conicatlas, symdata, verify
+from conicfans.rootcore import StructureError
 
 
 def run(capsys, *argv):
@@ -54,7 +55,7 @@ def test_usage_errors(capsys):
 ])
 def test_bad_labels_without_atlas_entry_are_usage_errors(capsys, monkeypatch, argv):
     # these commands read only the adjoint data, never the whole atlas entry
-    monkeypatch.setattr(cli.conicatlas, "build_entry", None)
+    monkeypatch.setattr(conicatlas, "build_entry", None)
     code, _ = run(capsys, *argv)
     assert code == 2
 
@@ -104,7 +105,7 @@ def test_export_hasse_dot_g2(capsys):
 
 
 def test_export_constants_csv(capsys, monkeypatch):
-    monkeypatch.setattr(cli.conicatlas, "build_entry", None)
+    monkeypatch.setattr(conicatlas, "build_entry", None)
     code, out = run(capsys, "export", "constants-csv", "G2")
     assert code == 0
     lines = out.strip().splitlines()
@@ -125,6 +126,14 @@ def test_constants_csv_is_pinned(capsys, label, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_export_to_a_file_writes_the_bytes_of_stdout(tmp_path, capsys):
+    target = tmp_path / "g2.csv"
+    code = cli.main(["export", "constants-csv", "G2", "-o", str(target)])
+    assert code == 0 and capsys.readouterr().out == ""
+    assert (hashlib.sha256(target.read_bytes()).hexdigest()
+            == "845ab6750a802b4b383892d49f781fafe607a9564815212d57e1d44146a13be5")
+
+
 def test_export_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code = cli.main(["export", "constants-csv", "G2", "-o", str(target)])
@@ -135,7 +144,7 @@ def test_export_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
 
 
 def test_contact_eq_report(capsys, monkeypatch):
-    monkeypatch.setattr(cli.conicatlas, "build_entry", None)
+    monkeypatch.setattr(conicatlas, "build_entry", None)
     code, out = run(capsys, "contact-eq", "G2", "--samples", "400", "--seed", "3")
     assert code == 0
     data = json.loads(out)
@@ -143,6 +152,14 @@ def test_contact_eq_report(capsys, monkeypatch):
     assert data["witnesses"]["line_direction_cubic_vanishes"] is True
     assert data["witnesses"]["general_direction_cubic_vanishes"] is False
     assert set(data["counts"]) == {"samples", "cubic_zero_hits"}
+
+
+def test_adjoint_data_errors_name_the_label(monkeypatch):
+    # contact-eq and constants-csv read the adjoint data outside the atlas,
+    # which puts the label on the errors of the cone layer; node 1 of G2 is short
+    monkeypatch.setattr(symdata, "contact_node", lambda rd, rho: 1)
+    with pytest.raises(StructureError, match=r"^G2: contact node is not long$"):
+        symdata.adjoint_data.__wrapped__("G", 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -289,6 +306,29 @@ def test_import_generates_no_code_and_loads_no_resources():
     assert out.strip() == "[]"
 
 
+CHEVALLEY_LAYER = ["conicfans", "conicfans.chevalley", "conicfans.cli", "conicfans.linalg",
+                   "conicfans.rootcore", "conicfans.symdata"]
+CONE_LAYER = ["conicfans", "conicfans.cli", "conicfans.conicatlas", "conicfans.fixtures",
+              "conicfans.linalg", "conicfans.lunavust", "conicfans.rootcore",
+              "conicfans.symdata"]
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (("contact-eq", "G2", "--samples", "400", "--seed", "3"), CHEVALLEY_LAYER),
+    (("export", "constants-csv", "G2"), CHEVALLEY_LAYER),
+    (("export", "fan-json", "G2"), CONE_LAYER),
+    (("table", "planes", "G2"), CONE_LAYER),
+], ids=["contact-eq", "constants-csv", "fan-json", "table"])
+def test_each_command_loads_only_the_layers_it_runs(argv, modules):
+    # each command is a fresh process, which compiles every module it imports
+    probe = ("import sys; from conicfans import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('conicfans')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1].split() == ["0", *modules]
+
+
 def test_golden_dir_sits_beside_the_package(monkeypatch):
     monkeypatch.delenv(verify.GOLDEN_ENV, raising=False)
     assert verify.golden_dir() == Path(verify.__file__).parent / "golden"
@@ -309,6 +349,23 @@ def test_closed_stdout_exits_1_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_a_reader_that_leaves_after_one_line_ends_the_csv_quietly():
+    # the E8 table is far larger than a pipe's buffer, so the writer is still
+    # streaming rows when the reader closes its end
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "conicfans.cli", "export",
+                             "constants-csv", "E8"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"alpha,beta,n\r\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
 
 
 @pytest.fixture
