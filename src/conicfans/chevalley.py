@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools as it
 import random
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from operator import index, mul
 
@@ -66,18 +66,17 @@ class RootTables(namedtuple("RootTables", "roots index neg pairing norm2 sums or
     roots, index, neg, pairing and norm2 are the datum's own root table
     (`rootcore.RootTable`), shared and not copied.  On top of it, sums[i] maps
     every j with roots[i] + roots[j] in Phi u {0} to the index of the sum, or
-    ZERO for opposite roots; rows[i] maps the same j to (that index,
-    N_{i,j}), with N = 0 for ZERO.  order[i] is the place of a positive root
-    in the height-then-lex order, -1 for a negative one, and coroot[i] the
-    coroot in simple-coroot coordinates.  All but rows depend on the datum
-    alone (`_root_index`); `StructureConstants.tables` adds the rows, None
-    until then.
+    ZERO for opposite roots; rows[i] maps the same j, in the same order, to
+    N_{i,j} alone, with N = 0 for ZERO.  order[i] is the place of a positive
+    root in the height-then-lex order, -1 for a negative one, and coroot[i]
+    the coroot in simple-coroot coordinates.  All but rows depend on the
+    datum alone (`_root_index`); `_signed_rows` adds the rows, None until
+    then.
     """
 
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
 def _root_index(rd: RootDatum) -> RootTables:
     tab = rd.root_table
     roots, neg, norm2 = tab.roots, tab.neg, tab.norm2
@@ -150,43 +149,47 @@ class StructureConstants(Record):
 
     @cached_property
     def tables(self) -> RootTables:
-        """The signed root-index tables, built on first use (see `RootTables`).
-
-        The rows of the positive roots come first, from the special constants
-        by the identities of `_n`; a negative root's row then reads them,
-        N_{a,b} = -N_{b,a} for b positive and -N_{-a,-b} for b negative.
-        """
-        ix = _root_index(self.rd)
-        index, neg, norm2, order = ix.index, ix.neg, ix.norm2, ix.order
-        pos: list[dict[int, int]] = [{} for _ in order]    # N on positive pairs
-        for (a, b), n in self._special.items():
-            i, j = index[a], index[b]
-            pos[i][j], pos[j][i] = n, -n
-        rows: list[dict] = [{} for _ in order]
-        half = len(order) // 2                  # the negative roots come first
-        for i in (*range(half, len(order)), *range(half)):
-            for j, s in ix.sums[i].items():
-                if s == ZERO:
-                    n = 0
-                elif order[i] < 0:
-                    n = -(rows[j][i] if order[j] >= 0 else rows[neg[i]][neg[j]])[1]
-                elif order[j] >= 0:
-                    n = pos[i][j]
-                else:
-                    # -N_{-j,s} |s|^2/|i|^2 for s positive, else -N_{i,-s} |s|^2/|j|^2
-                    m, den = ((pos[neg[j]][s], norm2[i]) if order[s] >= 0
-                              else (pos[i][neg[s]], norm2[j]))
-                    n, rem = divmod(-m * norm2[s], den)
-                    if rem:
-                        raise StructureError("non-integer structure constant")
-                rows[i][j] = (s, n)
-        return ix._replace(rows=tuple(rows))
+        """The signed root-index tables (see `RootTables`), built on first use
+        unless `build_structure_constants` has built them on its own index."""
+        return _signed_rows(_root_index(self.rd), self._special)
 
     def n(self, alpha: Root, beta: Root) -> int:
         """Structure constant N_{alpha,beta}; zero when alpha+beta is no root."""
         tab = self.tables
-        hit = tab.rows[tab.index[alpha]].get(tab.index[beta])
-        return hit[1] if hit else 0
+        return tab.rows[tab.index[alpha]].get(tab.index[beta], 0)
+
+
+def _signed_rows(ix: RootTables, special: dict[tuple[Root, Root], int]) -> RootTables:
+    """ix with the rows of N, read off the constants of the special pairs.
+
+    The rows of the positive roots come first, by the identities of `_n`; a
+    negative root's row then reads them, N_{a,b} = -N_{b,a} for b positive
+    and -N_{-a,-b} for b negative.
+    """
+    index, neg, norm2, order = ix.index, ix.neg, ix.norm2, ix.order
+    pos: list[dict[int, int]] = [{} for _ in order]    # N on positive pairs
+    for (a, b), n in special.items():
+        i, j = index[a], index[b]
+        pos[i][j], pos[j][i] = n, -n
+    rows: list[dict[int, int]] = [{} for _ in order]
+    half = len(order) // 2                  # the negative roots come first
+    for i in (*range(half, len(order)), *range(half)):
+        for j, s in ix.sums[i].items():
+            if s == ZERO:
+                n = 0
+            elif order[i] < 0:
+                n = -(rows[j][i] if order[j] >= 0 else rows[neg[i]][neg[j]])
+            elif order[j] >= 0:
+                n = pos[i][j]
+            else:
+                # -N_{-j,s} |s|^2/|i|^2 for s positive, else -N_{i,-s} |s|^2/|j|^2
+                m, den = ((pos[neg[j]][s], norm2[i]) if order[s] >= 0
+                          else (pos[i][neg[s]], norm2[j]))
+                n, rem = divmod(-m * norm2[s], den)
+                if rem:
+                    raise StructureError("non-integer structure constant")
+            rows[i][j] = n
+    return ix._replace(rows=tuple(rows))
 
 
 def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
@@ -241,23 +244,19 @@ def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
     return special
 
 
-@lru_cache(maxsize=None)
 def build_structure_constants(rd: RootDatum, verify: str = "full") -> StructureConstants:
     """Build signed structure constants and verify the Jacobi identity.
 
     verify: "full" (the default) runs `_verify_jacobi`, an exact certificate
-    of the Jacobi identity on every triple: it checks N_{b,a} = -N_{a,b},
-    N_{-a,-b} = -N_{a,b} and N_{a,b} != 0 on every pair with a root sum, and
-    the Jacobi identity on the triples that hold a simple root vector, and
-    proves that these imply the rest.  "none" skips it.  The signs follow
-    the N_{alpha,beta} identities of Carter, *Simple Groups of Lie Type*,
-    ch. 4, and the certificate proves them rather than sampling them.
+    of the Jacobi identity on every triple; "none" skips it.  No call is
+    cached: the tables live as long as the object returned.
     """
     if verify not in ("full", "none"):
         raise ValueError(f"unknown Jacobi policy {verify!r}; use 'full' or 'none'")
     ix = _root_index(rd)
     sc = StructureConstants(rd, tuple(((ix.roots[a], ix.roots[b]), n) for (a, b), n
                                       in _special_constants(ix).items()))
+    sc.__dict__["tables"] = _signed_rows(ix, sc._special)    # no second index pass
     if verify == "full":
         _verify_jacobi(sc)
     return sc
@@ -267,8 +266,8 @@ def _verify_jacobi(sc: StructureConstants) -> None:
     """Certify the Jacobi identity of the table bracket; raise StructureError.
 
     J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]].  The bracket is
-    graded by the roots: rows[a] lists exactly the b with a + b in Phi u {0},
-    with the index of the sum, and the coroot and pairing tables are linear
+    graded by the roots: sums[a] maps exactly the b with a + b in Phi u {0}
+    to the index of the sum, and the coroot and pairing tables are linear
     in the root, so h_-a = -h_a and (-a)(h) = -a(h).  One pass over `rows`
     checks that the bracket is alternating, N_{b,a} = -N_{a,b}.
 
@@ -303,20 +302,23 @@ def _verify_jacobi(sc: StructureConstants) -> None:
     b, c, distinct and other than a_i (J is alternating, so a repeated
     argument gives 0), for i = 1..r.  Every term of J has weight a_i + b + c, and
     a term is zero unless one pairwise sum is in Phi u {0}.  The certificate
-    visits exactly the unordered pairs {b, c} that can give a nonzero J, in
+    visits exactly the unordered pairs {b, c} with a nonzero term of J, in
     one flat loop per simple root with J expanded inline:
-      - b + c = 0, of weight a_i;
+      - b + c = 0 and a_i + b or a_i - b in Phi u {0}, of weight a_i;
       - b + c = t a root with a_i + t in Phi u {0}; for a_i + t = 0 the sum
         is Cartan, N_{b,c} h_a_i + N_{c,a_i} h_b + N_{a_i,b} h_c;
-      - b + c not in Phi u {0}, a_i + b = u in Phi u {0} and c in rows[u],
-        every c when u = 0, counted once when a_i + c is in Phi u {0} too.
-    Otherwise J has a weight outside Phi u {0}, or every term is zero.
-    `_jacobi_pairs` lists those pairs.
+      - b + c not in Phi u {0}, a_i + b = u in Phi u {0} and c in sums[u],
+        a_i + c in Phi u {0} when u = 0, counted once when a_i + c is too.
+    Otherwise J has a weight outside Phi u {0}, or every term is zero: when
+    p + q and p - q are outside Phi u {0}, the q-string through p is p alone,
+    so p(h_q) = 0, and J(e_a_i, e_b, e_-b) = -a_i(h_b) e_a_i and
+    J(e_a_i, e_-a_i, e_c) = -c(h_a_i) e_c vanish.  `_jacobi_pairs` lists them.
     """
     tab = sc.tables
-    roots, rows, neg, pairing, coroot = tab.roots, tab.rows, tab.neg, tab.pairing, tab.coroot
+    roots, rows, sums, neg = tab.roots, tab.rows, tab.sums, tab.neg
+    pairing, coroot = tab.pairing, tab.coroot
     label = sc.rd.label
-    by_sum = _checked_pairs(tab, label)
+    _check_pairs(tab, label)
 
     def on(p: int, q: int) -> int:
         """[e_p, h_q] = -p(h_q) e_p, the term of a zero inner sum q + (-q)."""
@@ -324,77 +326,75 @@ def _verify_jacobi(sc: StructureConstants) -> None:
 
     for k in range(sc.rank):
         x = tab.index[tuple(int(m == k) for m in range(sc.rank))]
-        row_x, nx = rows[x], neg[x]
+        row_x, sum_x, nx = rows[x], sums[x], neg[x]
         # J(e_x, e_b, e_c) = [e_x, [e_b, e_c]] + [e_b, [e_c, e_x]] + [e_c, [e_x, e_b]]
-        for b, c in _jacobi_pairs(tab, by_sum, x):
+        for b, c in _jacobi_pairs(tab, x):
             if b == x or c == x:
                 continue
             row_b, row_c = rows[b], rows[c]
-            hit = row_b.get(c)
-            if hit and hit[0] == nx:
+            s = sums[b].get(c)
+            if s == nx:
                 # weight 0: J = N_{b,c} h_x + N_{c,x} h_b + N_{x,b} h_c
-                n_bc, n_cx, n_xb = hit[1], row_c[x][1], row_x[b][1]
+                n_bc, n_cx, n_xb = row_b[c], row_c[x], row_x[b]
                 total = any(n_bc * u + n_cx * v + n_xb * w
                             for u, v, w in zip(coroot[x], coroot[b], coroot[c]))
             else:
                 total = 0
-                if hit:
-                    total = on(x, b) if hit[0] == ZERO else hit[1] * row_x[hit[0]][1]
-                hit = row_c.get(x)
-                if hit:
-                    total += on(b, c) if hit[0] == ZERO else hit[1] * row_b[hit[0]][1]
-                hit = row_x.get(b)
-                if hit:
-                    total += on(c, x) if hit[0] == ZERO else hit[1] * row_c[hit[0]][1]
+                if s is not None:
+                    total = on(x, b) if s == ZERO else row_b[c] * row_x[s]
+                s = sums[c].get(x)
+                if s is not None:
+                    total += on(b, c) if s == ZERO else row_c[x] * row_b[s]
+                s = sum_x.get(b)
+                if s is not None:
+                    total += on(c, x) if s == ZERO else row_x[b] * row_c[s]
             if total:
                 raise StructureError(f"{label}: Jacobi fails on roots {roots[x]}, "
                                      f"{roots[b]}, {roots[c]}")
 
 
-def _checked_pairs(tab: RootTables, label: str) -> list[list[tuple[int, int]]]:
-    """The pairs a < b with a + b a root, grouped by the index of the sum.
-
-    On the way it checks, on every pair with a sum in Phi u {0}, that
-    N_{b,a} = -N_{a,b}, and on every pair with a root sum that N_{a,b} != 0
-    and N_{-a,-b} = -N_{a,b}; raise StructureError.
+def _check_pairs(tab: RootTables, label: str) -> None:
+    """Check N_{b,a} = -N_{a,b} on every pair with a sum in Phi u {0}, and
+    N_{a,b} != 0 and N_{-a,-b} = -N_{a,b} on every pair with a root sum;
+    raise StructureError.
     """
     roots, rows, neg = tab.roots, tab.rows, tab.neg
-    by_sum: list[list[tuple[int, int]]] = [[] for _ in roots]
-    for a, row in enumerate(rows):
+    for a, (row, sum_a) in enumerate(zip(rows, tab.sums)):
         row_neg = rows[neg[a]]
-        for b, (s, n) in row.items():
-            if rows[b].get(a) != (s, -n):
+        for b, n in row.items():
+            if rows[b].get(a) != -n:
                 raise StructureError(f"{label}: N_(b,a) != -N_(a,b) on roots "
                                      f"{roots[a]}, {roots[b]}")
-            if s == ZERO:
+            if sum_a[b] == ZERO:
                 continue
             if not n:
                 raise StructureError(f"{label}: N vanishes on roots {roots[a]}, {roots[b]}")
-            if row_neg[neg[b]][1] != -n:
+            if row_neg[neg[b]] != -n:
                 raise StructureError(f"{label}: N_(-a,-b) != -N_(a,b) on roots "
                                      f"{roots[a]}, {roots[b]}")
-            if a < b:
-                by_sum[s].append((a, b))
-    return by_sum
 
 
-def _jacobi_pairs(tab: RootTables, by_sum, x: int) -> list[tuple[int, int]]:
-    """The unordered pairs {b, c} that can give a nonzero J(e_x, e_b, e_c).
+def _jacobi_pairs(tab: RootTables, x: int):
+    """The unordered pairs {b, c} with a nonzero term of J(e_x, e_b, e_c).
 
-    The three kinds of `_verify_jacobi`, each pair once; by_sum is what
-    `_checked_pairs` returns.  A pair may hold x itself, where J is zero.
+    The three kinds of `_verify_jacobi`, each pair once, as a generator.  A
+    pair may hold x itself, where J is zero.
     """
-    rows, neg = tab.rows, tab.neg
-    row_x = rows[x]
-    every = range(len(tab.roots))
-    pairs = [(b, neg[b]) for b in every if b < neg[b]]
-    for t in row_x:
-        pairs += by_sum[t]
-    for b, (u, _) in row_x.items():
-        row_b = rows[b]
-        pairs += [(b, c) for c in (every if u == ZERO else rows[u])
-                  if c != b and c not in row_b and (b < c or c not in row_x)]
-    return pairs
+    sums, neg = tab.sums, tab.neg
+    sum_x = sums[x]
+    for b in range(len(neg)):
+        if b < neg[b] and (b in sum_x or neg[b] in sum_x):
+            yield b, neg[b]
+    for t in sum_x:
+        # b + c = t for b = -j and c = t + j; reversed, so that b ascends
+        for j, c in reversed(sums[t].items()):
+            if c != ZERO and neg[j] < c:
+                yield neg[j], c
+    for b, u in sum_x.items():
+        sum_b = sums[b]
+        for c in (sum_x if u == ZERO else sums[u]):
+            if c != b and c not in sum_b and (b < c or c not in sum_x):
+                yield b, c
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def _jacobi_pairs(tab: RootTables, by_sum, x: int) -> list[tuple[int, int]]:
 def _int_bracket(tab: RootTables, x: IntElement, y: IntElement) -> IntElement:
     """[x, y] of two integer elements."""
     (xh, xe), (yh, ye) = x, y
-    rows, pairing, coroot = tab.rows, tab.pairing, tab.coroot
+    rows, sums, pairing, coroot = tab.rows, tab.sums, tab.pairing, tab.coroot
     h = [0] * len(xh)
     e: dict[int, int] = {}
     if any(xh):
@@ -413,18 +413,17 @@ def _int_bracket(tab: RootTables, x: IntElement, y: IntElement) -> IntElement:
         for i, c in xe.items():
             e[i] = e.get(i, 0) - c * sum(map(mul, yh, pairing[i]))
     for i, a in xe.items():
-        row = rows[i]
+        row, sum_i = rows[i], sums[i]
         for j, b in ye.items():
-            hit = row.get(j)
-            if hit is None:
+            s = sum_i.get(j)
+            if s is None:
                 continue
-            s, n = hit
             if s == ZERO:
                 ab = a * b
                 for k, v in enumerate(coroot[i]):
                     h[k] += ab * v
             else:
-                e[s] = e.get(s, 0) + a * b * n
+                e[s] = e.get(s, 0) + a * b * row[j]
     return tuple(h), {k: v for k, v in e.items() if v}
 
 
@@ -499,7 +498,7 @@ def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
         raise ValueError("the zero element is not projective")
     tab = sc.tables
     xh, xe = _to_int(tab, x)
-    rows, pairing, coroot = tab.rows, tab.pairing, tab.coroot
+    rows, sums, pairing, coroot = tab.rows, tab.sums, tab.pairing, tab.coroot
     rank = sc.rank
     # [x, h_k] = -sum_i x_i roots[i](h_k) e_i; [x, e_j] = x_h(e_j) + sum_i x_i [e_i, e_j]
     cols = [{rank + i: -c * pairing[i][k] for i, c in xe.items() if pairing[i][k]}
@@ -508,12 +507,12 @@ def is_extremal(sc: StructureConstants, x: LieElement) -> bool:
         c = sum(map(mul, xh, pj))
         col = {rank + j: c} if c else {}
         for i, c in xe.items():
-            s, n = rows[i].get(j, (None, 0))
+            s = sums[i].get(j)
             if s == ZERO:
                 for k, v in enumerate(coroot[i]):
                     col[k] = col.get(k, 0) + c * v
-            elif n:
-                col[rank + s] = col.get(rank + s, 0) + c * n
+            elif s is not None:
+                col[rank + s] = col.get(rank + s, 0) + c * rows[i][j]
         cols.append(col)
     xv = {k: c for k, c in enumerate(xh) if c} | {rank + i: c for i, c in xe.items()}
     p, xp = next(iter(xv.items()))
@@ -804,5 +803,5 @@ def constants_csv_rows(sc: StructureConstants):
     The list holds every beta with alpha + beta a root.
     """
     tab = sc.tables
-    for a, row in zip(tab.roots, tab.rows):
-        yield a, [(tab.roots[j], n) for j, (s, n) in row.items() if s != ZERO]
+    for a, row, sum_a in zip(tab.roots, tab.rows, tab.sums):
+        yield a, [(tab.roots[j], row[j]) for j, s in sum_a.items() if s != ZERO]

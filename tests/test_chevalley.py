@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul
@@ -7,6 +9,7 @@ import pytest
 
 from conicfans import chevalley as ch
 from conicfans import conicatlas as ca
+from conicfans import fixtures
 from conicfans import rootcore as rc
 from conicfans import verify
 
@@ -376,18 +379,19 @@ def _exhaustive_jacobi(sc):
     term [e_k, [e_i, e_j]]; for s = 0 that term is [e_k, h_i] = -k(h_i) e_k.
     """
     tab = sc.tables
-    roots, rows, coroot, pairing = tab.roots, tab.rows, tab.coroot, tab.pairing
+    roots, rows, sums, coroot, pairing = tab.roots, tab.rows, tab.sums, tab.coroot, tab.pairing
     for i, row in enumerate(rows):
-        for j, (s, n_ij) in row.items():
+        for j, s in sums[i].items():
             if j <= i:
                 continue
-            row_j = rows[j]
+            n_ij, row_j = row[j], rows[j]
             # far[k] = (index of i+j+k, c) with [e_k, [e_i, e_j]] = -m c e_{i+j+k}
             if s == ch.ZERO:
                 far = {k: (k, sum(map(mul, pk, coroot[i]))) for k, pk in enumerate(pairing)}
                 m = 1
             else:
-                far, m = rows[s], n_ij
+                far = {k: (d, rows[s][k]) for k, d in sums[s].items()}
+                m = n_ij
             for k, (d, c) in far.items():
                 if k == i or k == j:
                     continue
@@ -398,21 +402,19 @@ def _exhaustive_jacobi(sc):
                 if k < i and (i in row_k or j in row_k):
                     continue
                 if d == ch.ZERO:
-                    n_jk, n_ki = row_j[k][1], row_k[i][1]
+                    n_jk, n_ki = row_j[k], row_k[i]
                     ok = not any(n_jk * a + n_ki * b + n_ij * e
                                  for a, b, e in zip(coroot[i], coroot[j], coroot[k]))
                 else:
                     total = -m * c
-                    hit = row_j.get(k)            # [e_i, [e_j, e_k]]
-                    if hit:
-                        t, n_jk = hit
+                    t = sums[j].get(k)            # [e_i, [e_j, e_k]]
+                    if t is not None:
                         total += (-sum(map(mul, pairing[i], coroot[j])) if t == ch.ZERO
-                                  else n_jk * row[t][1])
-                    hit = row_k.get(i)            # [e_j, [e_k, e_i]]
-                    if hit:
-                        t, n_ki = hit
+                                  else row_j[k] * row[t])
+                    t = sums[k].get(i)            # [e_j, [e_k, e_i]]
+                    if t is not None:
                         total += (-sum(map(mul, pairing[j], coroot[k])) if t == ch.ZERO
-                                  else n_ki * row_j[t][1])
+                                  else row_k[i] * row_j[t])
                     ok = total == 0
                 if not ok:
                     raise rc.StructureError(
@@ -478,17 +480,50 @@ def _nonzero_term_pairs(sc, x):
                          ids=["G2", "B3", "D4", "F4"])
 def test_jacobi_certificate_visits_every_pair_with_a_nonzero_term(series, rank):
     # the certificate checks J(e_x, e_b, e_c) only on the pairs `_jacobi_pairs`
-    # lists; a pair it skipped could hide a failure no sign flip happens to show
+    # lists; a pair it skipped could hide a failure no sign flip happens to show,
+    # and a pair whose terms all vanish is work that proves nothing
     sc = sc_of(series, rank)
     tab = sc.tables
-    by_sum = ch._checked_pairs(tab, sc.rd.label)
     for k in range(rank):
         x = tab.index[tuple(int(m == k) for m in range(rank))]
-        pairs = [frozenset(p) for p in ch._jacobi_pairs(tab, by_sum, x) if x not in p]
+        pairs = [frozenset(p) for p in ch._jacobi_pairs(tab, x) if x not in p]
         assert all(len(p) == 2 for p in pairs)
         assert len(set(pairs)) == len(pairs), "a pair listed twice"
-        missing = _nonzero_term_pairs(sc, x) - set(pairs)
+        nonzero = _nonzero_term_pairs(sc, x)
+        missing, idle = nonzero - set(pairs), set(pairs) - nonzero
         assert not missing, sorted(tuple(tab.roots[i] for i in p) for p in missing)
+        assert not idle, sorted(tuple(tab.roots[i] for i in p) for p in idle)
+
+
+@pytest.mark.parametrize("label", fixtures.supported_labels())
+def test_rows_hold_n_on_the_keys_of_sums(label):
+    # rows[i] holds N_{i,j} alone on the keys of sums[i], 0 exactly on the
+    # opposite root; N is alternating
+    sc = sc_of(*ca.parse_label(label))
+    tab = sc.tables
+    for i, (row, sums) in enumerate(zip(tab.rows, tab.sums)):
+        assert list(row) == list(sums), tab.roots[i]
+        assert [j for j, n in row.items() if not n] == [tab.neg[i]], tab.roots[i]
+    assert all(sc.n(a, b) == -sc.n(b, a) for a in tab.roots for b in tab.roots)
+
+
+def test_verify_frees_the_chevalley_tables_of_a_label(monkeypatch):
+    # no cache may keep one label's tables alive once its checks have ended
+    built = []
+    build = ch.build_structure_constants
+
+    def keep_a_weakref(rd, verify="full"):
+        sc = build(rd, verify)
+        built.append(weakref.ref(sc))
+        return sc
+
+    monkeypatch.setattr(ch, "build_structure_constants", keep_a_weakref)
+    golden = verify.load_golden()
+    for label in ("B3", "G2"):
+        assert all(r.ok for r in verify.checks_for_label(label, "chevalley", golden))
+    gc.collect()
+    assert len(built) == 2
+    assert built[0]() is None, "the B3 tables outlive its checks"
 
 
 def test_chevalley_tables_share_the_datum_root_table():
@@ -510,27 +545,36 @@ def _tampered(series, rank, edit):
 
 
 def _first_sum_pair(tab):
-    """The first pair (a, b) of root indices with a + b a root, and its sum."""
-    return next((a, b, s) for a, row in enumerate(tab.rows)
-                for b, (s, _) in row.items() if s != ch.ZERO)
+    """The first pair (a, b) of root indices with a + b a root."""
+    return next((a, b) for a, sums in enumerate(tab.sums)
+                for b, s in sums.items() if s != ch.ZERO)
 
 
 def test_jacobi_certificate_rejects_a_broken_negation_identity():
     def edit(tab, rows):
         # negate N_{a,b} and N_{b,a} together: still alternating, but
         # N_{-a,-b} = -N_{a,b} now fails at this pair
-        a, b, s = _first_sum_pair(tab)
-        rows[a][b] = (s, -rows[a][b][1])
-        rows[b][a] = (s, -rows[b][a][1])
+        a, b = _first_sum_pair(tab)
+        rows[a][b] = -rows[a][b]
+        rows[b][a] = -rows[b][a]
 
     with pytest.raises(rc.StructureError, match=r"^F4: N_\(-a,-b\) != -N_\(a,b\)"):
         ch._verify_jacobi(_tampered("F", 4, edit))
 
 
+def test_jacobi_certificate_rejects_a_one_sided_sign_flip():
+    def edit(tab, rows):
+        a, b = _first_sum_pair(tab)
+        rows[a][b] = -rows[a][b]
+
+    with pytest.raises(rc.StructureError, match=r"^B3: N_\(b,a\) != -N_\(a,b\)"):
+        ch._verify_jacobi(_tampered("B", 3, edit))
+
+
 def test_jacobi_certificate_rejects_a_zero_constant():
     def edit(tab, rows):
-        a, b, s = _first_sum_pair(tab)
-        rows[a][b] = rows[b][a] = (s, 0)
+        a, b = _first_sum_pair(tab)
+        rows[a][b] = rows[b][a] = 0
 
     with pytest.raises(rc.StructureError, match=r"^D4: N vanishes on roots"):
         ch._verify_jacobi(_tampered("D", 4, edit))

@@ -117,6 +117,8 @@ def test_export_constants_csv(capsys, monkeypatch):
     ("G2", 61, "845ab6750a802b4b383892d49f781fafe607a9564815212d57e1d44146a13be5"),
     ("F4", 817, "f476aced4906bcff7b4bbf67836d35caa0d82ca04665c03806f3553ab41236f6"),
     ("E8", 13441, "38f5c13c29494dc9da014c263df1408ded873d6c0c2005aef88c8693901dbb25"),
+    ("B8", 3361, "36ce519bf26e3d15c536514ff19eb66c8b04100b3aa573910ee81a0e17c8d773"),
+    ("D8", 2689, "66ba070b720e88e924b74e64cbbc7fe19bd775ab8940e0bb6f69ba0b288f8704"),
 ])
 def test_constants_csv_is_pinned(capsys, label, lines, digest):
     # every signed constant, byte for byte, as the tuple-keyed build gave it
