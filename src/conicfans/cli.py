@@ -182,7 +182,8 @@ def cmd_verify(args) -> int:
         "results": [r.to_json_dict() for r in results],
     }
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        json.dump(report, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         for r in results:
             mark = "ok  " if r.ok else "FAIL"

@@ -5,6 +5,13 @@ the restricted system (a generator of the valuation cone), "lj" the j-th
 restricted simple coroot.  Families sharing one combinatorial shape are keyed
 by kind: BD (B_r with r >= 4 and D_r with r >= 5), B3, D4, EF (E6, E7, E8,
 F4), G2.
+
+`conicatlas` reads four names as input: `family_kind`, the rays of
+`HILB_CONES`, and the conic-type rule's `REDUCIBLE_RAY` and
+`PLANAR_GENERATORS`.  The other tables, the colors of `HILB_CONES`,
+`ORBIT_LABELS` and `ORBIT_EDGES_HILB` included, are references: the golden
+files are written from them, and the checks compare the derived data with
+those.
 """
 
 from __future__ import annotations
@@ -207,22 +214,19 @@ HILB_CONES = {
     "G2": [(("-g2", "l2"), (2,))],
 }
 
-# closed-orbit isotropy targets (crossed sets in the ambient diagram),
-# aligned with the maximal-cone lists above
-
-def hilb_isotropy_targets(series: str, rank: int) -> list[frozenset[int]]:
-    key = family_key(series, rank)
-    table = {
-        "Br": [{1, 3}, {1, 3, 4}], "B3": [{1, 3}, {1, 3}],
-        "Dr": [{1, 3}, {1, 3, 4}], "D5": [{1, 3}, {1, 3, 4, 5}],
-        "D4": [{1, 3, 4}] * 3,
-        "E6": [{2, 3, 4}], "E7": [{4, 5}], "E8": [{2, 3}],
-        "F4": [{2, 3}], "G2": [{1}],
-    }[key]
-    return [frozenset(s) for s in table]
-
+# inputs of the conic-type rule (`conicatlas._conic_type`): the reducible
+# divisor's ray -g_r, whose color l_r marks the double lines, and the planar
+# generator cones; an orbit is planar iff its cone contains one of them
 
 REDUCIBLE_RAY = {"BD": "-g2", "B3": "-g2", "D4": "-g2", "EF": "-g4", "G2": "-g2"}
+
+PLANAR_GENERATORS = {
+    "BD": (("-g1", "-g4"), ("-g4", "l4")),
+    "B3": (("-g1",),),
+    "D4": (("-g1", "-g3"), ("-g1", "-g4"), ("-g3", "-g4")),
+    "EF": (("-g1", "l1"),),
+    "G2": (),
+}
 
 ORBIT_COUNTS = {"BD": {"chow": 11, "hilb": 15},
                 "B3": {"chow": 7, "hilb": 9},
@@ -276,7 +280,8 @@ HILB_FACES = {
 
 
 # ---------------------------------------------------------------------------
-# conic-type labels of the orbit posets (keys are symbolic ray sets)
+# published conic-type labels of the orbit posets (keys are symbolic ray
+# sets); a reference for the golden files, the pipeline derives the types
 
 ORBIT_LABELS = {
     "BD": {
@@ -358,7 +363,8 @@ ORBIT_LABELS = {
     },
 }
 
-# covering edges of the published orbit diagrams (upper orbit, lower orbit)
+# covering edges of the published orbit diagrams (upper orbit, lower orbit),
+# a reference for the golden files
 
 ORBIT_EDGES_HILB = {
     "BD": [
@@ -430,26 +436,6 @@ ORBIT_EDGES_HILB = {
     ],
     "G2": [((), ("-g2",)), (("-g2",), ("-g2", "l2"))],
 }
-
-
-def expected_type_multiset(kind: str, scheme: str) -> dict[str, int]:
-    counts = {
-        ("BD", "chow"): {"Twistor": 1, "NPC": 2, "PC": 2, "NPR": 3, "PR": 2, "DL": 1},
-        ("BD", "hilb"): {"Twistor": 1, "NPC": 2, "PC": 2, "NPR": 3, "PR": 2,
-                         "NPD": 3, "PD": 2},
-        ("B3", "chow"): {"Twistor": 1, "NPC": 1, "PC": 1, "NPR": 2, "PR": 1, "DL": 1},
-        ("B3", "hilb"): {"Twistor": 1, "NPC": 1, "PC": 1, "NPR": 2, "PR": 1,
-                         "NPD": 2, "PD": 1},
-        ("D4", "chow"): {"Twistor": 1, "NPC": 3, "PC": 3, "NPR": 4, "PR": 3, "DL": 1},
-        ("D4", "hilb"): {"Twistor": 1, "NPC": 3, "PC": 3, "NPR": 4, "PR": 3,
-                         "NPD": 4, "PD": 3},
-        ("EF", "chow"): {"Twistor": 1, "NPC": 1, "PC": 1, "NPR": 2, "PR": 1, "DL": 1},
-        ("EF", "hilb"): {"Twistor": 1, "NPC": 1, "PC": 1, "NPR": 2, "PR": 1,
-                         "NPD": 2, "PD": 1},
-        ("G2", "chow"): {"Twistor": 1, "NPR": 1, "NPD": 1},
-        ("G2", "hilb"): {"Twistor": 1, "NPR": 1, "NPD": 1},
-    }
-    return counts[(kind, scheme)]
 
 
 # ---------------------------------------------------------------------------

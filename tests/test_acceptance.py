@@ -184,9 +184,10 @@ def test_criterion_09_isotropy_equations():
         chow_f = conicatlas.solve_colors(
             rrd, lists, conicatlas.line_stabilizer(entry.ad), theta)
         ok &= sorted(chow_f) == GOLDEN["chow_cones"][label]["colors"]
-        kind = entry.kind
-        for target, (syms, cols) in zip(fixtures.hilb_isotropy_targets(series, rank),
-                                        fixtures.HILB_CONES[kind]):
+        line = fixtures.expected_line_stabilizer(series, rank)
+        targets = [line | frozenset(p["stabilizer"])
+                   for p in fixtures.expected_planes(series, rank)]
+        for target, (syms, cols) in zip(targets, fixtures.HILB_CONES[entry.kind]):
             f = conicatlas.solve_colors(rrd, lists, ParabolicSubset(target), theta)
             ok &= f == frozenset(cols)
     _report(9, "isotropy equations reproduce the color sets", ok)

@@ -1,5 +1,6 @@
 import functools
 import json
+from collections import Counter
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_entries_build_and_report(label):
     assert len(entry.hilb_fan) == fixtures.ORBIT_COUNTS[kind]["hilb"]
     for scheme in ("chow", "hilb"):
         rep = ca.orbit_report(entry, scheme)
-        assert rep.counts() == fixtures.expected_type_multiset(kind, scheme)
+        assert Counter(rep.types) == Counter(fixtures.ORBIT_LABELS[kind][scheme].values())
 
 
 def test_chow_cone_matches_table():
@@ -122,14 +123,14 @@ def test_g2_chain_report():
 
 def test_e7_hilb_type_counts():
     rep = ca.orbit_report(ca.build_entry("E7"), "hilb")
-    assert rep.counts() == {"Twistor": 1, "NPC": 1, "PC": 1, "NPR": 2,
-                            "PR": 1, "NPD": 2, "PD": 1}
+    assert Counter(rep.types) == {"Twistor": 1, "NPC": 1, "PC": 1, "NPR": 2,
+                                  "PR": 1, "NPD": 2, "PD": 1}
 
 
 def test_b4_chow_type_counts():
     rep = ca.orbit_report(ca.build_entry("B4"), "chow")
-    assert rep.counts() == {"Twistor": 1, "NPC": 2, "PC": 2, "NPR": 3,
-                            "PR": 2, "DL": 1}
+    assert Counter(rep.types) == {"Twistor": 1, "NPC": 2, "PC": 2, "NPR": 3,
+                                  "PR": 2, "DL": 1}
 
 
 def test_fans_coincide_only_for_g2():
@@ -185,16 +186,58 @@ def test_planes_are_computed_once_per_label(monkeypatch):
 
 def test_orbit_layer_errors_name_the_label_once(monkeypatch):
     entry = ca.build_entry("B3")
-    real = fixtures.expected_type_multiset
+    real = ca._conic_type
 
-    def wrong_for_chow(kind, scheme):
-        return {} if (kind, scheme) == (entry.kind, "chow") else real(kind, scheme)
+    def wrong_closed_chow(entry, scheme, cone, closed):
+        t = real(entry, scheme, cone, closed)
+        return "PD" if (entry.label, scheme, t) == ("B3", "chow", "DL") else t
 
-    monkeypatch.setattr(fixtures, "expected_type_multiset", wrong_for_chow)
+    monkeypatch.setattr(ca, "_conic_type", wrong_closed_chow)
     with pytest.raises(StructureError) as info:
         ca.orbit_report(entry, "chow")
     message = str(info.value)
-    assert message.startswith("B3: type multiset ")
+    assert message == "B3: closed orbit carries label PD"
     failed = {r.name: r.detail for r in verify.atlas_checks("B3", verify.load_golden())
               if not r.ok}
     assert failed == {"conicatlas.orbit-labels.chow.B3": message}
+
+
+def _drop_a_planar_generator(monkeypatch):
+    table = dict(fixtures.PLANAR_GENERATORS, BD=fixtures.PLANAR_GENERATORS["BD"][:1])
+    monkeypatch.setattr(fixtures, "PLANAR_GENERATORS", table)
+
+
+def _move_the_reducible_ray(monkeypatch):
+    monkeypatch.setattr(fixtures, "REDUCIBLE_RAY", dict(fixtures.REDUCIBLE_RAY, BD="-g1"))
+
+
+def _turn_off_the_dl_branch(monkeypatch):
+    real = ca._conic_type
+    monkeypatch.setattr(ca, "_conic_type",
+                        lambda entry, scheme, cone, closed: real(entry, scheme, cone, False))
+
+
+@pytest.mark.parametrize("mutate,fails", [
+    (_drop_a_planar_generator, "conicatlas.hasse."),
+    # the next two break a `_check_labels` invariant before the golden
+    # comparison: a PR of codimension two, and a PD on the closed Chow orbit
+    (_move_the_reducible_ray, "conicatlas.orbit-labels."),
+    (_turn_off_the_dl_branch, "conicatlas.orbit-labels.chow."),
+])
+def test_each_input_of_the_conic_type_rule_is_pinned(monkeypatch, mutate, fails):
+    golden = verify.load_golden()
+    mutate(monkeypatch)
+    failed = [r.name for label in fixtures.supported_labels(8)
+              for r in verify.atlas_checks(label, golden) if not r.ok]
+    assert any(name.startswith(fails) for name in failed), failed
+
+
+@pytest.mark.parametrize("label", fixtures.supported_labels(8))
+def test_covers_are_the_transitive_reduction(label):
+    nx = pytest.importorskip("networkx")
+    entry = ca.build_entry(label)
+    for fan in (entry.chow_fan, entry.hilb_fan):
+        poset = lv.orbit_poset(fan, entry.rrd)
+        dag = nx.DiGraph(poset.less)
+        dag.add_nodes_from(range(len(poset.nodes)))
+        assert sorted(nx.transitive_reduction(dag).edges) == list(poset.covers)
