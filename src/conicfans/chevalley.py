@@ -4,8 +4,9 @@ Basis: e_alpha for each root alpha plus the simple coroots h_i; the
 normalization is [e_alpha, e_-alpha] = alpha^vee, and |N_{alpha,beta}| = p+1
 for the root-string length p.  Signs are fixed by giving +1 to the minimal
 decomposition of each positive root under a height-then-lex order and
-propagating through the Jacobi relations, following the sign identities for
-N_{alpha,beta} in Carter, *Simple Groups of Lie Type*, ch. 4.  Unless asked
+propagating through the Jacobi relations; the rows of N are filled in one
+pass from these special constants by the sign identities for N_{alpha,beta}
+in Carter, *Simple Groups of Lie Type*, ch. 4 (`_fill_triple`).  Unless asked
 not to, the construction then certifies the Jacobi identity exactly, for
 every triple, through a closure lemma: the elements x whose ad x is a
 derivation form a subalgebra, the Chevalley involution e_alpha -> -e_-alpha
@@ -20,9 +21,9 @@ Both proofs are in `_verify_jacobi`.
 Integer core on root indices.  Every structure constant, root pairing and
 coroot coordinate is an integer, and every table (`RootTables`) is indexed by
 the position of a root in `rd.roots`; the per-root rows are the datum's own
-`RootDatum.root_table`.  The special constants are built on the datum's
-tables, and the Jacobi certificate, the bracket `_int_bracket`,
-extremality and the contact forms all read the signed rows.  Elements are
+`RootDatum.root_table`.  The signed rows are built on the datum's tables,
+and the Jacobi certificate, the bracket `_int_bracket`, extremality and the
+contact forms all read them.  Elements are
 integral too: a `LieElement` is an integer projective representative.  Every
 claim checked here is projective: extremality of x, the vanishing of the
 contact cubic and quadratic, which are homogeneous in v, and the points of
@@ -70,8 +71,8 @@ class RootTables(namedtuple("RootTables", "roots index neg pairing norm2 sums or
     N_{i,j} alone, with N = 0 for ZERO.  order[i] is the place of a positive
     root in the height-then-lex order, -1 for a negative one, and coroot[i]
     the coroot in simple-coroot coordinates.  All but rows depend on the
-    datum alone (`_root_index`); `_signed_rows` adds the rows, None until
-    then.
+    datum alone (`_root_index`); rows, None until then, are filled in one
+    pass from the special constants (`_fill_triple`).
     """
 
     __slots__ = ()
@@ -106,30 +107,25 @@ def _root_index(rd: RootDatum) -> RootTables:
                       tuple(place.get(g, -1) for g in roots), tuple(coroot))
 
 
-def _n(ix: RootTables, special: dict[tuple[int, int], int], i: int, j: int, s: int) -> int:
-    """N_{i,j} for a root sum s, read off the constants of the special pairs.
+def _fill_triple(ix: RootTables, rows: list[dict[int, int]], a: int, b: int, n: int) -> None:
+    """Write N_{a,b} = n into rows, with the 11 constants that it fixes.
 
-    Two positive roots give the special pair or its swap, N_{b,a} = -N_{a,b},
-    and two negative ones N_{a,b} = -N_{-a,-b}.  A mixed pair, a positive and
-    b negative, rotates through a zero-sum triple, where N_{x,y}/|z|^2 is
-    cyclic for x + y + z = 0: N_{a,b} = -N_{-b,s} |s|^2/|a|^2 when s is
-    positive, and N_{a,b} = N_{-b,-a} = -N_{a,-s} |s|^2/|b|^2 when it is not.
+    For x + y + z = 0, N_{x,y}/|z|^2 is cyclic, N is alternating and
+    N_{-x,-y} = -N_{x,y} (Carter, ch. 4).  So with g = a + b the one value
+    fixes every pair of the zero-sum triples {a, b, -g} and {-a, -b, g}:
+    N_{b,-g} = n |a|^2/|g|^2 and N_{-g,a} = n |b|^2/|g|^2.
     """
-    order, neg = ix.order, ix.neg
-    sign = 1
-    if order[i] < 0 and order[j] < 0:
-        i, j, sign = neg[i], neg[j], -1
-    elif order[i] < 0:
-        i, j, sign = j, i, -1
-    if order[j] >= 0:
-        return sign * (special[i, j] if order[i] < order[j] else -special[j, i])
-    # i positive, j negative: the pair (a, b) that carries the rotated constant
-    a, b, den = (neg[j], s, ix.norm2[i]) if order[s] >= 0 else (i, neg[s], ix.norm2[j])
-    val, rem = divmod(-sign * ix.norm2[s]
-                      * (special[a, b] if order[a] < order[b] else -special[b, a]), den)
-    if rem:
+    neg, norm2 = ix.neg, ix.norm2
+    g = ix.sums[a].get(b, ZERO)
+    if g == ZERO:
+        raise StructureError(f"special pair {ix.roots[a]}, {ix.roots[b]} has no root sum")
+    n_b, rem_b = divmod(n * norm2[a], norm2[g])
+    n_g, rem_g = divmod(n * norm2[b], norm2[g])
+    if rem_b or rem_g:
         raise StructureError("non-integer structure constant")
-    return val
+    for x, y, v in ((a, b, n), (b, neg[g], n_b), (neg[g], a, n_g)):
+        rows[x][y], rows[y][x] = v, -v
+        rows[neg[x]][neg[y]], rows[neg[y]][neg[x]] = -v, v
 
 
 class StructureConstants(Record):
@@ -150,8 +146,13 @@ class StructureConstants(Record):
     @cached_property
     def tables(self) -> RootTables:
         """The signed root-index tables (see `RootTables`), built on first use
-        unless `build_structure_constants` has built them on its own index."""
-        return _signed_rows(_root_index(self.rd), self._special)
+        unless `build_structure_constants` has filled them on its own index;
+        each special pair fills its zero-sum triples (`_fill_triple`)."""
+        ix = _root_index(self.rd)
+        rows = [dict.fromkeys(s, 0) for s in ix.sums]
+        for (a, b), n in self._special.items():
+            _fill_triple(ix, rows, ix.index[a], ix.index[b], n)
+        return ix._replace(rows=tuple(rows))
 
     def n(self, alpha: Root, beta: Root) -> int:
         """Structure constant N_{alpha,beta}; zero when alpha+beta is no root."""
@@ -159,44 +160,16 @@ class StructureConstants(Record):
         return tab.rows[tab.index[alpha]].get(tab.index[beta], 0)
 
 
-def _signed_rows(ix: RootTables, special: dict[tuple[Root, Root], int]) -> RootTables:
-    """ix with the rows of N, read off the constants of the special pairs.
-
-    The rows of the positive roots come first, by the identities of `_n`; a
-    negative root's row then reads them, N_{a,b} = -N_{b,a} for b positive
-    and -N_{-a,-b} for b negative.
-    """
-    index, neg, norm2, order = ix.index, ix.neg, ix.norm2, ix.order
-    pos: list[dict[int, int]] = [{} for _ in order]    # N on positive pairs
-    for (a, b), n in special.items():
-        i, j = index[a], index[b]
-        pos[i][j], pos[j][i] = n, -n
-    rows: list[dict[int, int]] = [{} for _ in order]
-    half = len(order) // 2                  # the negative roots come first
-    for i in (*range(half, len(order)), *range(half)):
-        for j, s in ix.sums[i].items():
-            if s == ZERO:
-                n = 0
-            elif order[i] < 0:
-                n = -(rows[j][i] if order[j] >= 0 else rows[neg[i]][neg[j]])
-            elif order[j] >= 0:
-                n = pos[i][j]
-            else:
-                # -N_{-j,s} |s|^2/|i|^2 for s positive, else -N_{i,-s} |s|^2/|j|^2
-                m, den = ((pos[neg[j]][s], norm2[i]) if order[s] >= 0
-                          else (pos[i][neg[s]], norm2[j]))
-                n, rem = divmod(-m * norm2[s], den)
-                if rem:
-                    raise StructureError("non-integer structure constant")
-            rows[i][j] = n
-    return ix._replace(rows=tuple(rows))
-
-
-def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
-    """N on every special pair (a, b): positive roots with a before b and a + b a root.
+def _special_constants(ix: RootTables) -> tuple[dict, list[dict[int, int]]]:
+    """N on every special pair (a, b), positive roots with a before b and a + b
+    a root, and the rows of N that they fill (`_fill_triple`).
 
     The first pair of each non-simple positive root gets +(p + 1), and the
-    others follow from the Jacobi identity, going up in height.
+    others follow from the Jacobi identity, going up in height.  The step for
+    gamma reads rows: each N it reads lies in a triple of roots that are, up
+    to sign, lower than gamma (alpha, a1, b1, beta, a1 - alpha, b1 - alpha),
+    filled at the step of its highest.  An unfilled entry would read 0, which
+    fails |N| = p + 1.
     """
     order, sums, neg = ix.order, ix.sums, ix.neg
     positive = sorted((i for i, o in enumerate(order) if o >= 0), key=order.__getitem__)
@@ -214,11 +187,13 @@ def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
         return p
 
     special: dict[tuple[int, int], int] = {}
+    rows = [dict.fromkeys(s, 0) for s in sums]
     for gamma, pairs in by_root.items():
         if not pairs:
             raise StructureError("a non-simple positive root has no decomposition")
         (a1, b1), *rest = pairs
-        special[a1, b1] = string_down(a1, b1) + 1
+        n1 = special[a1, b1] = string_down(a1, b1) + 1
+        _fill_triple(ix, rows, a1, b1, n1)
         for alpha, beta in rest:
             # the e_beta component of the Jacobi identity on (-alpha, a1, b1),
             #   N_{a1,b1} N_{-alpha,gamma} = N_{-alpha,a1} N_{a1-alpha,b1}
@@ -229,10 +204,10 @@ def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
             na, total = neg[alpha], 0
             d1, d2 = sums[a1].get(na), sums[b1].get(na)
             if d1 is not None:
-                total += _n(ix, special, na, a1, d1) * _n(ix, special, d1, b1, beta)
+                total += rows[na][a1] * rows[d1][b1]
             if d2 is not None:
-                total += _n(ix, special, na, b1, d2) * _n(ix, special, a1, d2, beta)
-            val, rem = divmod(total * ix.norm2[gamma], special[a1, b1] * ix.norm2[beta])
+                total += rows[na][b1] * rows[a1][d2]
+            val, rem = divmod(total * ix.norm2[gamma], n1 * ix.norm2[beta])
             if rem:
                 raise StructureError("non-integer constant during propagation")
             expect = string_down(alpha, beta) + 1
@@ -241,7 +216,8 @@ def _special_constants(ix: RootTables) -> dict[tuple[int, int], int]:
                     f"propagated constant {val} for {ix.roots[alpha]}+{ix.roots[beta]} "
                     f"has wrong magnitude (want {expect})")
             special[alpha, beta] = val
-    return special
+            _fill_triple(ix, rows, alpha, beta, val)
+    return special, rows
 
 
 def build_structure_constants(rd: RootDatum, verify: str = "full") -> StructureConstants:
@@ -254,9 +230,10 @@ def build_structure_constants(rd: RootDatum, verify: str = "full") -> StructureC
     if verify not in ("full", "none"):
         raise ValueError(f"unknown Jacobi policy {verify!r}; use 'full' or 'none'")
     ix = _root_index(rd)
-    sc = StructureConstants(rd, tuple(((ix.roots[a], ix.roots[b]), n) for (a, b), n
-                                      in _special_constants(ix).items()))
-    sc.__dict__["tables"] = _signed_rows(ix, sc._special)    # no second index pass
+    special, rows = _special_constants(ix)
+    sc = StructureConstants(rd, tuple(((ix.roots[a], ix.roots[b]), n)
+                                      for (a, b), n in special.items()))
+    sc.__dict__["tables"] = ix._replace(rows=tuple(rows))    # no second pass
     if verify == "full":
         _verify_jacobi(sc)
     return sc

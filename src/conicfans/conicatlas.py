@@ -2,9 +2,10 @@
 planes, colored fans of the two conic compactifications, orbit posets with
 conic-type labels, and double-coset counts.
 
-Only the rays of the Hilbert cones enter as data (`fixtures.HILB_CONES`).
-The Chow cone, the colors of every cone and the conic type of every orbit
-are derived, and the result is validated against fan axioms, completeness,
+Only the rays of the Hilbert cones (`fixtures.HILB_CONES`) and the reducible
+ray (`fixtures.REDUCIBLE_RAY`) enter as data.  The Chow cone, the colors of
+every cone, the planar generators and the conic type of every orbit are
+derived, and the result is validated against fan axioms, completeness,
 face lists and the orbit-type invariants of `_check_labels`.
 """
 
@@ -121,16 +122,10 @@ class ConicAtlasEntry(Record):
     planes: tuple[BStablePlane, ...]
     sd: SatakeDiagram
     rrd: RestrictedRootDatum
-    theta: tuple[tuple[int, int], ...]
-    chow_colors: frozenset[int]
     chow_fan: ColoredFan
-    hilb_colors: tuple[frozenset[int], ...]
+    hilb_cones: tuple[ColoredCone, ...]     # the closed Hilbert cone of each plane
     hilb_fan: ColoredFan
     double_cosets: int
-
-    @property
-    def theta_map(self) -> dict[int, int]:
-        return dict(self.theta)
 
 
 def _naming(label: str, work, *args):
@@ -179,7 +174,6 @@ def _build_entry(label: str) -> ConicAtlasEntry:
     if len(hilb_specs) != len(targets):
         raise StructureError("one maximal cone per distinguished plane expected")
     hilb_cones = []
-    hilb_colors = []
     for (symbols, _), target in zip(hilb_specs, targets):
         f = solve_colors(rrd, stab_lists, ParabolicSubset(target), theta)
         cc = resolve_cone(rrd, symbols, f)
@@ -187,16 +181,14 @@ def _build_entry(label: str) -> ConicAtlasEntry:
         if not check:
             raise StructureError(f"tabulated cone invalid: {check.diagnostics}")
         hilb_cones.append(cc)
-        hilb_colors.append(f)
     hilb_fan = fan_with_faces(rrd, hilb_cones)
     fan_check = is_colored_fan(hilb_fan, rrd)
     if not fan_check:
         raise StructureError(f"fan axioms fail: {fan_check.diagnostics}")
 
     count = double_coset_count(ad.pss, ad.q_crossed)
-    return ConicAtlasEntry(label, series, rank, kind, ad, planes, sd, rrd,
-                           tuple(sorted(theta.items())), chow_colors, chow_fan,
-                           tuple(hilb_colors), hilb_fan, count)
+    return ConicAtlasEntry(label, series, rank, kind, ad, planes, sd, rrd, chow_fan,
+                           tuple(hilb_cones), hilb_fan, count)
 
 
 def _closed_orbit_targets(ad: AdjointData, planes) -> list[frozenset[int]]:
@@ -247,22 +239,23 @@ def _conic_type(entry: ConicAtlasEntry, scheme: str, cone: QCone, closed: bool) 
     other type is a prefix and a suffix.  The suffix is D if sigma contains
     the color point l_r, where -g_r is the kind's `REDUCIBLE_RAY`; else R if
     sigma contains -g_r, and C if it does not.  The prefix is P if sigma
-    contains every ray of one of the kind's `PLANAR_GENERATORS`, and NP if not.
+    contains a planar generator, and NP if not: the generator of a plane with
+    `in_z` is its closed Hilbert cone without the rays -g_r and l_r.
     """
     if not cone.generators:
         return "Twistor"
     if scheme == "chow" and closed and entry.chow_fan != entry.hilb_fan:
         return "DL"
-    rrd = entry.rrd
-    r = fixtures.REDUCIBLE_RAY[entry.kind][2:]
-    if cone_contains(cone, resolve_ray(rrd, f"l{r}")):
+    red = reducible_divisor_ray(entry)
+    color = resolve_ray(entry.rrd, "l" + fixtures.REDUCIBLE_RAY[entry.kind][2:])
+    if cone_contains(cone, color):
         suffix = "D"
-    elif cone_contains(cone, reducible_divisor_ray(entry)):
+    elif cone_contains(cone, red):
         suffix = "R"
     else:
         suffix = "C"
-    planar = any(all(cone_contains(cone, resolve_ray(rrd, s)) for s in gen)
-                 for gen in fixtures.PLANAR_GENERATORS[entry.kind])
+    planar = any(all(cone_contains(cone, v) for v in cc.cone.generators if v not in (red, color))
+                 for p, cc in zip(entry.planes, entry.hilb_cones) if p.in_z)
     return ("P" if planar else "NP") + suffix
 
 

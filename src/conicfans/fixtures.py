@@ -6,12 +6,11 @@ restricted simple coroot.  Families sharing one combinatorial shape are keyed
 by kind: BD (B_r with r >= 4 and D_r with r >= 5), B3, D4, EF (E6, E7, E8,
 F4), G2.
 
-`conicatlas` reads four names as input: `family_kind`, the rays of
-`HILB_CONES`, and the conic-type rule's `REDUCIBLE_RAY` and
-`PLANAR_GENERATORS`.  The other tables, the colors of `HILB_CONES`,
-`ORBIT_LABELS` and `ORBIT_EDGES_HILB` included, are references: the golden
-files are written from them, and the checks compare the derived data with
-those.
+`conicatlas` reads three names as input: `family_kind`, the rays of
+`HILB_CONES`, and the conic-type rule's `REDUCIBLE_RAY`.  The other tables,
+the colors of `HILB_CONES`, `ORBIT_LABELS` and `ORBIT_EDGES_HILB` included,
+are references: the golden files are written from them, and the checks
+compare the derived data with those.
 """
 
 from __future__ import annotations
@@ -214,19 +213,10 @@ HILB_CONES = {
     "G2": [(("-g2", "l2"), (2,))],
 }
 
-# inputs of the conic-type rule (`conicatlas._conic_type`): the reducible
-# divisor's ray -g_r, whose color l_r marks the double lines, and the planar
-# generator cones; an orbit is planar iff its cone contains one of them
+# input of the conic-type rule (`conicatlas._conic_type`): the reducible
+# divisor's ray -g_r, whose color l_r marks the double lines
 
 REDUCIBLE_RAY = {"BD": "-g2", "B3": "-g2", "D4": "-g2", "EF": "-g4", "G2": "-g2"}
-
-PLANAR_GENERATORS = {
-    "BD": (("-g1", "-g4"), ("-g4", "l4")),
-    "B3": (("-g1",),),
-    "D4": (("-g1", "-g3"), ("-g1", "-g4"), ("-g3", "-g4")),
-    "EF": (("-g1", "l1"),),
-    "G2": (),
-}
 
 ORBIT_COUNTS = {"BD": {"chow": 11, "hilb": 15},
                 "B3": {"chow": 7, "hilb": 9},

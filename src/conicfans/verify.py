@@ -253,7 +253,8 @@ def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
                     f"conicatlas.planes.{label}",
                     f"{planes} vs {golden['planes'][label]}"))
 
-    twisted = [sorted(frozenset(entry.theta_map[w] for w in rrd.reps_of(i)))
+    theta = duality_involution(entry.ad.g)
+    twisted = [sorted(frozenset(theta[w] for w in rrd.reps_of(i)))
                for i in range(1, rrd.restricted.rank + 1)]
     expected_twist = [sorted(s) for s in
                       fixtures.expected_theta_twisted(series, rank)]
@@ -304,15 +305,15 @@ def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
                     f"conicatlas.fans-coincide-iff-g2.{label}"))
 
     for scheme in ("chow", "hilb"):
+        labels = f"conicatlas.orbit-labels.{scheme}.{label}"
         try:
-            rep = conicatlas.orbit_report(entry, scheme)
+            got, detail = _hasse_payload(conicatlas.orbit_report(entry, scheme)), ""
+            out.append(_res(True, labels))
         except StructureError as exc:
-            out.append(_res(False, f"conicatlas.orbit-labels.{scheme}.{label}", str(exc)))
-            continue
-        out.append(_res(True, f"conicatlas.orbit-labels.{scheme}.{label}"))
-        got = _hasse_payload(rep)
+            got, detail = None, f"no orbit report, see {labels}"
+            out.append(_res(False, labels, str(exc)))
         out.append(_res(got == golden["hasse"][label][scheme],
-                        f"conicatlas.hasse.{scheme}.{label}"))
+                        f"conicatlas.hasse.{scheme}.{label}", detail))
 
     out.extend(_ruzzi_checks(label, entry))
     out.extend(_anticanonical_checks(label, entry, golden))

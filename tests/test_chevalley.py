@@ -126,15 +126,45 @@ def test_g2_string_lengths():
 
 
 def test_antisymmetry_and_negation():
-    sc = sc_of("F", 4)
-    rd = sc.rd
-    for a in rd.roots[:20]:
-        for b in rd.roots[:20]:
-            s = tuple(x + y for x, y in zip(a, b))
-            if any(s) and rd.is_root(s):
-                assert sc.n(a, b) == -sc.n(b, a)
-                na, nb = tuple(-x for x in a), tuple(-x for x in b)
-                assert sc.n(na, nb) == -sc.n(a, b)
+    # on every pair with a root sum of every pinned label: N_{b,a} = -N_{a,b},
+    # N_{-a,-b} = -N_{a,b}, and on the zero-sum triple x + y + z = 0 the
+    # cyclic identity N_{x,y} |x|^2 = N_{y,z} |z|^2
+    for label in fixtures.supported_labels(8):
+        sc = sc_of(*ca.parse_label(label))
+        rd = sc.rd
+        norm = {g: rd.killing_int(g, g) for g in rd.roots}
+        pairs = 0
+        for a in rd.roots:
+            na = tuple(-x for x in a)
+            for b in rd.roots:
+                s = tuple(x + y for x, y in zip(a, b))
+                if not (any(s) and rd.is_root(s)):
+                    continue
+                pairs += 1
+                n, z = sc.n(a, b), tuple(-x for x in s)
+                assert n and sc.n(b, a) == -n, (label, a, b)
+                assert sc.n(na, tuple(-x for x in b)) == -n, (label, a, b)
+                assert n * norm[a] == sc.n(b, z) * norm[z], (label, a, b)
+        # the rows hold these pairs and one opposite root each
+        assert pairs == sum(len(row) for row in sc.tables.rows) - len(rd.roots), label
+
+
+@pytest.mark.parametrize("label", fixtures.supported_labels(8))
+def test_given_constants_fill_the_rows_of_the_build(label):
+    # the lazy tables of the special constants alone equal the build's rows,
+    # entry for entry and in the same key order
+    sc = sc_of(*ca.parse_label(label))
+    fresh = ch.StructureConstants(sc.rd, sc.n_special)
+    assert [list(row.items()) for row in fresh.tables.rows] == \
+        [list(row.items()) for row in sc.tables.rows]
+
+
+def test_a_special_pair_without_a_root_sum_raises():
+    # alpha_1 + alpha_3 is no root of B3
+    sc = sc_of("B", 3)
+    bad = ch.StructureConstants(sc.rd, sc.n_special + ((((1, 0, 0), (0, 0, 1)), 1),))
+    with pytest.raises(rc.StructureError, match=r"special pair .* has no root sum"):
+        bad.tables
 
 
 @pytest.mark.parametrize("series,rank", [("G", 2), ("F", 4), ("E", 6)],

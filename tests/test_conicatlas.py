@@ -199,12 +199,35 @@ def test_orbit_layer_errors_name_the_label_once(monkeypatch):
     assert message == "B3: closed orbit carries label PD"
     failed = {r.name: r.detail for r in verify.atlas_checks("B3", verify.load_golden())
               if not r.ok}
-    assert failed == {"conicatlas.orbit-labels.chow.B3": message}
+    # the message is given once, under orbit-labels; the hasse line points there
+    assert failed == {"conicatlas.orbit-labels.chow.B3": message,
+                      "conicatlas.hasse.chow.B3":
+                          "no orbit report, see conicatlas.orbit-labels.chow.B3"}
+
+
+def test_a_failing_orbit_report_keeps_its_hasse_line(monkeypatch):
+    # every label keeps its check lines when the orbit layer fails
+    monkeypatch.setattr(fixtures, "REDUCIBLE_RAY", dict(fixtures.REDUCIBLE_RAY, BD="-g1"))
+    golden = verify.load_golden()
+    results = [r for label in fixtures.supported_labels(8)
+               for r in verify.atlas_checks(label, golden)]
+    hasse = [r for r in results if r.name.startswith("conicatlas.hasse.")]
+    assert (len(results), len(hasse)) == (491, 32)
+    assert any(not r.ok for r in hasse)
 
 
 def _drop_a_planar_generator(monkeypatch):
-    table = dict(fixtures.PLANAR_GENERATORS, BD=fixtures.PLANAR_GENERATORS["BD"][:1])
-    monkeypatch.setattr(fixtures, "PLANAR_GENERATORS", table)
+    # the first BD plane leaves the variety, and with it its planar generator
+    real = ca.b_stable_planes
+
+    def flipped(ad):
+        first, *rest = real(ad)
+        if fixtures.family_kind(ad.series, ad.rank) == "BD":
+            first = ca.BStablePlane(first.beta, first.long, first.stabilizer, not first.in_z)
+        return (first, *rest)
+
+    monkeypatch.setattr(ca, "b_stable_planes", flipped)
+    monkeypatch.setattr(ca, "build_entry", functools.lru_cache(ca.build_entry.__wrapped__))
 
 
 def _move_the_reducible_ray(monkeypatch):
