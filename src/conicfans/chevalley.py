@@ -107,7 +107,8 @@ def _root_index(rd: RootDatum) -> RootTables:
                       tuple(place.get(g, -1) for g in roots), tuple(coroot))
 
 
-def _fill_triple(ix: RootTables, rows: list[dict[int, int]], a: int, b: int, n: int) -> None:
+def _fill_triple(ix: RootTables, rows: list[dict[int, int]], a: int, b: int, n: int,
+                 label: str) -> None:
     """Write N_{a,b} = n into rows, with the 11 constants that it fixes.
 
     For x + y + z = 0, N_{x,y}/|z|^2 is cyclic, N is alternating and
@@ -118,11 +119,12 @@ def _fill_triple(ix: RootTables, rows: list[dict[int, int]], a: int, b: int, n: 
     neg, norm2 = ix.neg, ix.norm2
     g = ix.sums[a].get(b, ZERO)
     if g == ZERO:
-        raise StructureError(f"special pair {ix.roots[a]}, {ix.roots[b]} has no root sum")
+        raise StructureError(
+            f"{label}: special pair {ix.roots[a]}, {ix.roots[b]} has no root sum")
     n_b, rem_b = divmod(n * norm2[a], norm2[g])
     n_g, rem_g = divmod(n * norm2[b], norm2[g])
     if rem_b or rem_g:
-        raise StructureError("non-integer structure constant")
+        raise StructureError(f"{label}: non-integer structure constant")
     for x, y, v in ((a, b, n), (b, neg[g], n_b), (neg[g], a, n_g)):
         rows[x][y], rows[y][x] = v, -v
         rows[neg[x]][neg[y]], rows[neg[y]][neg[x]] = -v, v
@@ -148,10 +150,14 @@ class StructureConstants(Record):
         """The signed root-index tables (see `RootTables`), built on first use
         unless `build_structure_constants` has filled them on its own index;
         each special pair fills its zero-sum triples (`_fill_triple`)."""
-        ix = _root_index(self.rd)
+        ix, label = _root_index(self.rd), self.rd.label
         rows = [dict.fromkeys(s, 0) for s in ix.sums]
         for (a, b), n in self._special.items():
-            _fill_triple(ix, rows, ix.index[a], ix.index[b], n)
+            stray = next((v for v in (a, b) if v not in ix.index), None)
+            if stray is not None:
+                raise StructureError(
+                    f"{label}: special pair {a}, {b}: {stray} is not a root")
+            _fill_triple(ix, rows, ix.index[a], ix.index[b], n, label)
         return ix._replace(rows=tuple(rows))
 
     def n(self, alpha: Root, beta: Root) -> int:
@@ -160,7 +166,7 @@ class StructureConstants(Record):
         return tab.rows[tab.index[alpha]].get(tab.index[beta], 0)
 
 
-def _special_constants(ix: RootTables) -> tuple[dict, list[dict[int, int]]]:
+def _special_constants(ix: RootTables, label: str) -> tuple[dict, list[dict[int, int]]]:
     """N on every special pair (a, b), positive roots with a before b and a + b
     a root, and the rows of N that they fill (`_fill_triple`).
 
@@ -190,10 +196,10 @@ def _special_constants(ix: RootTables) -> tuple[dict, list[dict[int, int]]]:
     rows = [dict.fromkeys(s, 0) for s in sums]
     for gamma, pairs in by_root.items():
         if not pairs:
-            raise StructureError("a non-simple positive root has no decomposition")
+            raise StructureError(f"{label}: a non-simple positive root has no decomposition")
         (a1, b1), *rest = pairs
         n1 = special[a1, b1] = string_down(a1, b1) + 1
-        _fill_triple(ix, rows, a1, b1, n1)
+        _fill_triple(ix, rows, a1, b1, n1, label)
         for alpha, beta in rest:
             # the e_beta component of the Jacobi identity on (-alpha, a1, b1),
             #   N_{a1,b1} N_{-alpha,gamma} = N_{-alpha,a1} N_{a1-alpha,b1}
@@ -209,14 +215,14 @@ def _special_constants(ix: RootTables) -> tuple[dict, list[dict[int, int]]]:
                 total += rows[na][b1] * rows[a1][d2]
             val, rem = divmod(total * ix.norm2[gamma], n1 * ix.norm2[beta])
             if rem:
-                raise StructureError("non-integer constant during propagation")
+                raise StructureError(f"{label}: non-integer constant during propagation")
             expect = string_down(alpha, beta) + 1
             if abs(val) != expect:
                 raise StructureError(
-                    f"propagated constant {val} for {ix.roots[alpha]}+{ix.roots[beta]} "
+                    f"{label}: propagated constant {val} for {ix.roots[alpha]}+{ix.roots[beta]} "
                     f"has wrong magnitude (want {expect})")
             special[alpha, beta] = val
-            _fill_triple(ix, rows, alpha, beta, val)
+            _fill_triple(ix, rows, alpha, beta, val, label)
     return special, rows
 
 
@@ -230,7 +236,7 @@ def build_structure_constants(rd: RootDatum, verify: str = "full") -> StructureC
     if verify not in ("full", "none"):
         raise ValueError(f"unknown Jacobi policy {verify!r}; use 'full' or 'none'")
     ix = _root_index(rd)
-    special, rows = _special_constants(ix)
+    special, rows = _special_constants(ix, rd.label)
     sc = StructureConstants(rd, tuple(((ix.roots[a], ix.roots[b]), n)
                                       for (a, b), n in special.items()))
     sc.__dict__["tables"] = ix._replace(rows=tuple(rows))    # no second pass

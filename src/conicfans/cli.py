@@ -50,8 +50,8 @@ def _table_rows(name: str, labels: list[str]) -> tuple[list[str], list[list[str]
                 f"l{i}=" + ",".join(f"a{w}" for w in e.rrd.reps_of(i))
                 for i in range(1, e.rrd.restricted.rank + 1))
             rows.append([label, gs,
-                         ",".join(map(str, sorted(e.sd.black))) or "-",
-                         ";".join(f"{a}<->{b}" for a, b in e.sd.arrows) or "-",
+                         ",".join(map(str, sorted(e.rrd.satake.black))) or "-",
+                         ";".join(f"{a}<->{b}" for a, b in e.rrd.satake.arrows) or "-",
                          e.rrd.restricted.label, lam])
     elif name in ("chow", "hilb"):
         header = ["g", "cone", "rays", "colors"]

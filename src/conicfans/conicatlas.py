@@ -2,11 +2,11 @@
 planes, colored fans of the two conic compactifications, orbit posets with
 conic-type labels, and double-coset counts.
 
-Only the rays of the Hilbert cones (`fixtures.HILB_CONES`) and the reducible
-ray (`fixtures.REDUCIBLE_RAY`) enter as data.  The Chow cone, the colors of
-every cone, the planar generators and the conic type of every orbit are
-derived, and the result is validated against fan axioms, completeness,
-face lists and the orbit-type invariants of `_check_labels`.
+Only the rays of the Hilbert cones (`fixtures.HILB_CONES`) enter as data.
+The Chow cone, the colors of every cone, the reducible ray, the planar
+generators and the conic type of every orbit are derived, and the result is
+validated against fan axioms, completeness, face lists and the orbit-type
+invariants of `_check_labels`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
                        is_colored_fan, maximal_cones, neg_gamma_rays, orbit_poset,
                        valuation_cone)
 from .rootcore import (ParabolicSubset, Record, StructureError, double_coset_count,
-                       duality_involution, parabolic_intersection)
-from .symdata import (AdjointData, RestrictedRootDatum, SatakeDiagram, adjoint_data,
+                       duality_involution, highest_root, parabolic_intersection)
+from .symdata import (AdjointData, RestrictedRootDatum, adjoint_data, contact_node,
                       parse_label, restricted_datum, satake_of, supported_pair)
 
 
@@ -120,7 +120,6 @@ class ConicAtlasEntry(Record):
     kind: str
     ad: AdjointData
     planes: tuple[BStablePlane, ...]
-    sd: SatakeDiagram
     rrd: RestrictedRootDatum
     chow_fan: ColoredFan
     hilb_cones: tuple[ColoredCone, ...]     # the closed Hilbert cone of each plane
@@ -153,8 +152,7 @@ def _build_entry(label: str) -> ConicAtlasEntry:
     series, rank = supported_pair(series, rank)
     kind = fixtures.family_kind(series, rank)
     ad = adjoint_data(series, rank)
-    sd = satake_of(series, rank)
-    rrd = restricted_datum(sd)
+    rrd = restricted_datum(satake_of(series, rank))
     theta = duality_involution(ad.g)
     stab_lists = {i: rrd.reps_of(i) for i in range(1, rrd.restricted.rank + 1)}
 
@@ -187,7 +185,7 @@ def _build_entry(label: str) -> ConicAtlasEntry:
         raise StructureError(f"fan axioms fail: {fan_check.diagnostics}")
 
     count = double_coset_count(ad.pss, ad.q_crossed)
-    return ConicAtlasEntry(label, series, rank, kind, ad, planes, sd, rrd, chow_fan,
+    return ConicAtlasEntry(label, series, rank, kind, ad, planes, rrd, chow_fan,
                            tuple(hilb_cones), hilb_fan, count)
 
 
@@ -196,8 +194,21 @@ def _closed_orbit_targets(ad: AdjointData, planes) -> list[frozenset[int]]:
     return [parabolic_intersection(line, p.stabilizer).missing for p in planes]
 
 
+def reducible_node(rrd: RestrictedRootDatum) -> int:
+    """r of the reducible divisor's ray -gamma_r and of the double-line color l_r.
+
+    r is the contact node of the restricted root system R, the one simple
+    root of R that meets its highest root; the rule reads R alone.  On the
+    five restricted systems (B3, B4, D4, F4, G2) it gives r = 4 for F4 and
+    r = 2 otherwise, and the checks `conicatlas.hasse.*` and
+    `conicatlas.orbit-labels.*` pin it.
+    """
+    r = rrd.restricted
+    return contact_node(r, highest_root(r))
+
+
 def reducible_divisor_ray(entry: ConicAtlasEntry):
-    return resolve_ray(entry.rrd, fixtures.REDUCIBLE_RAY[entry.kind])
+    return neg_gamma_rays(entry.rrd.restricted.cartan)[reducible_node(entry.rrd) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +248,7 @@ def _conic_type(entry: ConicAtlasEntry, scheme: str, cone: QCone, closed: bool) 
     sigma = 0 is the open orbit, Twistor.  On the Chow side a maximal sigma,
     a closed orbit, is DL, unless the two fans are equal (G2 alone).  Any
     other type is a prefix and a suffix.  The suffix is D if sigma contains
-    the color point l_r, where -g_r is the kind's `REDUCIBLE_RAY`; else R if
+    the color point l_r, where r is the `reducible_node`; else R if
     sigma contains -g_r, and C if it does not.  The prefix is P if sigma
     contains a planar generator, and NP if not: the generator of a plane with
     `in_z` is its closed Hilbert cone without the rays -g_r and l_r.
@@ -247,7 +258,7 @@ def _conic_type(entry: ConicAtlasEntry, scheme: str, cone: QCone, closed: bool) 
     if scheme == "chow" and closed and entry.chow_fan != entry.hilb_fan:
         return "DL"
     red = reducible_divisor_ray(entry)
-    color = resolve_ray(entry.rrd, "l" + fixtures.REDUCIBLE_RAY[entry.kind][2:])
+    color = color_point(entry.rrd, reducible_node(entry.rrd))
     if cone_contains(cone, color):
         suffix = "D"
     elif cone_contains(cone, red):

@@ -6,11 +6,12 @@ restricted simple coroot.  Families sharing one combinatorial shape are keyed
 by kind: BD (B_r with r >= 4 and D_r with r >= 5), B3, D4, EF (E6, E7, E8,
 F4), G2.
 
-`conicatlas` reads three names as input: `family_kind`, the rays of
-`HILB_CONES`, and the conic-type rule's `REDUCIBLE_RAY`.  The other tables,
-the colors of `HILB_CONES`, `ORBIT_LABELS` and `ORBIT_EDGES_HILB` included,
-are references: the golden files are written from them, and the checks
-compare the derived data with those.
+`conicatlas` reads two names as input: `family_kind` and the rays of
+`HILB_CONES`.  The other tables, the colors of `HILB_CONES` and
+`ORBIT_LABELS` included, are references: the golden files are written from
+them, and the checks compare the derived data with those.  `ORBIT_LABELS` is
+the one transcription of the published orbit diagrams; the golden Chow cone,
+face lists, orbit counts and Hasse edges are read off its keys.
 """
 
 from __future__ import annotations
@@ -175,31 +176,13 @@ def expected_double_cosets(series: str, rank: int) -> int:
 
 
 def expected_theta_twisted(series: str, rank: int) -> list[frozenset[int]]:
-    """Opposite w0-conjugates of the color stabilizers, one per color."""
-    key = family_key(series, rank)
-    table = {
-        "Br": [{1}, {2}, {3}, {4}], "B3": [{1}, {2}, {3}],
-        "Dr": [{1}, {2}, {3}, {4}], "D5": [{1}, {2}, {3}, {4, 5}],
-        "D4": [{1}, {2}, {3}, {4}],
-        "E6": [{1, 5}, {2, 4}, {3}, {6}],
-        "E7": [{2}, {4}, {5}, {6}],
-        "E8": [{7}, {3}, {2}, {1}],
-        "F4": [{1}, {2}, {3}, {4}],
-        "G2": [{1}, {2}],
-    }[key]
-    return [frozenset(s) for s in table]
+    """Opposite w0-conjugates of the color stabilizers, one per color: the
+    restriction classes themselves, as the duality involution fixes each."""
+    return [frozenset(ws) for _, ws in sorted(expected_lambda_reps(series, rank).items())]
 
 
 # ---------------------------------------------------------------------------
 # colored-cone tables
-
-CHOW_CONES = {
-    "BD": (("-g1", "-g2", "-g4", "l2", "l4"), (2, 4)),
-    "B3": (("-g1", "-g2", "-g3", "l2"), (2,)),
-    "D4": (("-g1", "-g2", "-g3", "-g4", "l2"), (2,)),
-    "EF": (("-g1", "-g4", "l1", "l2", "l4"), (1, 2, 4)),
-    "G2": (("-g2", "l2"), (2,)),
-}
 
 HILB_CONES = {
     "BD": [(("-g2", "-g4", "l2", "l4"), (2, 4)),
@@ -213,65 +196,13 @@ HILB_CONES = {
     "G2": [(("-g2", "l2"), (2,))],
 }
 
-# input of the conic-type rule (`conicatlas._conic_type`): the reducible
-# divisor's ray -g_r, whose color l_r marks the double lines
-
-REDUCIBLE_RAY = {"BD": "-g2", "B3": "-g2", "D4": "-g2", "EF": "-g4", "G2": "-g2"}
-
-ORBIT_COUNTS = {"BD": {"chow": 11, "hilb": 15},
-                "B3": {"chow": 7, "hilb": 9},
-                "D4": {"chow": 15, "hilb": 21},
-                "EF": {"chow": 7, "hilb": 9},
-                "G2": {"chow": 3, "hilb": 3}}
-
-
-def _pairs(items):
-    out = []
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            out.append((a, b))
-    return out
-
-
-# published lists of nonzero non-maximal colored faces, by dimension
-
-CHOW_FACES = {
-    "BD": {3: [("-g1", "-g2", "-g4"), ("-g2", "-g4", "l4")],
-           2: [("-g1", "-g2"), ("-g1", "-g4"), ("-g2", "-g4"), ("-g4", "l4")],
-           1: [("-g1",), ("-g2",), ("-g4",)]},
-    "B3": {2: [("-g1", "-g2"), ("-g2", "-g3")],
-           1: [("-g1",), ("-g2",), ("-g3",)]},
-    "D4": {3: [("-g2", "-g1", "-g3"), ("-g2", "-g1", "-g4"), ("-g2", "-g3", "-g4")],
-           2: [tuple(f"-g{i}" for i in p) for p in _pairs([1, 2, 3, 4])],
-           1: [("-g1",), ("-g2",), ("-g3",), ("-g4",)]},
-    "EF": {3: [("-g1", "-g4", "l1")],
-           2: [("-g1", "-g4"), ("-g1", "l1")],
-           1: [("-g1",), ("-g4",)]},
-    "G2": {1: [("-g2",)]},
-}
-
-HILB_FACES = {
-    "BD": {3: [("-g1", "-g2", "-g4"), ("-g2", "-g4", "l4"),
-               ("-g2", "-g1", "l2"), ("-g2", "-g4", "l2")],
-           2: [("-g1", "-g2"), ("-g1", "-g4"), ("-g2", "-g4"),
-               ("-g2", "l2"), ("-g4", "l4")],
-           1: [("-g1",), ("-g2",), ("-g4",)]},
-    "B3": {2: [("-g1", "-g2"), ("-g2", "-g3"), ("-g2", "l2")],
-           1: [("-g1",), ("-g2",), ("-g3",)]},
-    "D4": {3: [("-g2", "-g1", "-g3"), ("-g2", "-g1", "-g4"), ("-g2", "-g3", "-g4"),
-               ("-g2", "-g1", "l2"), ("-g2", "-g3", "l2"), ("-g2", "-g4", "l2")],
-           2: [tuple(f"-g{i}" for i in p) for p in _pairs([1, 2, 3, 4])] + [("-g2", "l2")],
-           1: [("-g1",), ("-g2",), ("-g3",), ("-g4",)]},
-    "EF": {3: [("-g1", "-g4", "l1"), ("-g1", "-g4", "l4")],
-           2: [("-g1", "-g4"), ("-g1", "l1"), ("-g4", "l4")],
-           1: [("-g1",), ("-g4",)]},
-    "G2": {1: [("-g2",)]},
-}
-
-
 # ---------------------------------------------------------------------------
-# published conic-type labels of the orbit posets (keys are symbolic ray
-# sets); a reference for the golden files, the pipeline derives the types
+# published orbit diagrams: the conic type of each orbit, keyed by the
+# symbolic rays of its colored cone (the colors are the l symbols).  By
+# Luna-Vust theory the orbits are the colored cones of the fan and the
+# closure order is the face order, so the keys list every cone of both fans
+# and their inclusions are the Hasse edges.  A reference for the golden
+# files; the pipeline derives the types
 
 ORBIT_LABELS = {
     "BD": {
@@ -352,81 +283,6 @@ ORBIT_LABELS = {
         "chow": {(): "Twistor", ("-g2",): "NPR", ("-g2", "l2"): "NPD"},
     },
 }
-
-# covering edges of the published orbit diagrams (upper orbit, lower orbit),
-# a reference for the golden files
-
-ORBIT_EDGES_HILB = {
-    "BD": [
-        ((), ("-g1",)), ((), ("-g2",)), ((), ("-g4",)),
-        (("-g4",), ("-g4", "l4")), (("-g4",), ("-g2", "-g4")), (("-g4",), ("-g1", "-g4")),
-        (("-g2",), ("-g2", "-g4")), (("-g2",), ("-g2", "l2")), (("-g2",), ("-g1", "-g2")),
-        (("-g1",), ("-g1", "-g2")), (("-g1",), ("-g1", "-g4")),
-        (("-g4", "l4"), ("-g2", "-g4", "l4")),
-        (("-g2", "-g4"), ("-g2", "-g4", "l4")),
-        (("-g2", "-g4"), ("-g2", "-g4", "l2")),
-        (("-g2", "-g4"), ("-g1", "-g2", "-g4")),
-        (("-g2", "l2"), ("-g2", "-g4", "l2")),
-        (("-g2", "l2"), ("-g1", "-g2", "l2")),
-        (("-g1", "-g2"), ("-g1", "-g2", "l2")),
-        (("-g1", "-g2"), ("-g1", "-g2", "-g4")),
-        (("-g1", "-g4"), ("-g1", "-g2", "-g4")),
-        (("-g2", "-g4", "l4"), ("-g2", "-g4", "l2", "l4")),
-        (("-g2", "-g4", "l2"), ("-g2", "-g4", "l2", "l4")),
-        (("-g2", "-g4", "l2"), ("-g1", "-g2", "-g4", "l2")),
-        (("-g1", "-g2", "l2"), ("-g1", "-g2", "-g4", "l2")),
-        (("-g1", "-g2", "-g4"), ("-g1", "-g2", "-g4", "l2")),
-    ],
-    "B3": [
-        ((), ("-g1",)), ((), ("-g2",)), ((), ("-g3",)),
-        (("-g1",), ("-g1", "-g2")),
-        (("-g2",), ("-g1", "-g2")), (("-g2",), ("-g2", "l2")), (("-g2",), ("-g2", "-g3")),
-        (("-g3",), ("-g2", "-g3")),
-        (("-g1", "-g2"), ("-g1", "-g2", "l2")),
-        (("-g2", "l2"), ("-g1", "-g2", "l2")), (("-g2", "l2"), ("-g2", "-g3", "l2")),
-        (("-g2", "-g3"), ("-g2", "-g3", "l2")),
-    ],
-    "D4": [
-        ((), ("-g1",)), ((), ("-g2",)), ((), ("-g3",)), ((), ("-g4",)),
-        (("-g1",), ("-g1", "-g3")), (("-g1",), ("-g1", "-g4")), (("-g1",), ("-g1", "-g2")),
-        (("-g3",), ("-g1", "-g3")), (("-g3",), ("-g3", "-g4")), (("-g3",), ("-g2", "-g3")),
-        (("-g4",), ("-g1", "-g4")), (("-g4",), ("-g3", "-g4")), (("-g4",), ("-g2", "-g4")),
-        (("-g2",), ("-g1", "-g2")), (("-g2",), ("-g2", "-g3")), (("-g2",), ("-g2", "-g4")),
-        (("-g2",), ("-g2", "l2")),
-        (("-g1", "-g3"), ("-g1", "-g2", "-g3")),
-        (("-g1", "-g4"), ("-g1", "-g2", "-g4")),
-        (("-g3", "-g4"), ("-g2", "-g3", "-g4")),
-        (("-g1", "-g2"), ("-g1", "-g2", "-g3")), (("-g1", "-g2"), ("-g1", "-g2", "-g4")),
-        (("-g1", "-g2"), ("-g1", "-g2", "l2")),
-        (("-g2", "-g3"), ("-g1", "-g2", "-g3")), (("-g2", "-g3"), ("-g2", "-g3", "-g4")),
-        (("-g2", "-g3"), ("-g2", "-g3", "l2")),
-        (("-g2", "-g4"), ("-g1", "-g2", "-g4")), (("-g2", "-g4"), ("-g2", "-g3", "-g4")),
-        (("-g2", "-g4"), ("-g2", "-g4", "l2")),
-        (("-g2", "l2"), ("-g1", "-g2", "l2")), (("-g2", "l2"), ("-g2", "-g3", "l2")),
-        (("-g2", "l2"), ("-g2", "-g4", "l2")),
-        (("-g1", "-g2", "-g3"), ("-g1", "-g2", "-g3", "l2")),
-        (("-g1", "-g2", "-g4"), ("-g1", "-g2", "-g4", "l2")),
-        (("-g2", "-g3", "-g4"), ("-g2", "-g3", "-g4", "l2")),
-        (("-g1", "-g2", "l2"), ("-g1", "-g2", "-g3", "l2")),
-        (("-g1", "-g2", "l2"), ("-g1", "-g2", "-g4", "l2")),
-        (("-g2", "-g3", "l2"), ("-g1", "-g2", "-g3", "l2")),
-        (("-g2", "-g3", "l2"), ("-g2", "-g3", "-g4", "l2")),
-        (("-g2", "-g4", "l2"), ("-g1", "-g2", "-g4", "l2")),
-        (("-g2", "-g4", "l2"), ("-g2", "-g3", "-g4", "l2")),
-    ],
-    "EF": [
-        ((), ("-g1",)), ((), ("-g4",)),
-        (("-g1",), ("-g1", "l1")), (("-g1",), ("-g1", "-g4")),
-        (("-g4",), ("-g1", "-g4")), (("-g4",), ("-g4", "l4")),
-        (("-g1", "l1"), ("-g1", "-g4", "l1")),
-        (("-g1", "-g4"), ("-g1", "-g4", "l1")), (("-g1", "-g4"), ("-g1", "-g4", "l4")),
-        (("-g4", "l4"), ("-g1", "-g4", "l4")),
-        (("-g1", "-g4", "l1"), ("-g1", "-g4", "l1", "l4")),
-        (("-g1", "-g4", "l4"), ("-g1", "-g4", "l1", "l4")),
-    ],
-    "G2": [((), ("-g2",)), (("-g2",), ("-g2", "l2"))],
-}
-
 
 # ---------------------------------------------------------------------------
 # smoothness-criterion reference bases and dual bases for the Hilbert cones

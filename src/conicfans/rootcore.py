@@ -404,29 +404,24 @@ class RootDatum(Record):
     def is_root(self, v) -> bool:
         return tuple(v) in self.root_table.index
 
-    @cached_property
-    def _scaled_killing(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(K, D) of `_scaled_killing_of`, kept in the root table."""
-        return self.root_table.killing
-
     def killing_int(self, a, b):
         """D <a, b> for the datum's fixed D > 0; an integer on the root lattice.
 
         Ratios and signs of Killing pairings read off it exactly.
         """
-        k = self._scaled_killing[0]
+        k = self.root_table.killing[0]
         return sum(x * sum(map(mul, row, b)) for x, row in zip(a, k) if x)
 
     def killing_pair(self, a, b) -> Q:
         """The Killing form <a, b> of two vectors in simple-root coordinates."""
         total = self.killing_int(a, b)
-        d = self._scaled_killing[1]
+        d = self.root_table.killing[1]
         return Q(total, d) if isinstance(total, int) else total / d
 
     @cached_property
     def killing(self) -> tuple[tuple[Q, ...], ...]:
         """Killing pairings of the simple roots."""
-        k, d = self._scaled_killing
+        k, d = self.root_table.killing
         return tuple(tuple(Q(x, d) for x in row) for row in k)
 
     @cached_property
@@ -487,7 +482,7 @@ def _validate_datum(rd: RootDatum, series: str, rank: int) -> None:
     if rd.components != ((series, rank),) and not (
             series == "C" and rd.components == (("C", rank),)):
         raise StructureError(f"classification mismatch for {series}{rank}: {rd.components}")
-    k = rd._scaled_killing[0]
+    k = rd.root_table.killing[0]
     for i in range(rank):
         for j in range(rank):
             if 2 * k[i][j] != rd.cartan[i][j] * k[j][j]:

@@ -12,7 +12,7 @@ import os
 from fractions import Fraction as Q
 from pathlib import Path
 
-from . import chevalley, conicatlas, fixtures, lunavust, symdata
+from . import chevalley, conicatlas, fixtures, linalg, lunavust, symdata
 from .linalg import identity, primitive
 from .rootcore import (Record, StructureError, build_root_datum,
                        duality_involution, highest_root, longest_element,
@@ -92,9 +92,6 @@ def golden_payload(max_rank: int = 8) -> dict[str, dict]:
             "lambda": {str(i): list(ws) for i, ws in
                        sorted(fixtures.expected_lambda_reps(series, rank).items())},
         }
-        csyms, ccols = fixtures.CHOW_CONES[kind]
-        chow[label] = {"rays": _sym_rays_numeric(rtype, csyms),
-                       "colors": sorted(ccols)}
         hilb[label] = sorted(
             ({"rays": _sym_rays_numeric(rtype, syms), "colors": sorted(c)}
              for syms, c in fixtures.HILB_CONES[kind]),
@@ -105,38 +102,44 @@ def golden_payload(max_rank: int = 8) -> dict[str, dict]:
             {"color": row["color"], "type": row["type"], "a": row["a"],
              "spherical": [row["spherical"].get(k, 0) for k in range(1, rank + 1)]}
             for row in fixtures.expected_colors(series, rank)]
-        faces[label] = {
-            scheme: {str(d): sorted(_sym_rays_numeric(rtype, syms)
-                                    for syms in lst)
-                     for d, lst in table[kind].items()}
-            for scheme, table in (("chow", fixtures.CHOW_FACES),
-                                  ("hilb", fixtures.HILB_FACES))}
-        hasse[label] = _golden_hasse(kind, rtype)
-        counts[label] = dict(fixtures.ORBIT_COUNTS[kind])
+        chow[label], faces[label], counts[label], hasse[label] = _golden_orbits(kind, rtype)
     return {"satake": satake, "gamma": gamma, "chow_cones": chow,
             "hilb_cones": hilb, "planes": planes, "cosets": cosets,
             "colors": colors, "faces": faces, "hasse": hasse,
             "orbitcounts": counts}
 
 
-def _golden_hasse(kind: str, rtype: str) -> dict:
-    out = {}
+def _golden_orbits(kind: str, rtype: str) -> tuple[dict, dict, dict, dict]:
+    """The Chow cone, face lists, orbit counts and Hasse diagrams of one kind.
+
+    All four are read off the keys of `fixtures.ORBIT_LABELS`: the orbits are
+    the colored cones of the fan and the closure order is the face order, so
+    the keys are the cones, with the l symbols for colors, and inclusion of
+    keys is the face order.  The maximal keys are the closed orbits, and the
+    faces are the other nonzero keys, grouped by the rank of their rays.
+    """
+    faces, counts, hasse = {}, {}, {}
     for scheme in ("chow", "hilb"):
-        labels = fixtures.ORBIT_LABELS[kind][scheme]
-        nodes = sorted(
-            ({"rays": _sym_rays_numeric(rtype, syms), "type": lab}
-             for syms, lab in labels.items()),
-            key=lambda d: (len(d["rays"]), d["rays"], d["type"]))
-        entry = {"nodes": nodes}
+        types = {frozenset(k): t for k, t in fixtures.ORBIT_LABELS[kind][scheme].items()}
+        rays = {k: _sym_rays_numeric(rtype, k) for k in types}
+        keys = sorted(types, key=lambda k: (len(rays[k]), rays[k]))
+        maximal = [k for k in keys if not any(k < o for o in keys)]
+        if scheme == "chow":
+            (top,) = maximal
+            chow = {"rays": rays[top],
+                    "colors": sorted(int(s[1:]) for s in top if s.startswith("l"))}
+        by_dim: dict[str, list] = {}
+        for k in keys:
+            if k and k not in maximal:
+                by_dim.setdefault(str(linalg.rank(rays[k])), []).append(rays[k])
+        faces[scheme] = {d: sorted(v) for d, v in by_dim.items()}
+        counts[scheme] = len(keys)
+        hasse[scheme] = {"nodes": [{"rays": rays[k], "type": types[k]} for k in keys]}
         if scheme == "hilb":
-            index = {tuple(map(tuple, n["rays"])): i for i, n in enumerate(nodes)}
-            edges = sorted(
-                [index[tuple(map(tuple, _sym_rays_numeric(rtype, a)))],
-                 index[tuple(map(tuple, _sym_rays_numeric(rtype, b)))]]
-                for a, b in fixtures.ORBIT_EDGES_HILB[kind])
-            entry["edges"] = edges
-        out[scheme] = entry
-    return out
+            hasse[scheme]["edges"] = [
+                [i, j] for i, a in enumerate(keys) for j, b in enumerate(keys)
+                if a < b and not any(a < c < b for c in keys)]
+    return chow, faces, counts, hasse
 
 
 def write_golden(payload: dict, path: Path) -> None:

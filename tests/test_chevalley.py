@@ -160,11 +160,17 @@ def test_given_constants_fill_the_rows_of_the_build(label):
 
 
 def test_a_special_pair_without_a_root_sum_raises():
-    # alpha_1 + alpha_3 is no root of B3
     sc = sc_of("B", 3)
-    bad = ch.StructureConstants(sc.rd, sc.n_special + ((((1, 0, 0), (0, 0, 1)), 1),))
-    with pytest.raises(rc.StructureError, match=r"special pair .* has no root sum"):
-        bad.tables
+    for pair, message in [
+            # alpha_1 + alpha_3 is no root of B3
+            (((1, 0, 0), (0, 0, 1)),
+             r"B3: special pair \(1, 0, 0\), \(0, 0, 1\) has no root sum"),
+            # 5 alpha_1 is no root at all
+            (((5, 0, 0), (0, 0, 1)),
+             r"B3: special pair \(5, 0, 0\), \(0, 0, 1\): \(5, 0, 0\) is not a root")]:
+        bad = ch.StructureConstants(sc.rd, sc.n_special + ((pair, 1),))
+        with pytest.raises(rc.StructureError, match=f"^{message}$"):
+            bad.tables
 
 
 @pytest.mark.parametrize("series,rank", [("G", 2), ("F", 4), ("E", 6)],

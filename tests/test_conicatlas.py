@@ -76,8 +76,8 @@ def test_solve_colors_contradiction():
 def test_entries_build_and_report(label):
     entry = ca.build_entry(label)
     kind = entry.kind
-    assert len(entry.chow_fan) == fixtures.ORBIT_COUNTS[kind]["chow"]
-    assert len(entry.hilb_fan) == fixtures.ORBIT_COUNTS[kind]["hilb"]
+    assert len(entry.chow_fan) == len(fixtures.ORBIT_LABELS[kind]["chow"])
+    assert len(entry.hilb_fan) == len(fixtures.ORBIT_LABELS[kind]["hilb"])
     for scheme in ("chow", "hilb"):
         rep = ca.orbit_report(entry, scheme)
         assert Counter(rep.types) == Counter(fixtures.ORBIT_LABELS[kind][scheme].values())
@@ -86,16 +86,20 @@ def test_entries_build_and_report(label):
 def test_chow_cone_matches_table():
     entry = ca.build_entry("E7")
     maxc = lv.maximal_cones(entry.chow_fan, entry.rrd)[0]
-    syms, cols = fixtures.CHOW_CONES["EF"]
-    expected = ca.resolve_cone(entry.rrd, syms, cols)
+    expected = ca.resolve_cone(entry.rrd, ("-g1", "-g4", "l1", "l2", "l4"), (1, 2, 4))
     assert maxc.key() == expected.key()
     assert maxc.colors == frozenset({1, 2, 4})
 
 
 def test_reducible_divisor_ray():
-    for label, sym in [("B5", "-g2"), ("E6", "-g4"), ("G2", "-g2")]:
+    # the contact node of the restricted system: 4 on F4, 2 on B3, B4, D4, G2
+    labels = [*fixtures.supported_labels(8), "B9", "B10", "B11", "B12",
+              "D9", "D10", "D11", "D12"]
+    for label in labels:
         entry = ca.build_entry(label)
-        assert ca.reducible_divisor_ray(entry) == ca.resolve_ray(entry.rrd, sym)
+        r = 4 if label in ("E6", "E7", "E8", "F4") else 2
+        assert ca.reducible_node(entry.rrd) == r, label
+        assert ca.reducible_divisor_ray(entry) == ca.resolve_ray(entry.rrd, f"-g{r}"), label
 
 
 def test_double_coset_table():
@@ -207,7 +211,7 @@ def test_orbit_layer_errors_name_the_label_once(monkeypatch):
 
 def test_a_failing_orbit_report_keeps_its_hasse_line(monkeypatch):
     # every label keeps its check lines when the orbit layer fails
-    monkeypatch.setattr(fixtures, "REDUCIBLE_RAY", dict(fixtures.REDUCIBLE_RAY, BD="-g1"))
+    _move_the_reducible_ray(monkeypatch)
     golden = verify.load_golden()
     results = [r for label in fixtures.supported_labels(8)
                for r in verify.atlas_checks(label, golden)]
@@ -231,7 +235,10 @@ def _drop_a_planar_generator(monkeypatch):
 
 
 def _move_the_reducible_ray(monkeypatch):
-    monkeypatch.setattr(fixtures, "REDUCIBLE_RAY", dict(fixtures.REDUCIBLE_RAY, BD="-g1"))
+    # the BD kind, whose restricted system is B4, gets -g1 and l1 for -g2 and l2
+    real = ca.reducible_node
+    monkeypatch.setattr(ca, "reducible_node",
+                        lambda rrd: 1 if rrd.restricted.label == "B4" else real(rrd))
 
 
 def _turn_off_the_dl_branch(monkeypatch):
@@ -264,3 +271,16 @@ def test_covers_are_the_transitive_reduction(label):
         dag = nx.DiGraph(poset.less)
         dag.add_nodes_from(range(len(poset.nodes)))
         assert sorted(nx.transitive_reduction(dag).edges) == list(poset.covers)
+
+
+def test_the_orbit_keys_are_the_one_source_of_the_orbit_golden_files(monkeypatch):
+    base = verify.golden_payload(3)
+    hilb = fixtures.ORBIT_LABELS["B3"]["hilb"]
+    monkeypatch.setitem(fixtures.ORBIT_LABELS["B3"], "hilb",
+                        {k: t for k, t in hilb.items() if k != ("-g2", "l2")})
+    cut = verify.golden_payload(3)
+    changed = {name for name in verify.GOLDEN_FILES if cut[name] != base[name]}
+    assert changed == {"faces", "orbitcounts", "hasse"}
+    assert cut["orbitcounts"]["B3"]["hilb"] == 8
+    assert [label for label in base["hasse"]
+            if cut["hasse"][label] != base["hasse"][label]] == ["B3"]

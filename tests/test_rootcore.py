@@ -290,8 +290,8 @@ def test_scaled_killing_is_the_reduced_rational_killing_matrix():
                         for a in range(n) for b in range(n)) for j in range(n)]
                    for i in range(n)]
         d = lcm(*(x.denominator for row in killing for x in row))
-        assert rd._scaled_killing == (tuple(tuple(int(x * d) for x in row)
-                                            for row in killing), d), label
+        assert rd.root_table.killing == (tuple(tuple(int(x * d) for x in row)
+                                               for row in killing), d), label
 
 
 @pytest.mark.parametrize("label", [*supported_labels(8), "B12", "D12"])
@@ -300,7 +300,8 @@ def test_root_table_rows_are_the_pairings_and_norms(label):
     rd = rc.build_root_datum(label[0], int(label[1:]))
     tab = rd.root_table
     assert tab.roots == rd.roots == tuple(sorted(tab.roots))
-    assert tab.killing == rd._scaled_killing
+    # the Killing matrix, recomputed from the rows of the negative roots
+    assert tab.killing == rc._scaled_killing_of(rd.cartan, tab.pairing[:len(tab.roots) // 2])
     for i, g in enumerate(tab.roots):
         assert tab.index[g] == i
         assert tab.roots[tab.neg[i]] == tuple(-x for x in g)
