@@ -2,11 +2,11 @@
 planes, colored fans of the two conic compactifications, orbit posets with
 conic-type labels, and double-coset counts.
 
-Only the rays of the Hilbert cones (`fixtures.HILB_CONES`) enter as data.
-The Chow cone, the colors of every cone, the reducible ray, the planar
-generators and the conic type of every orbit are derived, and the result is
-validated against fan axioms, completeness, face lists and the orbit-type
-invariants of `_check_labels`.
+Only the rays of the Hilbert cones (`fixtures.HILB_CONES`, keyed by the
+restricted type) enter as data.  The Chow cone, the colors of every cone,
+the reducible ray, the planar generators and the conic type of every orbit
+are derived, and the result is validated against fan axioms, completeness,
+face lists and the orbit-type invariants of `_check_labels`.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class ConicAtlasEntry(Record):
     label: str
     series: str
     rank: int
-    kind: str
     ad: AdjointData
     planes: tuple[BStablePlane, ...]
     rrd: RestrictedRootDatum
@@ -150,7 +149,6 @@ def build_entry(label: str) -> ConicAtlasEntry:
 def _build_entry(label: str) -> ConicAtlasEntry:
     series, rank = parse_label(label)
     series, rank = supported_pair(series, rank)
-    kind = fixtures.family_kind(series, rank)
     ad = adjoint_data(series, rank)
     rrd = restricted_datum(satake_of(series, rank))
     theta = duality_involution(ad.g)
@@ -168,9 +166,12 @@ def _build_entry(label: str) -> ConicAtlasEntry:
 
     planes = b_stable_planes(ad)
     targets = _closed_orbit_targets(ad, planes)
-    hilb_specs = fixtures.HILB_CONES[kind]
+    rtype = rrd.restricted.label
+    hilb_specs = fixtures.HILB_CONES.get(rtype, ())
     if len(hilb_specs) != len(targets):
-        raise StructureError("one maximal cone per distinguished plane expected")
+        raise StructureError(f"{len(hilb_specs)} Hilbert cones tabulated for the "
+                             f"restricted type {rtype}, one per distinguished plane "
+                             "expected")
     hilb_cones = []
     for (symbols, _), target in zip(hilb_specs, targets):
         f = solve_colors(rrd, stab_lists, ParabolicSubset(target), theta)
@@ -185,7 +186,7 @@ def _build_entry(label: str) -> ConicAtlasEntry:
         raise StructureError(f"fan axioms fail: {fan_check.diagnostics}")
 
     count = double_coset_count(ad.pss, ad.q_crossed)
-    return ConicAtlasEntry(label, series, rank, kind, ad, planes, rrd, chow_fan,
+    return ConicAtlasEntry(label, series, rank, ad, planes, rrd, chow_fan,
                            tuple(hilb_cones), hilb_fan, count)
 
 

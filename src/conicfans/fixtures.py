@@ -2,16 +2,17 @@
 
 Rays are written symbolically: "-gj" is the negated j-th dual basis vector of
 the restricted system (a generator of the valuation cone), "lj" the j-th
-restricted simple coroot.  Families sharing one combinatorial shape are keyed
-by kind: BD (B_r with r >= 4 and D_r with r >= 5), B3, D4, EF (E6, E7, E8,
-F4), G2.
+restricted simple coroot.  The fan tables are keyed by the restricted type,
+which the families of one combinatorial shape share: B3, B4 (B_r with r >= 4
+and D_r with r >= 5), D4, F4 (E6, E7, E8, F4), G2; `family_kind` names it.
 
-`conicatlas` reads two names as input: `family_kind` and the rays of
-`HILB_CONES`.  The other tables, the colors of `HILB_CONES` and
-`ORBIT_LABELS` included, are references: the golden files are written from
-them, and the checks compare the derived data with those.  `ORBIT_LABELS` is
-the one transcription of the published orbit diagrams; the golden Chow cone,
-face lists, orbit counts and Hasse edges are read off its keys.
+`conicatlas` reads one name as input: the rays of `HILB_CONES`, at the
+restricted type it derives.  The other tables, the colors of `HILB_CONES`
+and `ORBIT_LABELS` included, are references: the golden files are written
+from them, and the checks compare the derived data with those.
+`ORBIT_LABELS` is the one transcription of the published orbit diagrams;
+the golden Chow cone, face lists, orbit counts and Hasse edges are read off
+its keys.
 """
 
 from __future__ import annotations
@@ -31,16 +32,6 @@ def supported_labels(max_rank: int = 8) -> list[str]:
     return out
 
 
-def family_kind(series: str, rank: int) -> str:
-    if series == "B":
-        return "B3" if rank == 3 else "BD"
-    if series == "D":
-        return "D4" if rank == 4 else "BD"
-    if series == "G":
-        return "G2"
-    return "EF"
-
-
 def family_key(series: str, rank: int) -> str:
     """Row key for the per-family tables (collapses the stable high ranks)."""
     if series == "B":
@@ -54,8 +45,8 @@ FAMILY_KEYS = ("Br", "B3", "Dr", "D5", "D4", "E6", "E7", "E8", "F4", "G2")
 
 
 # ---------------------------------------------------------------------------
-# restriction data (also hard-coded in symdata; repeated here as the
-# comparison copy that the golden files pin down)
+# restriction data: the published Satake diagrams and restricted systems, the
+# reference that `symdata` derives the restricted data to match
 
 SATAKE_EXPECTED = {
     "Br": {"black": "5..r", "arrows": [], "restricted": "B4",
@@ -79,6 +70,11 @@ SATAKE_EXPECTED = {
     "G2": {"black": "", "arrows": [], "restricted": "G2",
            "gsigma": lambda r: [("A", 1)] * 2},
 }
+
+
+def family_kind(series: str, rank: int) -> str:
+    """The restricted type of a label, the key of the fan tables."""
+    return SATAKE_EXPECTED[family_key(series, rank)]["restricted"]
 
 
 def expected_black(series: str, rank: int) -> frozenset[int]:
@@ -185,14 +181,14 @@ def expected_theta_twisted(series: str, rank: int) -> list[frozenset[int]]:
 # colored-cone tables
 
 HILB_CONES = {
-    "BD": [(("-g2", "-g4", "l2", "l4"), (2, 4)),
+    "B4": [(("-g2", "-g4", "l2", "l4"), (2, 4)),
            (("-g1", "-g2", "-g4", "l2"), (2,))],
     "B3": [(("-g1", "-g2", "l2"), (2,)),
            (("-g2", "-g3", "l2"), (2,))],
     "D4": [(("-g2", "-g3", "-g4", "l2"), (2,)),
            (("-g1", "-g2", "-g4", "l2"), (2,)),
            (("-g1", "-g2", "-g3", "l2"), (2,))],
-    "EF": [(("-g1", "-g4", "l1", "l4"), (1, 4))],
+    "F4": [(("-g1", "-g4", "l1", "l4"), (1, 4))],
     "G2": [(("-g2", "l2"), (2,))],
 }
 
@@ -205,7 +201,7 @@ HILB_CONES = {
 # files; the pipeline derives the types
 
 ORBIT_LABELS = {
-    "BD": {
+    "B4": {
         "hilb": {
             (): "Twistor",
             ("-g1",): "NPC", ("-g4",): "NPC", ("-g2",): "NPR",
@@ -262,7 +258,7 @@ ORBIT_LABELS = {
             ("-g1", "-g2", "-g3", "-g4", "l2"): "DL",
         },
     },
-    "EF": {
+    "F4": {
         "hilb": {
             (): "Twistor",
             ("-g1",): "NPC", ("-g4",): "NPR",
@@ -293,7 +289,7 @@ def _qv(*xs):
 
 
 RUZZI_FIXTURES = {
-    "BD": [
+    "B4": [
         {"cone": ("-g2", "-g4", "l2", "l4"), "colors": (2, 4),
          "basis": [_qv("-1/2", -1, -1, "-1/2"), _qv("-1/2", -1, "-3/2", -1),
                    _qv(0, "1/2", 0, 0), _qv(0, 0, 0, "1/2")],
@@ -346,7 +342,7 @@ RUZZI_FIXTURES = {
              {"factor": (), "duals": [_qv(-2, 0, 0, 2), _qv(0, 0, -2, 2)]},
          ]},
     ],
-    "EF": [
+    "F4": [
         {"cone": ("-g1", "-g4", "l1", "l4"), "colors": (1, 4),
          "basis": [_qv(-1, "-3/2", -2, -1), _qv("-1/2", -1, "-3/2", -1),
                    _qv("1/2", 0, 0, 0), _qv(0, 0, 0, "1/2")],

@@ -5,9 +5,10 @@ The ten supported families are the symmetric spaces attached to the simple
 algebras outside types A and C: B_r (r >= 3), D_r (r >= 4), E6, E7, E8, F4,
 G2.  The involution acts on characters as minus the longest element of the
 black sub-diagram composed with a diagram permutation (the arrow matching on
-white nodes, the sub-diagram duality on black nodes); everything derived from
-it is verified against the hard-coded restriction tables at construction
-time.
+white nodes, the sub-diagram duality on black nodes).  The restricted root
+system, its numbering and the colors are read off that involution
+(`restricted_datum`); only the black nodes and arrows of `satake_of` are
+tabulated.  Every StructureError raised here starts with the algebra label.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import permutations
 
 from .linalg import identity, int_inverse
 from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
@@ -54,10 +56,14 @@ class SatakeDiagram(Record):
     def __post_init__(self):
         ends = {i for pair in self.arrows for i in pair}
         if ends & self.black:
-            raise StructureError("arrow endpoints must be white")
+            raise StructureError(f"{self.label}: arrow endpoints must be white")
         for i, j in self.arrows:
             if i == j:
-                raise StructureError("arrows join distinct nodes")
+                raise StructureError(f"{self.label}: arrows join distinct nodes")
+
+    @property
+    def label(self) -> str:
+        return f"{self.series}{self.rank}"
 
     @property
     def white(self) -> tuple[int, ...]:
@@ -127,11 +133,12 @@ def _check_involution(sd: SatakeDiagram, mat) -> None:
     sq = [[sum(mat[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
           for i in range(n)]
     if any(sq[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
-        raise StructureError("character involution fails to square to one")
+        raise StructureError(f"{sd.label}: character involution fails to square to one")
     for b in sd.black:
         col = tuple(mat[i][b - 1] for i in range(n))
         if col != tuple(1 if i == b - 1 else 0 for i in range(n)):
-            raise StructureError("character involution moves a black simple root")
+            raise StructureError(
+                f"{sd.label}: character involution moves a black simple root")
 
 
 def sigma_on_characters(sd: SatakeDiagram, v):
@@ -140,39 +147,19 @@ def sigma_on_characters(sd: SatakeDiagram, v):
     return tuple(sum(mat[i][j] * v[j] for j in range(n) if v[j]) for i in range(n))
 
 
-_RESTRICTED_TYPE = {"B": lambda r: ("B", 3) if r == 3 else ("B", 4),
-                    "D": lambda r: ("D", 4) if r == 4 else ("B", 4),
-                    "E": lambda r: ("F", 4),
-                    "F": lambda r: ("F", 4),
-                    "G": lambda r: ("G", 2)}
-
-
-def _restriction_reps(series: str, rank: int) -> dict[int, tuple[int, ...]]:
-    """White representatives of each restricted simple root, by table."""
-    if (series, rank) == ("D", 5):
-        return {1: (1,), 2: (2,), 3: (3,), 4: (4, 5)}
-    if (series, rank) == ("E", 6):
-        return {1: (1, 5), 2: (2, 4), 3: (3,), 4: (6,)}
-    if (series, rank) == ("E", 7):
-        return {1: (2,), 2: (4,), 3: (5,), 4: (6,)}
-    if (series, rank) == ("E", 8):
-        return {1: (7,), 2: (3,), 3: (2,), 4: (1,)}
-    m = _RESTRICTED_TYPE[series](rank)[1]
-    return {i: (i,) for i in range(1, m + 1)}
-
-
 class RestrictedRootDatum(Record):
     satake: SatakeDiagram
     restricted: RootDatum
-    restriction_map: tuple[tuple[int, int], ...]  # (white node, lambda index)
-    gamma: tuple[tuple[Q, ...], ...]              # dual basis, coroot coords
+    groups: tuple[tuple[int, ...], ...]       # white nodes restricting to lambda_i, at i - 1
+    characters: tuple[tuple[int, ...], ...]   # 2 lambda_i = w - sigma(w) for w in group i
+    gamma: tuple[tuple[Q, ...], ...]          # dual basis, coroot coords
 
     @property
     def base(self) -> RootDatum:
         return self.satake.base
 
     def reps_of(self, i: int) -> tuple[int, ...]:
-        return tuple(w for w, l in self.restriction_map if l == i)
+        return self.groups[i - 1]
 
     @property
     def space_label(self) -> str:
@@ -181,58 +168,69 @@ class RestrictedRootDatum(Record):
 
 @lru_cache(maxsize=None)
 def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
-    series, rank = sd.series, sd.rank
-    rtype = _RESTRICTED_TYPE[series](rank)
-    restricted = build_root_datum(*rtype)
-    reps = _restriction_reps(series, rank)
-    rmap = tuple(sorted((w, i) for i, ws in reps.items() for w in ws))
+    """The restricted root system, read off the involution (Araki, 1962).
 
-    base = sd.base
-    # twice the restricted characters, unit - sigma(unit): integral, and every
-    # check below is invariant under that scale
-    bar = {}
-    for w in sd.white:
-        unit = tuple(1 if k == w - 1 else 0 for k in range(base.rank))
-        img = sigma_on_characters(sd, unit)
-        bar[w] = tuple(a - b for a, b in zip(unit, img))
-    covered = {w for ws in reps.values() for w in ws}
-    if covered != set(sd.white):
-        raise StructureError("restriction table does not cover the white nodes")
-    lam2 = {}
-    for i, ws in reps.items():
-        vecs = {bar[w] for w in ws}
-        if len(vecs) != 1:
-            raise StructureError(
-                f"white nodes {ws} restrict to different characters")
-        lam2[i] = next(iter(vecs))
-    m = restricted.rank
-    if len({lam2[i] for i in lam2}) != m:
-        raise StructureError("restricted simple roots are not distinct")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            num = 2 * base.killing_int(lam2[i], lam2[j])
-            den = base.killing_int(lam2[j], lam2[j])
-            if num != restricted.cartan[i - 1][j - 1] * den:
+    The white nodes w of one character w - sigma w, twice the restricted
+    character, represent one restricted simple root.  The Killing pairings
+    of those characters give the restricted Cartan matrix, whose type is
+    classified.  With the groups ordered by least node, they are numbered by
+    the first permutation that gives the standard Cartan matrix of that type;
+    only D4 has several, and on the split D4 the first is the identity, so no
+    triality choice arises.  `_check_projected_roots` is the independent
+    check: the projections of all roots must form the restricted system.
+    """
+    label, base = sd.label, sd.base
+    e = identity(base.rank)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for w in sd.white:   # ascending, so each group is keyed at its least node
+        img = sigma_on_characters(sd, e[w - 1])
+        groups.setdefault(tuple(a - b for a, b in zip(e[w - 1], img)), []).append(w)
+    chars = list(groups)
+    cartan = []
+    for ci in chars:
+        row = []
+        for cj in chars:
+            val, rem = divmod(2 * base.killing_int(ci, cj), base.killing_int(cj, cj))
+            if rem:
                 raise StructureError(
-                    f"restricted Cartan mismatch at ({i},{j}): got {num}/{den}")
+                    f"{label}: the restricted Cartan entry of the white nodes "
+                    f"{groups[ci][0]} and {groups[cj][0]} is not an integer")
+            row.append(val)
+        cartan.append(tuple(row))
+    try:
+        types = RootDatum(tuple(cartan)).components
+    except StructureError as exc:
+        raise StructureError(f"{label}: restricted Cartan matrix {cartan}: {exc}") from exc
+    if len(types) != 1:
+        raise StructureError(f"{label}: restricted root system is reducible: {types}")
+    restricted = build_root_datum(*types[0])
+    m = restricted.rank
+    order = next((p for p in permutations(range(m))
+                  if all(cartan[p[i]][p[j]] == restricted.cartan[i][j]
+                         for i in range(m) for j in range(m))), None)
+    if order is None:
+        raise StructureError(f"{label}: no numbering of the restricted simple roots "
+                             f"gives the Cartan matrix of {restricted.label}")
+    lam2 = tuple(chars[k] for k in order)
     _check_projected_roots(sd, restricted, lam2)
 
     # gamma_j is column j of A^-1 = adj(A) / det A
     d, adj = int_inverse(restricted.cartan)
     gamma = tuple(tuple(Q(adj[i][j], d) for i in range(m)) for j in range(m))
-    return RestrictedRootDatum(sd, restricted, rmap, gamma)
+    return RestrictedRootDatum(sd, restricted, tuple(tuple(groups[c]) for c in lam2),
+                               lam2, gamma)
 
 
 def _check_projected_roots(sd, restricted, lam2) -> None:
     """Nonzero projections of all roots must form the restricted system.
 
-    A root g projects to (g - sigma g) / 2 and lam2[i] is 2 lambda_i, so the
-    coefficients of g - sigma g on the lam2 are the projection's coefficients
-    on the lambda_i, and the whole test runs on integers.
+    A root g projects to (g - sigma g) / 2 and lam2[i - 1] is 2 lambda_i, so
+    the coefficients of g - sigma g on the lam2 are the projection's
+    coefficients on the lambda_i, and the whole test runs on integers.
     """
     base = sd.base
     m = restricted.rank
-    lam_cols = [[lam2[i + 1][k] for i in range(m)] for k in range(base.rank)]
+    lam_cols = list(zip(*lam2))
     # one factorization serves every root: x = adj(G) . rhs / det(G), then verify
     gram = [[sum(lam_cols[k][i] * lam_cols[k][j] for k in range(base.rank))
              for j in range(m)] for i in range(m)]
@@ -247,14 +245,17 @@ def _check_projected_roots(sd, restricted, lam2) -> None:
                for i in range(m)]
         nums = [sum(adj[i][j] * rhs[j] for j in range(m)) for i in range(m)]
         if any(x % d for x in nums):
-            raise StructureError("a projected root leaves the restricted lattice")
+            raise StructureError(
+                f"{sd.label}: a projected root leaves the restricted lattice")
         coeffs = [x // d for x in nums]
         for k in range(base.rank):
             if sum(lam_cols[k][i] * coeffs[i] for i in range(m)) != twice_proj[k]:
-                raise StructureError("a projected root leaves the restricted span")
+                raise StructureError(
+                    f"{sd.label}: a projected root leaves the restricted span")
         seen.add(tuple(coeffs))
     if seen != set(restricted.roots):
-        raise StructureError("projected roots do not form the restricted system")
+        raise StructureError(
+            f"{sd.label}: projected roots do not form the restricted system")
 
 
 class ColorInfo(Record):
@@ -267,24 +268,19 @@ class ColorInfo(Record):
 
 @lru_cache(maxsize=None)
 def color_table(rrd: RestrictedRootDatum) -> tuple[ColorInfo, ...]:
+    """The colors, one per restricted simple root lambda_i.
+
+    The spherical root of color i is 2 lambda_i, the character that its
+    representatives share by construction of `restricted_datum`.
+    """
     sd = rrd.satake
     base = sd.base
-    e = identity(base.rank)
     out = []
     white = set(sd.white)
     rpos = [g for g in base.positive_roots
             if any((k + 1) in white and g[k] != 0 for k in range(base.rank))]
-    for i in range(1, rrd.restricted.rank + 1):
+    for i, sph in enumerate(rrd.characters, start=1):
         reps = rrd.reps_of(i)
-        sph = None
-        for w in reps:
-            img = sigma_on_characters(sd, e[w - 1])
-            cand = tuple(a - b for a, b in zip(e[w - 1], img))
-            if sph is None:
-                sph = cand
-            elif sph != cand:
-                raise StructureError(
-                    f"spherical root for color {i} depends on the representative")
         ctype = "b"
         for w in reps:
             unit = tuple(1 if k == w - 1 else 0 for k in range(base.rank))
@@ -299,11 +295,12 @@ def color_table(rrd: RestrictedRootDatum) -> tuple[ColorInfo, ...]:
             for w in reps:
                 vals.add(sum(base.pairing(g, w) for g in rpos))
             if len(vals) != 1:
-                raise StructureError(
-                    f"anticanonical coefficient for color {i} depends on the representative")
+                raise StructureError(f"{sd.label}: anticanonical coefficient for "
+                                     f"color {i} depends on the representative")
             a_coeff = vals.pop()
             if a_coeff <= 0:
-                raise StructureError("anticanonical coefficient is not positive")
+                raise StructureError(
+                    f"{sd.label}: anticanonical coefficient is not positive")
         out.append(ColorInfo(i, ParabolicSubset(frozenset(reps)), ctype, a_coeff, sph))
     return tuple(out)
 

@@ -81,8 +81,7 @@ def golden_payload(max_rank: int = 8) -> dict[str, dict]:
     for label in labels:
         series, rank = conicatlas.parse_label(label)
         key = fixtures.family_key(series, rank)
-        kind = fixtures.family_kind(series, rank)
-        rtype = fixtures.SATAKE_EXPECTED[key]["restricted"]
+        rtype = fixtures.family_kind(series, rank)
         satake[label] = {
             "black": sorted(fixtures.expected_black(series, rank)),
             "arrows": [list(p) for p in fixtures.SATAKE_EXPECTED[key]["arrows"]],
@@ -94,7 +93,7 @@ def golden_payload(max_rank: int = 8) -> dict[str, dict]:
         }
         hilb[label] = sorted(
             ({"rays": _sym_rays_numeric(rtype, syms), "colors": sorted(c)}
-             for syms, c in fixtures.HILB_CONES[kind]),
+             for syms, c in fixtures.HILB_CONES[rtype]),
             key=lambda d: (d["rays"], d["colors"]))
         planes[label] = fixtures.expected_planes(series, rank)
         cosets[label] = fixtures.expected_double_cosets(series, rank)
@@ -102,15 +101,16 @@ def golden_payload(max_rank: int = 8) -> dict[str, dict]:
             {"color": row["color"], "type": row["type"], "a": row["a"],
              "spherical": [row["spherical"].get(k, 0) for k in range(1, rank + 1)]}
             for row in fixtures.expected_colors(series, rank)]
-        chow[label], faces[label], counts[label], hasse[label] = _golden_orbits(kind, rtype)
+        chow[label], faces[label], counts[label], hasse[label] = _golden_orbits(rtype)
     return {"satake": satake, "gamma": gamma, "chow_cones": chow,
             "hilb_cones": hilb, "planes": planes, "cosets": cosets,
             "colors": colors, "faces": faces, "hasse": hasse,
             "orbitcounts": counts}
 
 
-def _golden_orbits(kind: str, rtype: str) -> tuple[dict, dict, dict, dict]:
-    """The Chow cone, face lists, orbit counts and Hasse diagrams of one kind.
+def _golden_orbits(rtype: str) -> tuple[dict, dict, dict, dict]:
+    """The Chow cone, face lists, orbit counts and Hasse diagrams of one
+    restricted type.
 
     All four are read off the keys of `fixtures.ORBIT_LABELS`: the orbits are
     the colored cones of the fan and the closure order is the face order, so
@@ -120,7 +120,7 @@ def _golden_orbits(kind: str, rtype: str) -> tuple[dict, dict, dict, dict]:
     """
     faces, counts, hasse = {}, {}, {}
     for scheme in ("chow", "hilb"):
-        types = {frozenset(k): t for k, t in fixtures.ORBIT_LABELS[kind][scheme].items()}
+        types = {frozenset(k): t for k, t in fixtures.ORBIT_LABELS[rtype][scheme].items()}
         rays = {k: _sym_rays_numeric(rtype, k) for k in types}
         keys = sorted(types, key=lambda k: (len(rays[k]), rays[k]))
         maximal = [k for k in keys if not any(k < o for o in keys)]
@@ -185,52 +185,53 @@ def rootcore_checks(label: str) -> list[CheckResult]:
     return out
 
 
+_SYMDATA_CHECKS = ("satake-black", "satake-arrows", "restricted-type",
+                   "fixed-subalgebra", "restriction-map", "gamma-duality",
+                   "gamma-closed-form", "sigma-involution", "color-table")
+
+
 def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
+    """The `_SYMDATA_CHECKS` of one label, in that order.  A StructureError
+    fails every check it leaves undecided, with its text as the detail."""
     series, rank = conicatlas.parse_label(label)
-    sd = symdata.satake_of(series, rank)
-    rrd = symdata.restricted_datum(sd)
     gold = golden["satake"][label]
-    out = []
-    out.append(_res(sorted(sd.black) == gold["black"],
-                    f"symdata.satake-black.{label}",
-                    f"{sorted(sd.black)} vs {gold['black']}"))
-    out.append(_res([list(p) for p in sd.arrows] == gold["arrows"],
-                    f"symdata.satake-arrows.{label}"))
-    out.append(_res(rrd.restricted.label == gold["restricted"],
-                    f"symdata.restricted-type.{label}",
-                    f"{rrd.restricted.label} vs {gold['restricted']}"))
-    gs = [f"{s}{r}" for s, r in symdata.g_fixed_subalgebra_components(series, rank)]
-    out.append(_res(gs == gold["gsigma"], f"symdata.fixed-subalgebra.{label}",
-                    f"{gs} vs {gold['gsigma']}"))
-    lam = {str(i): list(rrd.reps_of(i))
-           for i in range(1, rrd.restricted.rank + 1)}
-    out.append(_res(lam == gold["lambda"], f"symdata.restriction-map.{label}"))
+    got, error = {}, ""
 
-    m = rrd.restricted.rank
-    a = rrd.restricted.cartan
-    dual_ok = all(
-        sum(a[i][k] * rrd.gamma[j][k] for k in range(m)) == (1 if i == j else 0)
-        for i in range(m) for j in range(m))
-    out.append(_res(dual_ok, f"symdata.gamma-duality.{label}"))
-    gold_gamma = [[Q(x) for x in row] for row in golden["gamma"][gold["restricted"]]]
-    out.append(_res([list(g) for g in rrd.gamma] == gold_gamma,
-                    f"symdata.gamma-closed-form.{label}"))
+    def put(ok, name, detail=""):
+        got[name] = _res(ok, f"symdata.{name}.{label}", detail)
 
-    sig_ok = True
-    e = identity(sd.base.rank)
-    for i in range(sd.base.rank):
-        v = symdata.sigma_on_characters(sd, e[i])
-        if symdata.sigma_on_characters(sd, v) != tuple(e[i]):
-            sig_ok = False
-    out.append(_res(sig_ok, f"symdata.sigma-involution.{label}"))
+    try:
+        gs = [f"{s}{r}" for s, r in symdata.g_fixed_subalgebra_components(series, rank)]
+        put(gs == gold["gsigma"], "fixed-subalgebra", f"{gs} vs {gold['gsigma']}")
+        sd = symdata.satake_of(series, rank)
+        put(sorted(sd.black) == gold["black"], "satake-black",
+            f"{sorted(sd.black)} vs {gold['black']}")
+        put([list(p) for p in sd.arrows] == gold["arrows"], "satake-arrows")
+        sigma = symdata.sigma_on_characters
+        put(all(sigma(sd, sigma(sd, v)) == tuple(v) for v in identity(sd.base.rank)),
+            "sigma-involution")
 
-    cols = symdata.color_table(rrd)
-    gold_cols = golden["colors"][label]
-    got = [{"color": c.index, "type": c.color_type, "a": c.a_coeff,
-            "spherical": list(c.spherical_root)} for c in cols]
-    out.append(_res(got == gold_cols, f"symdata.color-table.{label}",
-                    f"{got} vs {gold_cols}"))
-    return out
+        rrd = symdata.restricted_datum(sd)
+        put(rrd.restricted.label == gold["restricted"], "restricted-type",
+            f"{rrd.restricted.label} vs {gold['restricted']}")
+        lam = {str(i): list(rrd.reps_of(i))
+               for i in range(1, rrd.restricted.rank + 1)}
+        put(lam == gold["lambda"], "restriction-map")
+        m = rrd.restricted.rank
+        a = rrd.restricted.cartan
+        put(all(sum(a[i][k] * rrd.gamma[j][k] for k in range(m)) == (1 if i == j else 0)
+                for i in range(m) for j in range(m)), "gamma-duality")
+        gold_gamma = [[Q(x) for x in row] for row in golden["gamma"][gold["restricted"]]]
+        put([list(g) for g in rrd.gamma] == gold_gamma, "gamma-closed-form")
+
+        colors = [{"color": c.index, "type": c.color_type, "a": c.a_coeff,
+                   "spherical": list(c.spherical_root)} for c in symdata.color_table(rrd)]
+        gold_cols = golden["colors"][label]
+        put(colors == gold_cols, "color-table", f"{colors} vs {gold_cols}")
+    except StructureError as exc:
+        error = str(exc)
+    return [got.get(name) or _res(False, f"symdata.{name}.{label}", error)
+            for name in _SYMDATA_CHECKS]
 
 
 def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
@@ -366,7 +367,7 @@ def _ruzzi_checks(label: str, entry) -> list[CheckResult]:
     out.append(_res(chow_rep.smooth == expected_smooth,
                     f"lunavust.ruzzi-chow.{label}",
                     f"smooth={chow_rep.smooth}, detail={chow_rep.detail}"))
-    for idx, fx in enumerate(fixtures.RUZZI_FIXTURES[entry.kind]):
+    for idx, fx in enumerate(fixtures.RUZZI_FIXTURES[rrd.restricted.label]):
         ok, why = _verify_ruzzi_fixture(rrd, fx)
         out.append(_res(ok, f"lunavust.ruzzi-fixture-{idx}.{label}", why))
     return out

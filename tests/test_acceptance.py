@@ -163,7 +163,7 @@ def test_criterion_08_smoothness():
             ok &= lunavust.ruzzi_smooth(c, rrd).smooth
         chow_max = lunavust.maximal_cones(entry.chow_fan, rrd)[0]
         ok &= lunavust.ruzzi_smooth(chow_max, rrd).smooth == (label == "G2")
-        for fx in fixtures.RUZZI_FIXTURES[entry.kind]:
+        for fx in fixtures.RUZZI_FIXTURES[rrd.restricted.label]:
             good, why = verify._verify_ruzzi_fixture(rrd, fx)
             ok &= good
     _report(8, "smoothness criterion and reference bases", ok)
@@ -187,7 +187,7 @@ def test_criterion_09_isotropy_equations():
         line = fixtures.expected_line_stabilizer(series, rank)
         targets = [line | frozenset(p["stabilizer"])
                    for p in fixtures.expected_planes(series, rank)]
-        for target, (syms, cols) in zip(targets, fixtures.HILB_CONES[entry.kind]):
+        for target, (syms, cols) in zip(targets, fixtures.HILB_CONES[rrd.restricted.label]):
             f = conicatlas.solve_colors(rrd, lists, ParabolicSubset(target), theta)
             ok &= f == frozenset(cols)
     _report(9, "isotropy equations reproduce the color sets", ok)

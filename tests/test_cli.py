@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -185,6 +186,55 @@ def test_rank_beyond_goldens_is_a_named_failure(capsys):
     assert code == 1
     assert "FAIL golden.missing.B9" in out and "FAIL golden.missing.D9" in out
     assert "Traceback" not in out
+
+
+def _drop_the_e6_arrows(monkeypatch):
+    # the split E6: every white node is its own restricted simple root
+    real = symdata.satake_of
+
+    def satake_of(series, rank):
+        sd = real(series, rank)
+        if (series, rank) != ("E", 6):
+            return sd
+        return symdata.SatakeDiagram(sd.base, series, rank, sd.black, ())
+
+    monkeypatch.setattr(symdata, "satake_of", satake_of)
+    monkeypatch.setattr(conicatlas, "satake_of", satake_of)
+    monkeypatch.setattr(conicatlas, "build_entry",
+                        functools.lru_cache(conicatlas.build_entry.__wrapped__))
+
+
+def test_a_wrong_satake_diagram_fails_by_name(capsys, monkeypatch):
+    _drop_the_e6_arrows(monkeypatch)
+    code = cli.main(["verify", "all", "--jobs", "1"])
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert {line.split()[1] for line in failed} == {
+        f"{name}.E6" for name in (
+            "symdata.satake-arrows", "symdata.restricted-type",
+            "symdata.restriction-map", "symdata.gamma-closed-form",
+            "symdata.color-table", "conicatlas.entry-build")}
+    assert ("FAIL conicatlas.entry-build.E6  (E6: 0 Hilbert cones tabulated for the "
+            "restricted type E6, one per distinguished plane expected)") in failed
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_a_symdata_error_fails_the_checks_it_leaves_undecided(monkeypatch):
+    real = symdata.satake_of
+
+    def satake_of(series, rank):   # E7 with one black node of three
+        sd = real(series, rank)
+        return symdata.SatakeDiagram(sd.base, series, rank, frozenset({1}), ())
+
+    monkeypatch.setattr(symdata, "satake_of", satake_of)
+    results = verify.symdata_checks("E7", verify.load_golden())
+    assert [r.name for r in results] == [f"symdata.{n}.E7" for n in verify._SYMDATA_CHECKS]
+    failed = {r.name.split(".")[1]: r.detail for r in results if not r.ok}
+    undecided = {"restricted-type", "restriction-map", "gamma-duality",
+                 "gamma-closed-form", "color-table"}
+    assert set(failed) == undecided | {"satake-black"}
+    assert all(failed[n].startswith("E7: the restricted Cartan entry") for n in undecided)
 
 
 def test_verify_scope_and_determinism(capsys):

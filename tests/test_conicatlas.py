@@ -75,12 +75,12 @@ def test_solve_colors_contradiction():
 @pytest.mark.parametrize("label", fixtures.supported_labels(6))
 def test_entries_build_and_report(label):
     entry = ca.build_entry(label)
-    kind = entry.kind
-    assert len(entry.chow_fan) == len(fixtures.ORBIT_LABELS[kind]["chow"])
-    assert len(entry.hilb_fan) == len(fixtures.ORBIT_LABELS[kind]["hilb"])
+    rtype = entry.rrd.restricted.label
+    assert len(entry.chow_fan) == len(fixtures.ORBIT_LABELS[rtype]["chow"])
+    assert len(entry.hilb_fan) == len(fixtures.ORBIT_LABELS[rtype]["hilb"])
     for scheme in ("chow", "hilb"):
         rep = ca.orbit_report(entry, scheme)
-        assert Counter(rep.types) == Counter(fixtures.ORBIT_LABELS[kind][scheme].values())
+        assert Counter(rep.types) == Counter(fixtures.ORBIT_LABELS[rtype][scheme].values())
 
 
 def test_chow_cone_matches_table():
@@ -221,12 +221,13 @@ def test_a_failing_orbit_report_keeps_its_hasse_line(monkeypatch):
 
 
 def _drop_a_planar_generator(monkeypatch):
-    # the first BD plane leaves the variety, and with it its planar generator
+    # the first plane of restricted type B4 leaves the variety, and with it
+    # its planar generator
     real = ca.b_stable_planes
 
     def flipped(ad):
         first, *rest = real(ad)
-        if fixtures.family_kind(ad.series, ad.rank) == "BD":
+        if fixtures.family_kind(ad.series, ad.rank) == "B4":
             first = ca.BStablePlane(first.beta, first.long, first.stabilizer, not first.in_z)
         return (first, *rest)
 
@@ -235,7 +236,7 @@ def _drop_a_planar_generator(monkeypatch):
 
 
 def _move_the_reducible_ray(monkeypatch):
-    # the BD kind, whose restricted system is B4, gets -g1 and l1 for -g2 and l2
+    # restricted type B4 gets -g1 and l1 for -g2 and l2
     real = ca.reducible_node
     monkeypatch.setattr(ca, "reducible_node",
                         lambda rrd: 1 if rrd.restricted.label == "B4" else real(rrd))

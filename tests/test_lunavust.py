@@ -419,11 +419,12 @@ def test_ruzzi_witness_matches_the_rational_weight_condition(series, order):
 
 
 def _fixture_cases():
-    """One label per fixture kind, with that kind's condition-3 witnesses."""
+    """One label per restricted type, with that type's condition-3 witnesses."""
     cases = {}
     for label in ("B3", "B4", "D4", "E6", "G2"):
         entry = conicatlas.build_entry(label)
-        cases.setdefault(entry.kind, (entry.rrd, fixtures.RUZZI_FIXTURES[entry.kind]))
+        rtype = entry.rrd.restricted.label
+        cases.setdefault(rtype, (entry.rrd, fixtures.RUZZI_FIXTURES[rtype]))
     assert set(cases) == set(fixtures.RUZZI_FIXTURES)
     return [(rrd, fx) for rrd, fxs in cases.values() for fx in fxs]
 

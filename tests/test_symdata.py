@@ -2,10 +2,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conicfans import fixtures
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
 from conicfans.linalg import identity
-from conicfans.rootcore import UnsupportedAlgebraError
+from conicfans.rootcore import StructureError, UnsupportedAlgebraError
 
 
 def test_types_a_and_c_rejected():
@@ -71,7 +72,10 @@ def test_sigma_is_involution_everywhere():
 
 
 def test_restricted_types_and_maps():
+    # the split D4 is numbered by the identity, among its six numberings;
+    # E8 reverses its white nodes 1, 2, 3, 7
     cases = {("B", 6): ("B4", {1: (1,), 2: (2,), 3: (3,), 4: (4,)}),
+             ("D", 4): ("D4", {1: (1,), 2: (2,), 3: (3,), 4: (4,)}),
              ("D", 5): ("B4", {1: (1,), 2: (2,), 3: (3,), 4: (4, 5)}),
              ("E", 8): ("F4", {1: (7,), 2: (3,), 3: (2,), 4: (1,)}),
              ("G", 2): ("G2", {1: (1,), 2: (2,)})}
@@ -80,6 +84,30 @@ def test_restricted_types_and_maps():
         assert rrd.restricted.label == rtype
         got = {i: rrd.reps_of(i) for i in range(1, rrd.restricted.rank + 1)}
         assert got == reps
+
+
+@pytest.mark.parametrize("series,rank", [("B", r) for r in range(3, 17)]
+                         + [("D", r) for r in range(4, 17)]
+                         + list(fixtures.SUPPORTED_EXCEPTIONAL))
+def test_restricted_datum_is_derived_past_the_pinned_ranks(series, rank):
+    rrd = sy.restricted_datum(sy.satake_of(series, rank))
+    key = fixtures.family_key(series, rank)
+    assert rrd.restricted.label == fixtures.SATAKE_EXPECTED[key]["restricted"]
+    got = {i: rrd.reps_of(i) for i in range(1, rrd.restricted.rank + 1)}
+    assert got == fixtures.expected_lambda_reps(series, rank)
+
+
+@pytest.mark.parametrize("series,rank,black,arrows,message", [
+    ("E", 7, {1}, (), r"^E7: the restricted Cartan entry of the white nodes "
+                      r"\d+ and \d+ is not an integer$"),
+    ("B", 5, {1}, ((2, 3),), r"^B5: character involution fails to square to one$"),
+    ("B", 5, {1, 2, 4}, (), r"^B5: projected roots do not form the restricted system$"),
+    ("E", 6, {1}, ((1, 5),), r"^E6: arrow endpoints must be white$"),
+])
+def test_a_wrong_satake_diagram_is_a_named_failure(series, rank, black, arrows, message):
+    with pytest.raises(StructureError, match=message):
+        base = sy.build_root_datum(series, rank)
+        sy.restricted_datum(sy.SatakeDiagram(base, series, rank, frozenset(black), arrows))
 
 
 def test_gamma_duality_all_supported():
@@ -121,7 +149,7 @@ def test_spherical_root_representative_independence():
             for w in reps:
                 img = sy.sigma_on_characters(sd, e[w - 1])
                 values.add(tuple(a - b for a, b in zip(e[w - 1], img)))
-            assert len(values) == 1
+            assert values == {rrd.characters[i - 1]}
 
 
 def test_parametric_anticanonical_coefficients():
