@@ -7,9 +7,11 @@ which the families of one combinatorial shape share: B3, B4 (B_r with r >= 4
 and D_r with r >= 5), D4, F4 (E6, E7, E8, F4), G2; `family_kind` names it.
 
 `conicatlas` reads one name as input: the rays of `HILB_CONES`, at the
-restricted type it derives.  The other tables, the colors of `HILB_CONES`
-and `ORBIT_LABELS` included, are references: the golden files are written
-from them, and the checks compare the derived data with those.
+restricted type it derives.  The other tables, the colors of `HILB_CONES`,
+`ORBIT_LABELS` and the Satake diagrams of `SATAKE_EXPECTED` included, are
+references: the golden files are written from them, and the checks compare
+the derived data with those.  `symdata` derives the Satake diagrams from the
+contact grading and reads no table here.
 `ORBIT_LABELS` is the one transcription of the published orbit diagrams;
 the golden Chow cone, face lists, orbit counts and Hasse edges are read off
 its keys.
@@ -46,7 +48,7 @@ FAMILY_KEYS = ("Br", "B3", "Dr", "D5", "D4", "E6", "E7", "E8", "F4", "G2")
 
 # ---------------------------------------------------------------------------
 # restriction data: the published Satake diagrams and restricted systems, the
-# reference that `symdata` derives the restricted data to match
+# reference for what `symdata` derives from the contact grading
 
 SATAKE_EXPECTED = {
     "Br": {"black": "5..r", "arrows": [], "restricted": "B4",

@@ -3,12 +3,10 @@ colors, and anticanonical data.
 
 The ten supported families are the symmetric spaces attached to the simple
 algebras outside types A and C: B_r (r >= 3), D_r (r >= 4), E6, E7, E8, F4,
-G2.  The involution acts on characters as minus the longest element of the
-black sub-diagram composed with a diagram permutation (the arrow matching on
-white nodes, the sub-diagram duality on black nodes).  The restricted root
-system, its numbering and the colors are read off that involution
-(`restricted_datum`); only the black nodes and arrows of `satake_of` are
-tabulated.  Every StructureError raised here starts with the algebra label.
+G2.  The involution is computed from the contact grading (`satake_of`),
+and the Satake diagram, the restricted root system, its numbering and the
+colors are read off it (`restricted_datum`); no table is kept per series.
+Every StructureError raised here starts with the algebra label.
 """
 
 from __future__ import annotations
@@ -16,12 +14,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
+from operator import mul, sub
 
 from .linalg import identity, int_inverse
 from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
                        StructureError, UnsupportedAlgebraError, build_root_datum,
-                       duality_involution, highest_root, longest_element, subdatum)
+                       highest_root, subdatum)
 
 _LABEL_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -47,104 +46,107 @@ def supported_pair(series: str, rank: int) -> tuple[str, int]:
 
 
 class SatakeDiagram(Record):
+    """A Satake diagram, stored as the real roots S of `satake_of`."""
+
     base: RootDatum
     series: str
     rank: int
-    black: frozenset[int]
-    arrows: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        ends = {i for pair in self.arrows for i in pair}
-        if ends & self.black:
-            raise StructureError(f"{self.label}: arrow endpoints must be white")
-        for i, j in self.arrows:
-            if i == j:
-                raise StructureError(f"{self.label}: arrows join distinct nodes")
+    real: tuple[tuple[int, ...], ...]
 
     @property
     def label(self) -> str:
         return f"{self.series}{self.rank}"
 
     @property
+    def black(self) -> frozenset[int]:
+        """The simple roots that sigma fixes: those of character zero."""
+        return frozenset(dict(_nodes_by_character(self)).get((0,) * self.base.rank, ()))
+
+    @property
     def white(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.base.rank + 1) if i not in self.black)
+        return tuple(sorted(set(range(1, self.base.rank + 1)) - self.black))
 
-    def arrow_partner(self, i: int) -> int:
-        for a, b in self.arrows:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        return i
+    @property
+    def arrows(self) -> tuple[tuple[int, int], ...]:
+        """The pairs of white nodes with one character w - sigma(w)."""
+        return tuple(pair for char, nodes in _nodes_by_character(self)
+                     if any(char) for pair in combinations(nodes, 2))
 
 
+@lru_cache(maxsize=None)
 def satake_of(series: str, rank: int) -> SatakeDiagram:
+    """The Satake diagram of the involution (-1)^<alpha, theta^vee> of the
+    contact grading, whose symmetric space is quaternionic (Wolf, 1965).
+
+    A Cayley-transform cascade (Knapp, *Lie Groups Beyond an Introduction*,
+    ch. VI) finds the real roots S.  At the start every root is imaginary,
+    and noncompact when its contact-node coefficient is odd.  Each step makes
+    the highest noncompact imaginary root beta (height-then-lex) real, keeps
+    the imaginary roots orthogonal to beta and flips the type of each kept
+    alpha with alpha + beta or alpha - beta a root, until no noncompact
+    imaginary root is left.  S is orthogonal and spans the split part a, so
+    sigma, -1 on a and +1 on its orthogonal complement, is the product of
+    the reflections in S.  The diagram is read off the standard positive
+    system, so `_sigma_matrix` asserts that sigma sends each positive root
+    it moves to a negative one (Araki, 1962): another order of beta can give
+    a conjugate S that fails this.
+    """
     series, rank = supported_pair(series, rank)
     base = build_root_datum(series, rank)
-    black: frozenset[int] = frozenset()
-    arrows: tuple[tuple[int, int], ...] = ()
-    if series == "B" and rank >= 5:
-        black = frozenset(range(5, rank + 1))
-    elif series == "D":
-        if rank == 5:
-            arrows = ((4, 5),)
-        elif rank >= 6:
-            black = frozenset(range(5, rank + 1))
-    elif (series, rank) == ("E", 6):
-        arrows = ((1, 5), (2, 4))
-    elif (series, rank) == ("E", 7):
-        black = frozenset({1, 3, 7})
-    elif (series, rank) == ("E", 8):
-        black = frozenset({4, 5, 6, 8})
-    return SatakeDiagram(base, series, rank, black, arrows)
+    j0 = contact_node(base, highest_root(base)) - 1
+    pos = base.positive_roots      # height-then-lex order
+    # a linear key in base 3M + 1, M the largest root coordinate: a root plus
+    # or minus a root, minus a root, has coordinates of size at most 3M, so
+    # equal keys mean equal vectors
+    radix = 3 * max(max(g) for g in pos) + 1
+    key = [sum(x * radix ** k for k, x in enumerate(g)) for g in pos]
+    root_keys = set(key) | {-k for k in key}
+    imaginary = {i: g[j0] % 2 for i, g in enumerate(pos)}   # index: noncompact
+    real = []
+    while any(imaginary.values()):
+        b = max(i for i, noncompact in imaginary.items() if noncompact)
+        real.append(pos[b])
+        k_beta = [sum(map(mul, row, pos[b])) for row in base.root_table.killing[0]]
+        imaginary = {i: noncompact ^ (key[i] + key[b] in root_keys
+                                      or key[i] - key[b] in root_keys)
+                     for i, noncompact in imaginary.items()
+                     if not sum(map(mul, pos[i], k_beta))}
+    return SatakeDiagram(base, series, rank, tuple(real))
 
 
 @lru_cache(maxsize=None)
 def _sigma_matrix(sd: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the involution on characters, columns = images of simples."""
+    """Matrix of the involution on characters, columns = images of simples;
+    the product of the reflections in the real roots (`satake_of`)."""
     rd = sd.base
-    perm = {}
-    if sd.black:
-        sub, mapping = subdatum(rd, sorted(sd.black))
-        back = {v: k for k, v in mapping.items()}
-        theta_sub = duality_involution(sub)
-        w0_sub = longest_element(sub)
-        w0_ambient = tuple(back[i] for i in w0_sub.word)
-        for b in sd.black:
-            perm[b] = back[theta_sub[mapping[b]]]
-    else:
-        w0_ambient = ()
-    for w in sd.white:
-        perm[w] = sd.arrow_partner(w)
     cols = []
-    for j in range(1, rd.rank + 1):
-        v = tuple(1 if k == perm[j] - 1 else 0 for k in range(rd.rank))
-        for i in w0_ambient:
-            v = rd.reflect(v, i)
-        cols.append(tuple(-x for x in v))
-    mat = tuple(tuple(cols[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-    _check_involution(sd, mat)
+    for v in identity(rd.rank):
+        for beta in sd.real:
+            c = 2 * rd.killing_int(v, beta) // rd.killing_int(beta, beta)
+            v = tuple(x - c * y for x, y in zip(v, beta))
+        cols.append(v)
+    mat = tuple(zip(*cols))
+    for g in rd.positive_roots:
+        img = tuple([sum(map(mul, row, g)) for row in mat])
+        if img != g and sum(img) > 0:
+            raise StructureError(f"{sd.label}: the involution of the real roots moves "
+                                 f"the positive root {g} to the positive root {img}")
     return mat
-
-
-def _check_involution(sd: SatakeDiagram, mat) -> None:
-    rd = sd.base
-    n = rd.rank
-    sq = [[sum(mat[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    if any(sq[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
-        raise StructureError(f"{sd.label}: character involution fails to square to one")
-    for b in sd.black:
-        col = tuple(mat[i][b - 1] for i in range(n))
-        if col != tuple(1 if i == b - 1 else 0 for i in range(n)):
-            raise StructureError(
-                f"{sd.label}: character involution moves a black simple root")
 
 
 def sigma_on_characters(sd: SatakeDiagram, v):
     mat = _sigma_matrix(sd)
     n = len(mat)
     return tuple(sum(mat[i][j] * v[j] for j in range(n) if v[j]) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _nodes_by_character(sd: SatakeDiagram) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(w - sigma(w), the simple roots w of that character), by least node."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for w, (v, img) in enumerate(zip(identity(sd.base.rank), zip(*_sigma_matrix(sd))), 1):
+        out.setdefault(tuple(map(sub, v, img)), []).append(w)
+    return tuple((char, tuple(nodes)) for char, nodes in out.items())
 
 
 class RestrictedRootDatum(Record):
@@ -180,11 +182,7 @@ def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
     check: the projections of all roots must form the restricted system.
     """
     label, base = sd.label, sd.base
-    e = identity(base.rank)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for w in sd.white:   # ascending, so each group is keyed at its least node
-        img = sigma_on_characters(sd, e[w - 1])
-        groups.setdefault(tuple(a - b for a, b in zip(e[w - 1], img)), []).append(w)
+    groups = {c: ws for c, ws in _nodes_by_character(sd) if any(c)}
     chars = list(groups)
     cartan = []
     for ci in chars:
@@ -217,7 +215,7 @@ def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
     # gamma_j is column j of A^-1 = adj(A) / det A
     d, adj = int_inverse(restricted.cartan)
     gamma = tuple(tuple(Q(adj[i][j], d) for i in range(m)) for j in range(m))
-    return RestrictedRootDatum(sd, restricted, tuple(tuple(groups[c]) for c in lam2),
+    return RestrictedRootDatum(sd, restricted, tuple(groups[c] for c in lam2),
                                lam2, gamma)
 
 

@@ -188,15 +188,16 @@ def test_rank_beyond_goldens_is_a_named_failure(capsys):
     assert "Traceback" not in out
 
 
-def _drop_the_e6_arrows(monkeypatch):
-    # the split E6: every white node is its own restricted simple root
+def _give_e7_the_real_rank_three_form(monkeypatch):
+    # the real roots of E7(-25): black nodes 3, 4, 5, 7 and restricted type C3
     real = symdata.satake_of
 
     def satake_of(series, rank):
         sd = real(series, rank)
-        if (series, rank) != ("E", 6):
+        if (series, rank) != ("E", 7):
             return sd
-        return symdata.SatakeDiagram(sd.base, series, rank, sd.black, ())
+        return symdata.SatakeDiagram(sd.base, series, rank, (
+            (1, 0, 0, 0, 0, 0, 0), (1, 2, 2, 2, 1, 0, 1), (1, 2, 3, 4, 3, 2, 2)))
 
     monkeypatch.setattr(symdata, "satake_of", satake_of)
     monkeypatch.setattr(conicatlas, "satake_of", satake_of)
@@ -205,27 +206,31 @@ def _drop_the_e6_arrows(monkeypatch):
 
 
 def test_a_wrong_satake_diagram_fails_by_name(capsys, monkeypatch):
-    _drop_the_e6_arrows(monkeypatch)
+    _give_e7_the_real_rank_three_form(monkeypatch)
     code = cli.main(["verify", "all", "--jobs", "1"])
     captured = capsys.readouterr()
     failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
     assert code == 1
     assert {line.split()[1] for line in failed} == {
-        f"{name}.E6" for name in (
-            "symdata.satake-arrows", "symdata.restricted-type",
+        f"{name}.E7" for name in (
+            "symdata.satake-black", "symdata.restricted-type",
             "symdata.restriction-map", "symdata.gamma-closed-form",
-            "symdata.color-table", "conicatlas.entry-build")}
-    assert ("FAIL conicatlas.entry-build.E6  (E6: 0 Hilbert cones tabulated for the "
-            "restricted type E6, one per distinguished plane expected)") in failed
+            "symdata.sigma-involution", "symdata.color-table",
+            "conicatlas.entry-build")}
+    assert "FAIL symdata.restricted-type.E7  (C3 vs F4)" in failed
+    assert ("FAIL conicatlas.entry-build.E7  (E7: isotropy equation unsolvable: "
+            "union [] differs from target [5])") in failed
     assert "Traceback" not in captured.out + captured.err
 
 
 def test_a_symdata_error_fails_the_checks_it_leaves_undecided(monkeypatch):
     real = symdata.satake_of
 
-    def satake_of(series, rank):   # E7 with one black node of three
+    def satake_of(series, rank):   # orthogonal and compatible, but not E7's
         sd = real(series, rank)
-        return symdata.SatakeDiagram(sd.base, series, rank, frozenset({1}), ())
+        return symdata.SatakeDiagram(sd.base, series, rank, (
+            (0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 2, 1, 0, 1), (1, 2, 2, 2, 1, 0, 1),
+            (1, 2, 3, 4, 3, 2, 2)))
 
     monkeypatch.setattr(symdata, "satake_of", satake_of)
     results = verify.symdata_checks("E7", verify.load_golden())
@@ -233,8 +238,32 @@ def test_a_symdata_error_fails_the_checks_it_leaves_undecided(monkeypatch):
     failed = {r.name.split(".")[1]: r.detail for r in results if not r.ok}
     undecided = {"restricted-type", "restriction-map", "gamma-duality",
                  "gamma-closed-form", "color-table"}
-    assert set(failed) == undecided | {"satake-black"}
+    assert set(failed) == undecided | {"satake-black", "sigma-involution"}
     assert all(failed[n].startswith("E7: the restricted Cartan entry") for n in undecided)
+    assert failed["sigma-involution"].startswith("alpha4 -> [0, 0, -1, -1, -1, 0, 0] vs ")
+
+
+def test_the_sigma_check_fails_on_a_wrong_golden_diagram(capsys, tmp_path, monkeypatch):
+    golden = tmp_path / "golden"
+    shutil.copytree(verify.golden_dir(), golden)
+    satake = json.loads((golden / "satake.json").read_text())
+    satake["E6"]["arrows"] = []
+    (golden / "satake.json").write_text(json.dumps(satake))
+    monkeypatch.setenv(verify.GOLDEN_ENV, str(golden))
+    code = cli.main(["verify", "symdata", "--jobs", "1"])
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert [line.split()[1] for line in failed] == [
+        "symdata.satake-arrows.E6", "symdata.sigma-involution.E6"]
+    assert failed[1].startswith("FAIL symdata.sigma-involution.E6  (alpha1 -> ")
+    assert "Traceback" not in captured.out + captured.err
+    monkeypatch.delenv(verify.GOLDEN_ENV)
+    code = cli.main(["verify", "symdata", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    passed = [line.split()[1] for line in out.splitlines() if line.startswith("ok ")]
+    assert sum(name.startswith("symdata.sigma-involution.") for name in passed) == 16
 
 
 def test_verify_scope_and_determinism(capsys):
@@ -461,7 +490,7 @@ def test_verify_pool_checks_the_callers_golden_data(pool_sizes):
     for jobs in (1, 2):
         failed = [r.name for r in verify.run_checks(scope="symdata", golden=golden,
                                                     jobs=jobs) if not r.ok]
-        assert failed == ["symdata.satake-black.B3"]
+        assert failed == ["symdata.satake-black.B3", "symdata.sigma-involution.B3"]
     assert pool_sizes == [2]
 
 

@@ -5,6 +5,7 @@ import pytest
 from conicfans import fixtures
 from conicfans import lunavust as lv
 from conicfans import symdata as sy
+from conicfans import verify
 from conicfans.linalg import identity
 from conicfans.rootcore import StructureError, UnsupportedAlgebraError
 
@@ -86,9 +87,11 @@ def test_restricted_types_and_maps():
         assert got == reps
 
 
-@pytest.mark.parametrize("series,rank", [("B", r) for r in range(3, 17)]
-                         + [("D", r) for r in range(4, 17)]
-                         + list(fixtures.SUPPORTED_EXCEPTIONAL))
+LABELS = ([("B", r) for r in range(3, 17)] + [("D", r) for r in range(4, 17)]
+          + list(fixtures.SUPPORTED_EXCEPTIONAL))
+
+
+@pytest.mark.parametrize("series,rank", LABELS)
 def test_restricted_datum_is_derived_past_the_pinned_ranks(series, rank):
     rrd = sy.restricted_datum(sy.satake_of(series, rank))
     key = fixtures.family_key(series, rank)
@@ -97,17 +100,57 @@ def test_restricted_datum_is_derived_past_the_pinned_ranks(series, rank):
     assert got == fixtures.expected_lambda_reps(series, rank)
 
 
-@pytest.mark.parametrize("series,rank,black,arrows,message", [
-    ("E", 7, {1}, (), r"^E7: the restricted Cartan entry of the white nodes "
-                      r"\d+ and \d+ is not an integer$"),
-    ("B", 5, {1}, ((2, 3),), r"^B5: character involution fails to square to one$"),
-    ("B", 5, {1, 2, 4}, (), r"^B5: projected roots do not form the restricted system$"),
-    ("E", 6, {1}, ((1, 5),), r"^E6: arrow endpoints must be white$"),
+@pytest.mark.parametrize("series,rank", LABELS)
+def test_the_cascade_gives_the_published_diagram(series, rank):
+    sd = sy.satake_of(series, rank)
+    black = fixtures.expected_black(series, rank)
+    key = fixtures.family_key(series, rank)
+    arrows = [tuple(p) for p in fixtures.SATAKE_EXPECTED[key]["arrows"]]
+    assert sd.black == black
+    assert list(sd.arrows) == arrows
+    assert ([sy.sigma_on_characters(sd, v) for v in identity(rank)]
+            == verify._reference_sigma(sd.base, sorted(black), arrows))
+
+
+@pytest.mark.parametrize("series,rank", LABELS)
+def test_the_real_roots_span_the_split_part(series, rank):
+    sd = sy.satake_of(series, rank)
+    base = sd.base
+    assert len(sd.real) == sy.restricted_datum(sd).restricted.rank
+    assert all(base.killing_int(a, b) == 0
+               for i, a in enumerate(sd.real) for b in sd.real[i + 1:])
+    # the cascade starts from the contact grading: its even part is the fixed
+    # subalgebra that the extended diagram gives
+    j0 = sy.contact_node(base, sy.highest_root(base))
+    even = sum(1 for g in base.roots if g[j0 - 1] % 2 == 0)
+    assert even == sum(len(sy.build_root_datum(s, r).roots)
+                       for s, r in sy.g_fixed_subalgebra_components(series, rank))
+
+
+@pytest.mark.parametrize("series,rank,real,message", [
+    pytest.param("E", 7, ((0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 2, 1, 0, 1),
+                          (1, 2, 2, 2, 1, 0, 1), (1, 2, 3, 4, 3, 2, 2)),
+                 r"^E7: the restricted Cartan entry of the white nodes "
+                 r"\d+ and \d+ is not an integer$", id="E7-non-integer-cartan"),
+    pytest.param("B", 5, ((0, 0, 1, 2, 2), (1, 2, 2, 2, 2)),
+                 r"^B5: projected roots do not form the restricted system$",
+                 id="B5-projected-roots"),
+    # the real roots of B5 without its first, (1, 1, 2, 2, 2)
+    pytest.param("B", 5, ((0, 1, 1, 2, 2), (1, 1, 0, 0, 0), (0, 1, 1, 0, 0)),
+                 r"^B5: the involution of the real roots moves the positive root "
+                 r"\(0, 0, 1, 0, 0\) to the positive root \(1, 1, 1, 2, 2\)$",
+                 id="B5-drop-a-real-root"),
+    # orthogonal real roots, but sigma keeps alpha4 positive
+    pytest.param("E", 6, ((1, 1, 2, 1, 0, 1), (0, 1, 2, 2, 1, 1), (0, 0, 0, 0, 0, 1),
+                          (1, 2, 2, 1, 1, 1)),
+                 r"^E6: the involution of the real roots moves the positive root "
+                 r"\(0, 0, 0, 1, 0, 0\) to the positive root \(1, 1, 0, 0, 0, 0\)$",
+                 id="E6-incompatible"),
 ])
-def test_a_wrong_satake_diagram_is_a_named_failure(series, rank, black, arrows, message):
+def test_a_wrong_real_root_set_is_a_named_failure(series, rank, real, message):
+    base = sy.build_root_datum(series, rank)
     with pytest.raises(StructureError, match=message):
-        base = sy.build_root_datum(series, rank)
-        sy.restricted_datum(sy.SatakeDiagram(base, series, rank, frozenset(black), arrows))
+        sy.restricted_datum(sy.SatakeDiagram(base, series, rank, real))
 
 
 def test_gamma_duality_all_supported():
