@@ -7,6 +7,9 @@ restricted type) enter as data.  The Chow cone, the colors of every cone,
 the reducible ray, the planar generators and the conic type of every orbit
 are derived, and the result is validated against fan axioms, completeness,
 face lists and the orbit-type invariants of `_check_labels`.
+
+`build_entry` caches one entry per label, shared by the checks and exports
+of that label, until `verify` releases it at the end of the label's checks.
 """
 
 from __future__ import annotations

@@ -6,13 +6,17 @@ E-series carries the long chain first (node r attached to the chain at
 position 3, 4, 5 for E6, E7, E8), F4 runs short end to long end, and G2 puts
 the short root first.  Reducible systems are a single datum with a
 block-diagonal Cartan matrix.
+
+A datum's derived data is `owned`: kept on the datum and freed with it.
+Only `build_root_datum`, keyed by (series, rank), caches across calls;
+`verify` releases it when a label's checks end.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd
 from operator import mul
 from types import MappingProxyType
@@ -48,10 +52,11 @@ class Record:
     and compares the fields in order.  The hash is that of the field tuple,
     computed on first use and kept as the int ``_hash``.  The repr reads
     ``QualName(field=value, ...)``.  Assigning or deleting an attribute raises
-    ``AttributeError``; ``functools.cached_property`` writes the instance
-    ``__dict__`` directly, so it still works.  Pickling uses the default
-    ``object`` reduce without ``_hash``, since another process may hash
-    strings with another seed.  Records do not inherit from one another.
+    ``AttributeError``; ``functools.cached_property`` and `owned` write the
+    instance ``__dict__`` directly, so they still work.  Pickling uses the
+    default ``object`` reduce without ``_hash``, since another process may
+    hash strings with another seed, and without the `owned` memo.  Records
+    do not inherit from one another.
     """
 
     _fields: tuple[str, ...] = ()
@@ -107,10 +112,7 @@ class Record:
         return h
 
     def __getstate__(self):
-        state = self.__dict__
-        if "_hash" in state:
-            state = {k: v for k, v in state.items() if k != "_hash"}
-        return state
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_owned")}
 
     def __repr__(self):
         d = self.__dict__
@@ -122,6 +124,22 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def owned(fn):
+    """fn(obj, *args), memoized in obj.__dict__ as `cached_property` does.
+
+    The results are shared by every caller that holds obj and are freed with
+    it: no module dict keeps obj alive.
+    """
+    @wraps(fn)
+    def cached(obj, *args):
+        memo = obj.__dict__.setdefault("_owned", {})
+        key = (fn, *args)
+        if key not in memo:
+            memo[key] = fn(obj, *args)
+        return memo[key]
+    return cached
 
 
 _RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (4, None),
@@ -502,7 +520,7 @@ def subdatum(rd: RootDatum, keep) -> tuple[RootDatum, dict[int, int]]:
     return RootDatum(cart), {old: new + 1 for new, old in enumerate(kept)}
 
 
-@lru_cache(maxsize=None)
+@owned
 def highest_root(rd: RootDatum) -> tuple[int, ...]:
     if len(rd.components) != 1:
         raise InvalidTypeError("highest root is defined for irreducible systems")
@@ -533,7 +551,7 @@ def weyl_apply(rd: RootDatum, word: WeylWord, v):
     return out
 
 
-@lru_cache(maxsize=None)
+@owned
 def longest_element(rd: RootDatum) -> WeylWord:
     # 2 rho, the sum of the positive roots: integral, with the signs of rho
     v = tuple(map(sum, zip(*rd.positive_roots)))
@@ -549,11 +567,11 @@ def longest_element(rd: RootDatum) -> WeylWord:
     return WeylWord(tuple(word))
 
 
-@lru_cache(maxsize=None)
+@owned
 def duality_involution(rd: RootDatum) -> MappingProxyType:
     """The permutation theta with -w0(alpha_i) = alpha_theta(i), read-only.
 
-    The result is cached per datum and shared by every caller, hence a
+    The result is kept on the datum and shared by every caller, hence a
     read-only view of the dict.
     """
     w0 = longest_element(rd)

@@ -7,6 +7,12 @@ G2.  The involution is computed from the contact grading (`satake_of`),
 and the Satake diagram, the restricted root system, its numbering and the
 colors are read off it (`restricted_datum`); no table is kept per series.
 Every StructureError raised here starts with the algebra label.
+
+`satake_of` and `adjoint_data` cache by (series, rank) until `verify`
+releases them at the end of a label's checks.  What is derived from one
+object is `owned` by it: `contact_node` by its RootDatum, `_sigma_matrix`,
+`_nodes_by_character` and `restricted_datum` by their SatakeDiagram, and
+`color_table` by its RestrictedRootDatum.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from operator import mul, sub
 from .linalg import identity, int_inverse
 from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
                        StructureError, UnsupportedAlgebraError, build_root_datum,
-                       highest_root, subdatum)
+                       highest_root, owned, subdatum)
 
 _LABEL_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -114,7 +120,7 @@ def satake_of(series: str, rank: int) -> SatakeDiagram:
     return SatakeDiagram(base, series, rank, tuple(real))
 
 
-@lru_cache(maxsize=None)
+@owned
 def _sigma_matrix(sd: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     """Matrix of the involution on characters, columns = images of simples;
     the product of the reflections in the real roots (`satake_of`)."""
@@ -140,7 +146,7 @@ def sigma_on_characters(sd: SatakeDiagram, v):
     return tuple(sum(mat[i][j] * v[j] for j in range(n) if v[j]) for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@owned
 def _nodes_by_character(sd: SatakeDiagram) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(w - sigma(w), the simple roots w of that character), by least node."""
     out: dict[tuple[int, ...], list[int]] = {}
@@ -168,7 +174,7 @@ class RestrictedRootDatum(Record):
         return f"coroot({self.restricted.label})"
 
 
-@lru_cache(maxsize=None)
+@owned
 def restricted_datum(sd: SatakeDiagram) -> RestrictedRootDatum:
     """The restricted root system, read off the involution (Araki, 1962).
 
@@ -264,7 +270,7 @@ class ColorInfo(Record):
     spherical_root: tuple[int, ...]  # ambient simple-root coordinates
 
 
-@lru_cache(maxsize=None)
+@owned
 def color_table(rrd: RestrictedRootDatum) -> tuple[ColorInfo, ...]:
     """The colors, one per restricted simple root lambda_i.
 
@@ -334,7 +340,7 @@ def g_fixed_subalgebra_components(series: str, rank: int) -> tuple[tuple[str, in
     return sub.components
 
 
-@lru_cache(maxsize=None)
+@owned
 def contact_node(rd: RootDatum, rho) -> int:
     """The one simple root meeting the highest root `rho` (the contact node)."""
     e = identity(rd.rank)

@@ -7,6 +7,7 @@ returns a named result so a failure points at the value that moved.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from fractions import Fraction as Q
@@ -153,35 +154,35 @@ def write_golden(payload: dict, path: Path) -> None:
 # ---------------------------------------------------------------------------
 # per-label checks
 
-def rootcore_checks(label: str) -> list[CheckResult]:
-    series, rank = conicatlas.parse_label(label)
-    rd = build_root_datum(series, rank)
+def _lines(label: str):
+    """(out, put): a list of result lines, and put(ok, name, detail), which
+    appends the line name.label to it."""
     out = []
-    out.append(_res(len(rd.positive_roots) * 2 == len(rd.roots),
-                    f"rootcore.positive-half.{label}"))
-    closure_ok = all(rd.is_root(rd.reflect(g, i))
-                     for g in rd.roots for i in range(1, rd.rank + 1))
-    out.append(_res(closure_ok, f"rootcore.reflection-closure.{label}"))
+    return out, lambda ok, name, detail="": out.append(_res(ok, f"{name}.{label}", detail))
+
+
+def rootcore_checks(label: str) -> list[CheckResult]:
+    rd = build_root_datum(*conicatlas.parse_label(label))
+    out, put = _lines(label)
+    put(len(rd.positive_roots) * 2 == len(rd.roots), "rootcore.positive-half")
+    put(all(rd.is_root(rd.reflect(g, i)) for g in rd.roots for i in range(1, rd.rank + 1)),
+        "rootcore.reflection-closure")
     rho = highest_root(rd)
-    out.append(_res(all(all(rho[k] >= h[k] for k in range(rd.rank)) for h in rd.roots),
-                    f"rootcore.highest-root-dominates.{label}"))
+    put(all(all(rho[k] >= h[k] for k in range(rd.rank)) for h in rd.roots),
+        "rootcore.highest-root-dominates")
     k = rd.killing
-    cartan_ok = all(2 * k[i][j] / k[j][j] == rd.cartan[i][j]
-                    for i in range(rd.rank) for j in range(rd.rank))
-    out.append(_res(cartan_ok, f"rootcore.killing-cartan.{label}"))
-    bond_ok = all(rd.cartan[i][j] * rd.cartan[j][i] in (0, 1, 2, 3)
-                  for i in range(rd.rank) for j in range(rd.rank) if i != j)
-    out.append(_res(bond_ok, f"rootcore.bond-counts.{label}"))
+    put(all(2 * k[i][j] / k[j][j] == rd.cartan[i][j]
+            for i in range(rd.rank) for j in range(rd.rank)), "rootcore.killing-cartan")
+    put(all(rd.cartan[i][j] * rd.cartan[j][i] in (0, 1, 2, 3)
+            for i in range(rd.rank) for j in range(rd.rank) if i != j), "rootcore.bond-counts")
     w0 = longest_element(rd)
-    out.append(_res(len(w0.word) == len(rd.positive_roots),
-                    f"rootcore.longest-element-length.{label}"))
+    put(len(w0.word) == len(rd.positive_roots), "rootcore.longest-element-length")
     # 2 rho, the sum of the positive roots: integral, and w0 is linear
     two_rho = tuple(map(sum, zip(*rd.positive_roots)))
-    out.append(_res(weyl_apply(rd, w0, weyl_apply(rd, w0, two_rho)) == two_rho,
-                    f"rootcore.longest-element-involutive.{label}"))
+    put(weyl_apply(rd, w0, weyl_apply(rd, w0, two_rho)) == two_rho,
+        "rootcore.longest-element-involutive")
     theta = duality_involution(rd)
-    out.append(_res(all(theta[theta[i]] == i for i in theta),
-                    f"rootcore.duality-involution.{label}"))
+    put(all(theta[theta[i]] == i for i in theta), "rootcore.duality-involution")
     return out
 
 
@@ -226,7 +227,8 @@ def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
         sd = symdata.satake_of(series, rank)
         put(sorted(sd.black) == gold["black"], "satake-black",
             f"{sorted(sd.black)} vs {gold['black']}")
-        put([list(p) for p in sd.arrows] == gold["arrows"], "satake-arrows")
+        arrows = [list(p) for p in sd.arrows]
+        put(arrows == gold["arrows"], "satake-arrows", f"{arrows} vs {gold['arrows']}")
         nodes = set(gold["black"]).union(*gold["arrows"])
         if not nodes <= set(range(1, rank + 1)):
             put(False, "sigma-involution", f"golden nodes {sorted(nodes)} outside 1..{rank}")
@@ -242,13 +244,16 @@ def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
             f"{rrd.restricted.label} vs {gold['restricted']}")
         lam = {str(i): list(rrd.reps_of(i))
                for i in range(1, rrd.restricted.rank + 1)}
-        put(lam == gold["lambda"], "restriction-map")
-        m = rrd.restricted.rank
-        a = rrd.restricted.cartan
-        put(all(sum(a[i][k] * rrd.gamma[j][k] for k in range(m)) == (1 if i == j else 0)
-                for i in range(m) for j in range(m)), "gamma-duality")
-        gold_gamma = [[Q(x) for x in row] for row in golden["gamma"][gold["restricted"]]]
-        put([list(g) for g in rrd.gamma] == gold_gamma, "gamma-closed-form")
+        put(lam == gold["lambda"], "restriction-map", f"{lam} vs {gold['lambda']}")
+        # row i of A gamma: the pairings of the restricted simple root i with
+        # the gamma_j, 1 at j = i and 0 elsewhere
+        duality = [[str(linalg.vdot(row, g)) for g in rrd.gamma] for row in rrd.restricted.cartan]
+        eye = [[str(x) for x in row] for row in identity(len(duality))]
+        put(duality == eye, "gamma-duality", f"A gamma = {duality} vs {eye}")
+        gamma = [[str(x) for x in g] for g in rrd.gamma]
+        gold_gamma = golden["gamma"][gold["restricted"]]
+        put([list(g) for g in rrd.gamma] == [[Q(x) for x in row] for row in gold_gamma],
+            "gamma-closed-form", f"{gamma} vs {gold_gamma}")
 
         colors = [{"color": c.index, "type": c.color_type, "a": c.a_coeff,
                    "spherical": list(c.spherical_root)} for c in symdata.color_table(rrd)]
@@ -260,40 +265,57 @@ def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
             for name in _SYMDATA_CHECKS]
 
 
-def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
+def atlas_names(label: str) -> list[str]:
+    """The names of the `atlas_checks` lines of one label, in order."""
     series, rank = conicatlas.parse_label(label)
-    out = []
+    schemes = ("chow", "hilb")
+    names = [f"conicatlas.{n}" for n in ("entry-build", "half-dimension", "line-stabilizer",
+                                         "planes", "isotropy-twist", "double-cosets")]
+    names += ["lunavust.chow-simple", "conicatlas.chow-cone-table",
+              "conicatlas.hilb-cone-table", "conicatlas.hilb-simple-iff-exceptional"]
+    names += [f"{n}.{s}" for s in schemes for n in (
+        "lunavust.fan-axioms", "lunavust.strict-convexity", "lunavust.completeness",
+        "lunavust.face-lists", "conicatlas.orbit-count")]
+    names.append("conicatlas.fans-coincide-iff-g2")
+    names += [f"conicatlas.{n}.{s}" for s in schemes for n in ("orbit-labels", "hasse")]
+    names += ["lunavust.ruzzi-hilb-smooth", "lunavust.ruzzi-chow"]
+    names += [f"lunavust.ruzzi-fixture-{i}" for i in range(
+        len(fixtures.RUZZI_FIXTURES[fixtures.family_kind(series, rank)]))]
+    names += [f"symdata.anticanonical.{s}" for s in schemes]
+    return [f"{n}.{label}" for n in names]
+
+
+def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
+    """The `atlas_names` lines of one label.  If the entry does not build,
+    every line fails, each pointing at the entry-build line."""
+    series, rank = conicatlas.parse_label(label)
     try:
         entry = conicatlas.build_entry(label)
     except StructureError as exc:
-        return [_res(False, f"conicatlas.entry-build.{label}", str(exc))]
-    out.append(_res(True, f"conicatlas.entry-build.{label}"))
+        build, *rest = atlas_names(label)
+        return [_res(False, build, str(exc)),
+                *(_res(False, name, f"no atlas entry, see {build}") for name in rest)]
+    out, put = _lines(label)
+    put(True, "conicatlas.entry-build")
     rrd = entry.rrd
-
-    out.append(_res(entry.ad.n == fixtures.expected_half_dimension(series, rank),
-                    f"conicatlas.half-dimension.{label}"))
-    out.append(_res(entry.ad.neighbors ==
-                    fixtures.expected_line_stabilizer(series, rank),
-                    f"conicatlas.line-stabilizer.{label}"))
+    put(entry.ad.n == fixtures.expected_half_dimension(series, rank),
+        "conicatlas.half-dimension")
+    put(entry.ad.neighbors == fixtures.expected_line_stabilizer(series, rank),
+        "conicatlas.line-stabilizer")
 
     planes = [{"beta": p.beta, "in_z": p.in_z,
                "stabilizer": sorted(p.stabilizer.missing)}
               for p in entry.planes]
-    out.append(_res(planes == golden["planes"][label],
-                    f"conicatlas.planes.{label}",
-                    f"{planes} vs {golden['planes'][label]}"))
+    put(planes == golden["planes"][label], "conicatlas.planes",
+        f"{planes} vs {golden['planes'][label]}")
 
     theta = duality_involution(entry.ad.g)
     twisted = [sorted(frozenset(theta[w] for w in rrd.reps_of(i)))
                for i in range(1, rrd.restricted.rank + 1)]
-    expected_twist = [sorted(s) for s in
-                      fixtures.expected_theta_twisted(series, rank)]
-    out.append(_res(twisted == expected_twist,
-                    f"conicatlas.isotropy-twist.{label}"))
-
-    out.append(_res(entry.double_cosets == golden["cosets"][label],
-                    f"conicatlas.double-cosets.{label}",
-                    f"{entry.double_cosets} vs {golden['cosets'][label]}"))
+    put(twisted == [sorted(s) for s in fixtures.expected_theta_twisted(series, rank)],
+        "conicatlas.isotropy-twist")
+    put(entry.double_cosets == golden["cosets"][label], "conicatlas.double-cosets",
+        f"{entry.double_cosets} vs {golden['cosets'][label]}")
 
     # fan tables
     def cone_payload(cc):
@@ -301,52 +323,41 @@ def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
                 "colors": sorted(cc.colors)}
 
     chow_max = lunavust.maximal_cones(entry.chow_fan, rrd)
-    out.append(_res(len(chow_max) == 1, f"lunavust.chow-simple.{label}"))
-    out.append(_res(cone_payload(chow_max[0]) == golden["chow_cones"][label],
-                    f"conicatlas.chow-cone-table.{label}",
-                    f"{cone_payload(chow_max[0])} vs {golden['chow_cones'][label]}"))
+    put(len(chow_max) == 1, "lunavust.chow-simple")
+    put(cone_payload(chow_max[0]) == golden["chow_cones"][label], "conicatlas.chow-cone-table",
+        f"{cone_payload(chow_max[0])} vs {golden['chow_cones'][label]}")
     hilb_max = sorted((cone_payload(c) for c in
                        lunavust.maximal_cones(entry.hilb_fan, rrd)),
                       key=lambda d: (d["rays"], d["colors"]))
-    out.append(_res(hilb_max == golden["hilb_cones"][label],
-                    f"conicatlas.hilb-cone-table.{label}"))
-    exceptional = series in ("E", "F", "G")
-    out.append(_res((len(hilb_max) == 1) == exceptional,
-                    f"conicatlas.hilb-simple-iff-exceptional.{label}"))
+    put(hilb_max == golden["hilb_cones"][label], "conicatlas.hilb-cone-table")
+    put((len(hilb_max) == 1) == (series in ("E", "F", "G")),
+        "conicatlas.hilb-simple-iff-exceptional")
 
     for scheme, fan in (("chow", entry.chow_fan), ("hilb", entry.hilb_fan)):
         check = lunavust.is_colored_fan(fan, rrd)
-        out.append(_res(check.ok, f"lunavust.fan-axioms.{scheme}.{label}",
-                        "; ".join(check.diagnostics)))
-        strict = all(lunavust.is_pointed(c.cone) for c in fan)
-        out.append(_res(strict, f"lunavust.strict-convexity.{scheme}.{label}"))
-        out.append(_res(lunavust.is_complete(fan, rrd),
-                        f"lunavust.completeness.{scheme}.{label}"))
+        put(check.ok, f"lunavust.fan-axioms.{scheme}", "; ".join(check.diagnostics))
+        put(all(lunavust.is_pointed(c.cone) for c in fan), f"lunavust.strict-convexity.{scheme}")
+        put(lunavust.is_complete(fan, rrd), f"lunavust.completeness.{scheme}")
         got_faces = _face_payload(entry, fan)
-        out.append(_res(got_faces == golden["faces"][label][scheme],
-                        f"lunavust.face-lists.{scheme}.{label}",
-                        f"{got_faces} vs {golden['faces'][label][scheme]}"))
+        put(got_faces == golden["faces"][label][scheme], f"lunavust.face-lists.{scheme}",
+            f"{got_faces} vs {golden['faces'][label][scheme]}")
         counts = golden["orbitcounts"][label][scheme]
-        out.append(_res(len(fan) == counts,
-                        f"conicatlas.orbit-count.{scheme}.{label}",
-                        f"{len(fan)} vs {counts}"))
+        put(len(fan) == counts, f"conicatlas.orbit-count.{scheme}", f"{len(fan)} vs {counts}")
     fans_equal = {c.key() for c in entry.chow_fan} == {c.key() for c in entry.hilb_fan}
-    out.append(_res(fans_equal == (series == "G"),
-                    f"conicatlas.fans-coincide-iff-g2.{label}"))
+    put(fans_equal == (series == "G"), "conicatlas.fans-coincide-iff-g2")
 
     for scheme in ("chow", "hilb"):
-        labels = f"conicatlas.orbit-labels.{scheme}.{label}"
+        labels = f"conicatlas.orbit-labels.{scheme}"
         try:
             got, detail = _hasse_payload(conicatlas.orbit_report(entry, scheme)), ""
-            out.append(_res(True, labels))
+            put(True, labels)
         except StructureError as exc:
-            got, detail = None, f"no orbit report, see {labels}"
-            out.append(_res(False, labels, str(exc)))
-        out.append(_res(got == golden["hasse"][label][scheme],
-                        f"conicatlas.hasse.{scheme}.{label}", detail))
+            got, detail = None, f"no orbit report, see {labels}.{label}"
+            put(False, labels, str(exc))
+        put(got == golden["hasse"][label][scheme], f"conicatlas.hasse.{scheme}", detail)
 
-    out.extend(_ruzzi_checks(label, entry))
-    out.extend(_anticanonical_checks(label, entry, golden))
+    _ruzzi_checks(put, entry)
+    _anticanonical_checks(put, entry, golden)
     return out
 
 
@@ -379,24 +390,18 @@ def _hasse_payload(rep) -> dict:
     return payload
 
 
-def _ruzzi_checks(label: str, entry) -> list[CheckResult]:
+def _ruzzi_checks(put, entry) -> None:
     rrd = entry.rrd
-    out = []
-    hilb_max = lunavust.maximal_cones(entry.hilb_fan, rrd)
-    reports = [lunavust.ruzzi_smooth(c, rrd) for c in hilb_max]
-    out.append(_res(all(r.smooth for r in reports),
-                    f"lunavust.ruzzi-hilb-smooth.{label}",
-                    "; ".join(d for r in reports for d in r.detail)))
-    chow_max = lunavust.maximal_cones(entry.chow_fan, rrd)[0]
-    chow_rep = lunavust.ruzzi_smooth(chow_max, rrd)
-    expected_smooth = entry.series == "G"
-    out.append(_res(chow_rep.smooth == expected_smooth,
-                    f"lunavust.ruzzi-chow.{label}",
-                    f"smooth={chow_rep.smooth}, detail={chow_rep.detail}"))
+    reports = [lunavust.ruzzi_smooth(c, rrd)
+               for c in lunavust.maximal_cones(entry.hilb_fan, rrd)]
+    put(all(r.smooth for r in reports), "lunavust.ruzzi-hilb-smooth",
+        "; ".join(d for r in reports for d in r.detail))
+    chow_rep = lunavust.ruzzi_smooth(lunavust.maximal_cones(entry.chow_fan, rrd)[0], rrd)
+    put(chow_rep.smooth == (entry.series == "G"), "lunavust.ruzzi-chow",
+        f"smooth={chow_rep.smooth}, detail={chow_rep.detail}")
     for idx, fx in enumerate(fixtures.RUZZI_FIXTURES[rrd.restricted.label]):
         ok, why = _verify_ruzzi_fixture(rrd, fx)
-        out.append(_res(ok, f"lunavust.ruzzi-fixture-{idx}.{label}", why))
-    return out
+        put(ok, f"lunavust.ruzzi-fixture-{idx}", why)
 
 
 def _verify_ruzzi_fixture(rrd, fx) -> tuple[bool, str]:
@@ -434,30 +439,26 @@ def _verify_ruzzi_fixture(rrd, fx) -> tuple[bool, str]:
     return True, ""
 
 
-def _anticanonical_checks(label: str, entry, golden) -> list[CheckResult]:
+def _anticanonical_checks(put, entry, golden) -> None:
     rrd = entry.rrd
-    out = []
-    gold_cols = {row["color"]: row["a"] for row in golden["colors"][label]}
+    gold_cols = {row["color"]: row["a"] for row in golden["colors"][entry.label]}
     for scheme, fan in (("chow", entry.chow_fan), ("hilb", entry.hilb_fan)):
         data = symdata.anticanonical_data(rrd, fan)
         coeffs = dict(data.color_coeffs)
-        ok = coeffs == gold_cols
         rays_in_v = all(lunavust.in_valuation_cone(rrd, r) for r in data.stable_rays)
-        out.append(_res(ok and rays_in_v,
-                        f"symdata.anticanonical.{scheme}.{label}",
-                        f"{coeffs} vs {gold_cols}"))
-    return out
+        put(coeffs == gold_cols and rays_in_v, f"symdata.anticanonical.{scheme}",
+            f"{coeffs} vs {gold_cols}")
 
 
 def chevalley_checks(label: str) -> list[CheckResult]:
     series, rank = conicatlas.parse_label(label)
     rd = build_root_datum(series, rank)
-    out = []
     try:
         sc = chevalley.build_structure_constants(rd, verify="full")
-        out.append(_res(True, f"chevalley.jacobi.{label}"))
     except StructureError as exc:
         return [_res(False, f"chevalley.jacobi.{label}", str(exc))]
+    out, put = _lines(label)
+    put(True, "chevalley.jacobi")
 
     ad = conicatlas.adjoint_data(series, rank)
     rho = ad.rho
@@ -469,54 +470,63 @@ def chevalley_checks(label: str) -> list[CheckResult]:
     # t = 0, ..., 6 prove that the whole conic lies in the adjoint variety.
     bad = next((t for t in range(7) if not chevalley.is_extremal(
         sc, chevalley.twistor_conic_sample(sc, rho, t))), None)
-    out.append(_res(bad is None, f"chevalley.twistor-extremal.{label}",
-                    f"the twistor sample at t = {bad} is not extremal"))
+    put(bad is None, "chevalley.twistor-extremal",
+        f"the twistor sample at t = {bad} is not extremal")
 
     mink = tuple(-1 if k == ad.j0 - 1 else 0 for k in range(rank))
     v_line = chevalley.LieElement.root_vector(rank, mink)
-    cubic_line = chevalley.contact_cubic(sc, rho, ad.j0, v_line)
-    quad_line = chevalley.contact_quadratic(sc, rho, v_line)
-    out.append(_res(cubic_line.is_zero() and quad_line.is_zero(),
-                    f"chevalley.line-direction.{label}"))
+    put(chevalley.contact_cubic(sc, rho, ad.j0, v_line).is_zero()
+        and chevalley.contact_quadratic(sc, rho, v_line).is_zero(), "chevalley.line-direction")
 
     witness_root = tuple(-a - r for a, r in zip(mink, rho))
     v_wit = chevalley.LieElement.make(rank, None, {mink: 1, witness_root: 1})
-    out.append(_res(not chevalley.contact_cubic(sc, rho, ad.j0, v_wit).is_zero(),
-                    f"chevalley.general-direction-witness.{label}"))
-
-    dim_do = len(chevalley.contact_hyperplane_roots(rd, ad.j0))
-    out.append(_res(dim_do == 2 * ad.n, f"chevalley.contact-dimension.{label}"))
+    put(not chevalley.contact_cubic(sc, rho, ad.j0, v_wit).is_zero(),
+        "chevalley.general-direction-witness")
+    put(len(chevalley.contact_hyperplane_roots(rd, ad.j0)) == 2 * ad.n,
+        "chevalley.contact-dimension")
 
     if label == "G2":
         # exact on the whole hyperplane: D q_i^2 = sum_j a_ij c_j
         cert, why = chevalley.contact_certificate(sc, rho, ad.j0)
-        out.append(_res(cert is not None, f"chevalley.g2-implication.{label}", why))
+        put(cert is not None, "chevalley.g2-implication", why)
     if label == "B3":
-        wit = chevalley.find_cubic_zero_quadratic_nonzero(sc, rho, ad.j0)
-        out.append(_res(wit is not None,
-                        f"chevalley.b3-contact-witness.{label}",
-                        "no nonplanar contact direction found"))
+        put(chevalley.find_cubic_zero_quadratic_nonzero(sc, rho, ad.j0) is not None,
+            "chevalley.b3-contact-witness", "no nonplanar contact direction found")
     return out
+
+
+# The caches keyed by a label or (series, rank), held here so that rebinding
+# the module names (perfbench/tracer.py does) leaves them reachable.
+_LABEL_CACHES = (build_root_datum, symdata.satake_of, symdata.adjoint_data,
+                 conicatlas.build_entry)
 
 
 def checks_for_label(label: str, scope: str, golden: dict) -> list[CheckResult]:
+    """The checks of one label.  When they end, the label's cached data is
+    released, and a full collection frees its reference cycles and hands
+    the interpreter's free lists back to the allocator for the next label."""
     out = []
-    if scope in ("all", "rootcore"):
-        out.extend(rootcore_checks(label))
-    if scope in ("all", "symdata", "lunavust", "conicatlas"):
-        missing = [name for name in GOLDEN_FILES
-                   if name != "gamma" and label not in golden[name]]
-        if missing:
-            out.append(_res(False, f"golden.missing.{label}",
-                            f"no entry in {', '.join(missing)}"))
-        else:
-            if scope in ("all", "symdata"):
-                out.extend(symdata_checks(label, golden))
-            if scope in ("all", "lunavust", "conicatlas"):
-                out.extend(atlas_checks(label, golden))
-    if scope in ("all", "chevalley"):
-        out.extend(chevalley_checks(label))
-    return out
+    try:
+        if scope in ("all", "rootcore"):
+            out.extend(rootcore_checks(label))
+        if scope in ("all", "symdata", "lunavust", "conicatlas"):
+            missing = [name for name in GOLDEN_FILES
+                       if name != "gamma" and label not in golden[name]]
+            if missing:
+                out.append(_res(False, f"golden.missing.{label}",
+                                f"no entry in {', '.join(missing)}"))
+            else:
+                if scope in ("all", "symdata"):
+                    out.extend(symdata_checks(label, golden))
+                if scope in ("all", "lunavust", "conicatlas"):
+                    out.extend(atlas_checks(label, golden))
+        if scope in ("all", "chevalley"):
+            out.extend(chevalley_checks(label))
+        return out
+    finally:
+        for cache in _LABEL_CACHES:
+            cache.cache_clear()
+        gc.collect()
 
 
 def run_checks(scope: str = "all", max_rank: int = 8, golden: dict | None = None,
@@ -526,13 +536,19 @@ def run_checks(scope: str = "all", max_rank: int = 8, golden: dict | None = None
         raise ValueError(f"unknown scope {scope!r}")
     golden = golden or load_golden()
     labels = fixtures.supported_labels(max_rank)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(labels))) as pool:
-            futures = [pool.submit(checks_for_label, label, scope, golden)
-                       for label in labels]
-            return [c for f in futures for c in f.result()]
-    out = []
-    for label in labels:
-        out.extend(checks_for_label(label, scope, golden))
-    return out
+    # what is alive now outlives the run: frozen, it is skipped by the
+    # collections that end the labels
+    gc.freeze()
+    try:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=min(jobs, len(labels))) as pool:
+                futures = [pool.submit(checks_for_label, label, scope, golden)
+                           for label in labels]
+                return [c for f in futures for c in f.result()]
+        out = []
+        for label in labels:
+            out.extend(checks_for_label(label, scope, golden))
+        return out
+    finally:
+        gc.unfreeze()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conicfans import cli, conicatlas, symdata, verify
+from conicfans import cli, conicatlas, fixtures, symdata, verify
 from conicfans.rootcore import StructureError
 
 
@@ -211,15 +211,20 @@ def test_a_wrong_satake_diagram_fails_by_name(capsys, monkeypatch):
     captured = capsys.readouterr()
     failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
     assert code == 1
-    assert {line.split()[1] for line in failed} == {
+    # a failed entry build fails every atlas line of the label, in its place
+    atlas = verify.atlas_names("E7")
+    assert len(atlas) == 30
+    assert [line.split()[1] for line in failed] == [
         f"{name}.E7" for name in (
             "symdata.satake-black", "symdata.restricted-type",
             "symdata.restriction-map", "symdata.gamma-closed-form",
-            "symdata.sigma-involution", "symdata.color-table",
-            "conicatlas.entry-build")}
+            "symdata.sigma-involution", "symdata.color-table")] + atlas
     assert "FAIL symdata.restricted-type.E7  (C3 vs F4)" in failed
     assert ("FAIL conicatlas.entry-build.E7  (E7: isotropy equation unsolvable: "
             "union [] differs from target [5])") in failed
+    assert all(line.endswith("(no atlas entry, see conicatlas.entry-build.E7)")
+               for line in failed if line.split()[1] in atlas[1:])
+    assert captured.out.splitlines()[-1] == "845 checks, 36 failures"
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -241,6 +246,41 @@ def test_a_symdata_error_fails_the_checks_it_leaves_undecided(monkeypatch):
     assert set(failed) == undecided | {"satake-black", "sigma-involution"}
     assert all(failed[n].startswith("E7: the restricted Cartan entry") for n in undecided)
     assert failed["sigma-involution"].startswith("alpha4 -> [0, 0, -1, -1, -1, 0, 0] vs ")
+
+
+def test_every_failed_symdata_check_gives_its_reason(monkeypatch):
+    golden = verify.load_golden()
+    golden["satake"] = {**golden["satake"], "B3": {
+        **golden["satake"]["B3"], "arrows": [[1, 2]], "lambda": {"1": [9]}}}
+    real = symdata.restricted_datum
+
+    def doubled_gamma(sd):
+        rrd = real(sd)
+        return symdata.RestrictedRootDatum(rrd.satake, rrd.restricted, rrd.groups,
+                                           rrd.characters,
+                                           tuple(tuple(2 * x for x in g) for g in rrd.gamma))
+
+    monkeypatch.setattr(symdata, "restricted_datum", doubled_gamma)
+    results = {r.name: r for r in verify.symdata_checks("B3", golden)}
+    detail = {name.split(".")[1]: r.detail for name, r in results.items() if not r.ok}
+    assert set(detail) == {"satake-arrows", "sigma-involution", "restriction-map",
+                           "gamma-duality", "gamma-closed-form"}
+    assert detail["satake-arrows"] == "[] vs [[1, 2]]"
+    assert detail["restriction-map"] == "{'1': [1], '2': [2], '3': [3]} vs {'1': [9]}"
+    assert detail["gamma-duality"] == ("A gamma = [['2', '0', '0'], ['0', '2', '0'], "
+                                       "['0', '0', '2']] vs [['1', '0', '0'], "
+                                       "['0', '1', '0'], ['0', '0', '1']]")
+    assert detail["gamma-closed-form"] == (
+        "[['2', '2', '1'], ['2', '4', '2'], ['2', '4', '3']] vs "
+        "[['1', '1', '1/2'], ['1', '2', '1'], ['1', '2', '3/2']]")
+
+
+def test_atlas_names_are_the_lines_of_a_passing_label():
+    golden = verify.load_golden()
+    for label in fixtures.supported_labels(8):
+        results = verify.atlas_checks(label, golden)
+        assert all(r.ok for r in results)
+        assert [r.name for r in results] == verify.atlas_names(label)
 
 
 def test_the_sigma_check_fails_on_a_wrong_golden_diagram(capsys, tmp_path, monkeypatch):
