@@ -34,9 +34,8 @@ def line_stabilizer(ad: AdjointData) -> ParabolicSubset:
 
 class BStablePlane(Record):
     beta: int
-    long: bool
     stabilizer: ParabolicSubset
-    in_z: bool
+    in_z: bool            # the plane lies in the variety: beta is long
 
 
 def b_stable_planes(ad: AdjointData) -> tuple[BStablePlane, ...]:
@@ -52,7 +51,7 @@ def b_stable_planes(ad: AdjointData) -> tuple[BStablePlane, ...]:
         else:
             missing = (ad.neighbors | nb) - {ad.j0}
         _check_plane_stabilizer(ad, beta, missing)
-        out.append(BStablePlane(beta, long, ParabolicSubset(frozenset(missing)), long))
+        out.append(BStablePlane(beta, ParabolicSubset(frozenset(missing)), long))
     return tuple(out)
 
 

@@ -590,26 +590,30 @@ def _ruzzi_condition3(rrd, prim, duals, factors, detail) -> bool:
         return False
 
     pool = [yi for yi in range(len(duals)) if yi not in dual_for_color.values()]
-
-    def backtrack(j, remaining) -> bool:
-        if j == len(factors):
-            return True
-        path = _order_path(rrd, factors[j])
-        if path is None:
-            return False
-        orders = [path] if len(path) == 1 else [path, list(reversed(path))]
-        for closer in remaining:
-            for order in orders:
-                ys = [duals[dual_for_color[col]] for col in order]
-                if ruzzi_witness(rrd, order, ys, duals[closer]) and backtrack(
-                        j + 1, [x for x in remaining if x != closer]):
-                    return True
-        return False
-
-    if not backtrack(0, pool):
+    if not _ruzzi_backtrack(rrd, factors, duals, dual_for_color, 0, pool):
         detail.append("no admissible indexing of the dual basis exists")
         return False
     return True
+
+
+def _ruzzi_backtrack(rrd, factors, duals, dual_for_color, j, remaining) -> bool:
+    """Whether factors j, j + 1, ... find path orders and distinct closers
+    from `remaining` with a `ruzzi_witness` each.  A module function, not a
+    closure, so that the search leaves no reference cycle holding `rrd`."""
+    if j == len(factors):
+        return True
+    path = _order_path(rrd, factors[j])
+    if path is None:
+        return False
+    orders = [path] if len(path) == 1 else [path, list(reversed(path))]
+    for closer in remaining:
+        for order in orders:
+            ys = [duals[dual_for_color[col]] for col in order]
+            if ruzzi_witness(rrd, order, ys, duals[closer]) and _ruzzi_backtrack(
+                    rrd, factors, duals, dual_for_color, j + 1,
+                    [x for x in remaining if x != closer]):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache, wraps
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
 
@@ -186,71 +186,52 @@ def classify_component(cart, nodes) -> tuple[str, int]:
     """Canonical (series, rank) of one connected Cartan block.
 
     Canonical means B2 for the rank-two double-bond diagram and A for any
-    simply-laced path, so D3 never appears as a name.
+    simply-laced path, so D3 never appears as a name.  An indecomposable
+    symmetrizable generalized Cartan matrix is of finite type exactly when
+    its symmetrization is positive definite (Kac, *Infinite dimensional Lie
+    algebras*, ch. 4), which the Bareiss pivots, the leading minors, decide;
+    one that is not symmetrizable is not of finite type.
+    A finite type is then fixed by its rank, its largest bond, its number of
+    long simple roots and det A: n + 1 for A_n, 4 for D_n and 9 - n for E_n.
     """
     n = len(nodes)
-    if n == 1:
-        return ("A", 1)
-    sub = {i: {j for j in nodes if j != i and cart[i][j] != 0} for i in nodes}
-    bonds = {frozenset((i, j)): cart[i][j] * cart[j][i]
-             for i in nodes for j in sub[i] if i < j}
-    maxbond = max(bonds.values())
-    if maxbond == 3:
-        if n != 2:
-            raise StructureError("triple bond in a diagram of rank != 2")
-        return ("G", 2)
-    degrees = {i: len(sub[i]) for i in nodes}
-    if maxbond == 1:
-        tri = [i for i in nodes if degrees[i] == 3]
-        if not tri:
-            if any(d > 2 for d in degrees.values()):
-                raise StructureError("diagram is not of finite type")
-            return ("A", n)
-        if len(tri) > 1 or any(d > 3 for d in degrees.values()):
-            raise StructureError("diagram is not of finite type")
-        center = tri[0]
-        lengths = sorted(_branch_length(sub, center, first) for first in sub[center])
-        if lengths[0] != 1:
-            raise StructureError("diagram is not of finite type")
-        if lengths[1] == 1:
-            return ("D", n)
-        if lengths[1] == 2 and lengths[2] in (2, 3, 4):
-            return ("E", n)
-        raise StructureError("diagram is not of finite type")
-    if any(d > 2 for d in degrees.values()) or list(bonds.values()).count(2) != 1:
-        raise StructureError("diagram is not of finite type")
-    if n == 2:
-        return ("B", 2)
-    # relative squared lengths from the symmetrizer d_i a_ij = d_j a_ji
-    d = {nodes[0]: Q(1)}
-    todo = [nodes[0]]
+    a = [[cart[i][j] for j in nodes] for i in nodes]
+    if any(a[i][j] != 2 if i == j else a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)
+           for i in range(n) for j in range(n)):
+        raise StructureError(f"{a} is not a generalized Cartan matrix")
+    # relative squared lengths d, with a_ij d_j = a_ji d_i along a spanning tree
+    d = {0: Q(1)}
+    todo = [0]
     while todo:
         i = todo.pop()
-        for j in sub[i]:
-            if j not in d:
-                d[j] = d[i] * cart[j][i] / cart[i][j]
+        for j in range(n):
+            if a[i][j] and j not in d:
+                d[j] = d[i] * a[j][i] / a[i][j]
                 todo.append(j)
-    dmax = max(d.values())
-    nlong = sum(1 for v in d.values() if v == dmax)
-    if n == 4 and nlong == 2:
-        return ("F", 4)
-    if nlong == 1:
-        return ("C", n)
-    if nlong == n - 1:
-        return ("B", n)
-    raise StructureError("diagram is not of finite type")
-
-
-def _branch_length(sub, center, first) -> int:
-    length, prev, cur = 1, center, first
-    while True:
-        nxt = [j for j in sub[cur] if j != prev]
-        if not nxt:
-            return length
-        if len(nxt) > 1:
-            raise StructureError("diagram is not of finite type")
-        prev, cur = cur, nxt[0]
-        length += 1
+    scale = lcm(*(v.denominator for v in d.values()))
+    dd = [int(d[j] * scale) for j in range(n)]
+    # m = A diag(d), symmetric exactly when A is symmetrizable
+    m, pivot = [[x * y for x, y in zip(row, dd)] for row in a], 1
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise StructureError(f"diagram {a} is not of finite type: it is not symmetrizable")
+    for k in range(n):
+        if m[k][k] <= 0:
+            raise StructureError(f"diagram {a} is not of finite type: its symmetrized "
+                                 f"leading minor of order {k + 1} is {m[k][k]}")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
+        pivot = m[k][k]
+    maxbond = max((a[i][j] * a[j][i] for i in range(n) for j in range(n) if i != j), default=1)
+    nlong = dd.count(max(dd))
+    det = pivot // prod(dd)
+    if maxbond == 3:
+        return ("G", 2)
+    if maxbond == 2:
+        if n == 4 and nlong == 2:
+            return ("F", 4)
+        return ("C" if nlong == 1 and n > 2 else "B", n)
+    return ("A" if det == n + 1 else "D" if det == 4 else "E", n)
 
 
 def _simple_root_count(series: str, rank: int) -> int:
@@ -373,8 +354,11 @@ class RootDatum(Record):
         with its own row, row(v) - v(h_i) row(alpha_i), and negated it gives
         the row of -v, whose reflections are the negated ones.  The Killing
         matrix comes from the rows (`_scaled_killing_of`), and the norms from its
-        diagonal: D |v|^2 = sum_k v_k v(h_k) D |alpha_k|^2 / 2.
+        diagonal: D |v|^2 = sum_k v_k v(h_k) D |alpha_k|^2 / 2.  The
+        classification comes first, so a diagram of infinite type fails by
+        name before the pass, which would not end on it.
         """
+        expected = sum(_simple_root_count(s, r) for s, r in self.components)
         cart = self.cartan
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         todo, half = [], []         # half: the rows of one root of each pair +-v
@@ -396,7 +380,6 @@ class RootDatum(Record):
                     w = tuple(w)
                     if w not in rows:
                         add(w, tuple([p - c * q for p, q in zip(row, cart[i])]))
-        expected = sum(_simple_root_count(s, r) for s, r in self.components)
         if len(rows) != expected:
             raise StructureError(
                 f"closure produced {len(rows)} roots, expected {expected}")
@@ -634,33 +617,13 @@ def double_coset_count(rd: RootDatum, subset: ParabolicSubset,
                        cap: int = ORBIT_CAP_DEFAULT) -> int:
     """|W_Q \\ W / W_Q| for the standard parabolic with crossed set Q.
 
-    Counts W_Q-orbits on the coset orbit, W_Q being generated by the
-    uncrossed simple reflections.
+    Counts the W_Q-orbits on the coset orbit, W_Q being generated by the
+    uncrossed simple reflections.  The closed Q-dominant chamber is a
+    fundamental domain of W_Q (Humphreys, *Reflection Groups and Coxeter
+    Groups*, 1.12), so each W_Q-orbit holds exactly one weight with a
+    nonnegative pairing on every uncrossed node.
     """
     if not subset.missing:
         return 1
-    orbit = coset_orbit(rd, subset, cap=cap)
-    index = {p: k for k, p in enumerate(orbit)}
     gens = [i for i in range(rd.rank) if (i + 1) not in subset.missing]
-    rows = rd.cartan
-    seen = [False] * len(orbit)
-    classes = 0
-    for k0 in range(len(orbit)):
-        if seen[k0]:
-            continue
-        classes += 1
-        seen[k0] = True
-        todo = [orbit[k0]]
-        while todo:
-            p = todo.pop()
-            for i in gens:
-                c = p[i]
-                if c == 0:
-                    continue
-                row = rows[i]
-                q = tuple(p[j] - c * row[j] for j in range(rd.rank))
-                kq = index[q]
-                if not seen[kq]:
-                    seen[kq] = True
-                    todo.append(q)
-    return classes
+    return sum(all(p[i] >= 0 for i in gens) for p in coset_orbit(rd, subset, cap=cap))

@@ -101,20 +101,14 @@ def satake_of(series: str, rank: int) -> SatakeDiagram:
     base = build_root_datum(series, rank)
     j0 = contact_node(base, highest_root(base)) - 1
     pos = base.positive_roots      # height-then-lex order
-    # a linear key in base 3M + 1, M the largest root coordinate: a root plus
-    # or minus a root, minus a root, has coordinates of size at most 3M, so
-    # equal keys mean equal vectors
-    radix = 3 * max(max(g) for g in pos) + 1
-    key = [sum(x * radix ** k for k, x in enumerate(g)) for g in pos]
-    root_keys = set(key) | {-k for k in key}
     imaginary = {i: g[j0] % 2 for i, g in enumerate(pos)}   # index: noncompact
     real = []
     while any(imaginary.values()):
-        b = max(i for i, noncompact in imaginary.items() if noncompact)
-        real.append(pos[b])
-        k_beta = [sum(map(mul, row, pos[b])) for row in base.root_table.killing[0]]
-        imaginary = {i: noncompact ^ (key[i] + key[b] in root_keys
-                                      or key[i] - key[b] in root_keys)
+        beta = pos[max(i for i, noncompact in imaginary.items() if noncompact)]
+        real.append(beta)
+        k_beta = [sum(map(mul, row, beta)) for row in base.root_table.killing[0]]
+        imaginary = {i: noncompact ^ (base.is_root([x + y for x, y in zip(pos[i], beta)])
+                                      or base.is_root([x - y for x, y in zip(pos[i], beta)]))
                      for i, noncompact in imaginary.items()
                      if not sum(map(mul, pos[i], k_beta))}
     return SatakeDiagram(base, series, rank, tuple(real))

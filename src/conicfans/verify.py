@@ -445,9 +445,11 @@ def _anticanonical_checks(put, entry, golden) -> None:
     for scheme, fan in (("chow", entry.chow_fan), ("hilb", entry.hilb_fan)):
         data = symdata.anticanonical_data(rrd, fan)
         coeffs = dict(data.color_coeffs)
-        rays_in_v = all(lunavust.in_valuation_cone(rrd, r) for r in data.stable_rays)
-        put(coeffs == gold_cols and rays_in_v, f"symdata.anticanonical.{scheme}",
-            f"{coeffs} vs {gold_cols}")
+        # the rays in the valuation cone are those of the golden one-dimensional faces
+        rays = [list(r) for r in data.stable_rays]
+        want = [r for face in golden["faces"][entry.label][scheme].get("1", ()) for r in face]
+        put(coeffs == gold_cols and rays == want, f"symdata.anticanonical.{scheme}",
+            f"{coeffs} vs {gold_cols}, stable rays {rays} vs {want}")
 
 
 def chevalley_checks(label: str) -> list[CheckResult]:
@@ -456,7 +458,13 @@ def chevalley_checks(label: str) -> list[CheckResult]:
     try:
         sc = chevalley.build_structure_constants(rd, verify="full")
     except StructureError as exc:
-        return [_res(False, f"chevalley.jacobi.{label}", str(exc))]
+        # every line of the label fails in its place, pointing at the build
+        extra = {"G2": ("g2-implication",), "B3": ("b3-contact-witness",)}.get(label, ())
+        build, *rest = [f"chevalley.{n}.{label}" for n in (
+            "jacobi", "twistor-extremal", "line-direction", "general-direction-witness",
+            "contact-dimension", *extra)]
+        return [_res(False, build, str(exc)),
+                *(_res(False, name, f"no structure constants, see {build}") for name in rest)]
     out, put = _lines(label)
     put(True, "chevalley.jacobi")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conicfans import cli, conicatlas, fixtures, symdata, verify
+from conicfans import chevalley, cli, conicatlas, fixtures, symdata, verify
 from conicfans.rootcore import StructureError
 
 
@@ -281,6 +281,40 @@ def test_atlas_names_are_the_lines_of_a_passing_label():
         results = verify.atlas_checks(label, golden)
         assert all(r.ok for r in results)
         assert [r.name for r in results] == verify.atlas_names(label)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "E6"])
+def test_a_failed_chevalley_build_fails_every_chevalley_line(monkeypatch, label):
+    names = [r.name for r in verify.chevalley_checks(label)]
+    assert len(names) == (6 if label in ("G2", "B3") else 5)
+
+    def broken(sc):
+        raise StructureError(f"{label}: the Jacobi certificate fails")
+
+    monkeypatch.setattr(chevalley, "_verify_jacobi", broken)
+    results = verify.chevalley_checks(label)
+    build = f"chevalley.jacobi.{label}"
+    assert [r.name for r in results] == names and names[0] == build
+    assert not any(r.ok for r in results)
+    assert results[0].detail == f"{label}: the Jacobi certificate fails"
+    assert {r.detail for r in results[1:]} == {f"no structure constants, see {build}"}
+
+
+def test_the_anticanonical_check_compares_the_stable_rays(capsys, tmp_path, monkeypatch):
+    golden = tmp_path / "golden"
+    shutil.copytree(verify.golden_dir(), golden)
+    faces = json.loads((golden / "faces.json").read_text())
+    assert faces["B3"]["hilb"]["1"].pop() == [[-1, -2, -1]]
+    (golden / "faces.json").write_text(json.dumps(faces))
+    monkeypatch.setenv(verify.GOLDEN_ENV, str(golden))
+    code = cli.main(["--max-rank", "3", "verify", "conicatlas", "--jobs", "1"])
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert code == 1
+    assert [line.split()[1] for line in failed] == [
+        "lunavust.face-lists.hilb.B3", "symdata.anticanonical.hilb.B3"]
+    assert failed[1].endswith(", stable rays [[-2, -4, -3], [-2, -2, -1], [-1, -2, -1]] "
+                              "vs [[-2, -4, -3], [-2, -2, -1]])")
 
 
 def test_the_sigma_check_fails_on_a_wrong_golden_diagram(capsys, tmp_path, monkeypatch):

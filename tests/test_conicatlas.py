@@ -228,7 +228,7 @@ def _drop_a_planar_generator(monkeypatch):
     def flipped(ad):
         first, *rest = real(ad)
         if fixtures.family_kind(ad.series, ad.rank) == "B4":
-            first = ca.BStablePlane(first.beta, first.long, first.stabilizer, not first.in_z)
+            first = ca.BStablePlane(first.beta, first.stabilizer, not first.in_z)
         return (first, *rest)
 
     monkeypatch.setattr(ca, "b_stable_planes", flipped)

@@ -6,6 +6,7 @@ with it.  The cone memos keyed by the restricted Cartan matrix stay.
 """
 
 import gc
+import types
 import weakref
 from collections import Counter
 
@@ -67,3 +68,25 @@ def test_no_label_builds_its_data_twice(monkeypatch):
         assert built["datum", (series, rank)] == 1
         assert built["restricted", None] == built["entry", None] == 1
         assert set(built.values()) == {1}
+
+
+def test_the_ruzzi_search_leaves_no_reference_cycle():
+    """`ruzzi_smooth` on every pinned Hilbert cone frees all it makes by
+    reference counting: a collection that saves what it frees finds no
+    function, such as a recursive closure, among it."""
+    cones = []
+    for label in LABELS:
+        rrd = symdata.restricted_datum(symdata.satake_of(*conicatlas.parse_label(label)))
+        cones += [(conicatlas.resolve_cone(rrd, syms, colors), rrd)
+                  for syms, colors in fixtures.HILB_CONES[rrd.restricted.label]]
+    assert len(cones) == 28
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert all(lunavust.ruzzi_smooth(cc, rrd).smooth for cc, rrd in cones)
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, types.FunctionType)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

@@ -307,3 +307,160 @@ def test_root_table_rows_are_the_pairings_and_norms(label):
         assert tab.roots[tab.neg[i]] == tuple(-x for x in g)
         assert tab.pairing[i] == tuple(rd.pairing(g, k) for k in range(1, rd.rank + 1))
         assert tab.norm2[i] == rd.killing_int(g, g)
+
+
+# ---------------------------------------------------------------------------
+# Finite type by positive definiteness, double cosets by dominant weights
+
+SYMPY_TYPES = ([("A", r) for r in range(2, 17)] + [("B", r) for r in range(2, 17)]
+               + [("C", r) for r in range(3, 17)] + [("D", r) for r in range(4, 17)]
+               + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def test_classification_matches_sympys_cartan_matrices():
+    """sympy numbers the nodes its own way, so it is an independent oracle."""
+    cartan_matrix = pytest.importorskip("sympy.liealgebras.cartan_matrix")
+    for series, rank in SYMPY_TYPES:
+        theirs = cartan_matrix.CartanMatrix(f"{series}{rank}").tolist()
+        assert rc.classify_component(theirs, range(rank)) == (series, rank)
+
+
+def test_classification_ignores_the_numbering():
+    import random
+    rng = random.Random(7)
+    for series, rank in SYMPY_TYPES:
+        cart = rc.simple_cartan(series, rank)
+        for _ in range(3):
+            p = rng.sample(range(rank), rank)
+            permuted = [[cart[p[i]][p[j]] for j in range(rank)] for i in range(rank)]
+            assert rc.classify_component(permuted, range(rank)) == (series, rank), p
+
+
+def _connected_subsets(rd):
+    """Every nonempty connected set of 1-based nodes of the diagram."""
+    n = rd.rank
+    for bits in range(1, 2 ** n):
+        nodes = [i + 1 for i in range(n) if bits >> i & 1]
+        if len(rc.subdatum(rd, nodes)[0].component_nodes) == 1:
+            yield nodes
+
+
+@pytest.mark.parametrize("series,rank", [("E", 8), ("F", 4), ("B", 8), ("D", 8)])
+def test_every_connected_subdiagram_closes_to_its_classified_root_count(series, rank):
+    """The closure pass counts the roots without the classification, and the
+    root table raises unless the two agree."""
+    rd = rc.build_root_datum(series, rank)
+    seen = 0
+    for nodes in _connected_subsets(rd):
+        sub, _ = rc.subdatum(rd, nodes)
+        assert len(sub.components) == 1 and sub.components[0][1] == len(nodes)
+        assert len(sub.root_table.roots) == rc._simple_root_count(*sub.components[0])
+        seen += 1
+    assert seen == {"E": 44, "F": 10, "B": 36, "D": 41}[series]
+
+
+def _extended_cartan(series, rank):
+    """The Cartan matrix of the extended diagram: node 0 is minus the highest root."""
+    rd = rc.build_root_datum(series, rank)
+    vecs = [tuple(-x for x in rc.highest_root(rd)),
+            *(tuple(int(k == i) for k in range(rank)) for i in range(rank))]
+    return [[2 * rd.killing_int(a, b) // rd.killing_int(b, b) for b in vecs] for a in vecs]
+
+
+def _path(bonds):
+    """A path diagram with a_(i,i+1) and a_(i+1,i) from each pair of bonds."""
+    n = len(bonds) + 1
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, (x, y) in enumerate(bonds):
+        a[i][i + 1], a[i + 1][i] = x, y
+    return a
+
+
+def _tree(arms):
+    """A simply-laced star: node 0 with one path of the given length per arm."""
+    edges, n = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    return a
+
+
+NOT_FINITE = {
+    "4-cycle": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+    **{f"extended {s}{r}": _extended_cartan(s, r) for s, lo, hi in [
+        ("A", 2, 8), ("B", 3, 8), ("D", 4, 8), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)]
+       for r in range(lo, hi + 1)},
+    "star with four arms": _tree([1, 1, 1, 1]),
+    "path with two double bonds": _path([(-1, -2), (-1, -1), (-2, -1)]),
+    "T(2,3,6)": _tree([1, 2, 5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FINITE))
+def test_a_diagram_of_infinite_type_is_a_named_failure(name):
+    a = NOT_FINITE[name]
+    with pytest.raises(rc.StructureError, match=r"^diagram \[\[.*\]\] is not of finite type: "):
+        rc.classify_component(a, range(len(a)))
+    with pytest.raises(rc.StructureError, match="is not of finite type"):
+        rc.RootDatum(tuple(map(tuple, a))).roots
+
+
+def test_extended_a_diagrams_are_the_cycles():
+    for r in range(2, 9):
+        a = NOT_FINITE[f"extended A{r}"]
+        assert sorted(map(sorted, a)) == [[-1, -1, *[0] * (r - 2), 2]] * (r + 1)
+
+
+def test_a_positive_off_diagonal_entry_is_a_named_failure():
+    with pytest.raises(rc.StructureError, match=r"^\[\[2, 1\], \[-1, 2\]\] is not a "
+                                                r"generalized Cartan matrix$"):
+        rc.classify_component([[2, 1], [-1, 2]], range(2))
+    with pytest.raises(rc.StructureError, match="is not a generalized Cartan matrix"):
+        rc.classify_component([[2, -1], [0, 2]], range(2))
+
+
+def _double_cosets_by_traversal(rd, subset):
+    """|W_Q \\ W / W_Q| as the number of W_Q-orbits on the coset orbit, each
+    walked under the uncrossed simple reflections."""
+    orbit = rc.coset_orbit(rd, subset)
+    gens = [i for i in range(rd.rank) if (i + 1) not in subset.missing]
+    seen, classes = set(), 0
+    for p0 in orbit:
+        if p0 in seen:
+            continue
+        classes += 1
+        seen.add(p0)
+        todo = [p0]
+        while todo:
+            p = todo.pop()
+            for i in gens:
+                c = p[i]
+                if c:
+                    q = tuple(x - c * y for x, y in zip(p, rd.cartan[i]))
+                    if q not in seen:
+                        seen.add(q)
+                        todo.append(q)
+    return classes
+
+
+def test_double_coset_count_matches_the_orbit_traversal_on_the_contact_levis():
+    from conicfans.symdata import adjoint_data
+    types = ([("B", r) for r in range(3, 17)] + [("D", r) for r in range(4, 17)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    for series, rank in types:
+        ad = adjoint_data(series, rank)
+        assert rc.double_coset_count(ad.pss, ad.q_crossed) == \
+            _double_cosets_by_traversal(ad.pss, ad.q_crossed), (series, rank)
+
+
+@pytest.mark.parametrize("series,rank", [("B", 3), ("C", 3), ("F", 4), ("G", 2)])
+def test_double_coset_count_matches_the_orbit_traversal_on_every_crossed_set(series, rank):
+    rd = rc.build_root_datum(series, rank)
+    for bits in range(1, 2 ** rank):
+        subset = rc.ParabolicSubset(frozenset(i + 1 for i in range(rank) if bits >> i & 1))
+        assert rc.double_coset_count(rd, subset) == _double_cosets_by_traversal(rd, subset)
