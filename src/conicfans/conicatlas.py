@@ -8,13 +8,12 @@ the reducible ray, the planar generators and the conic type of every orbit
 are derived, and the result is validated against fan axioms, completeness,
 face lists and the orbit-type invariants of `_check_labels`.
 
-`build_entry` caches one entry per label, shared by the checks and exports
-of that label, until `verify` releases it at the end of the label's checks.
+`build_entry` caches one entry per label (a `label_cache`), shared by the
+checks and exports of that label, until `verify` releases it at the end of
+the label's checks.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from . import fixtures
 from .linalg import identity
@@ -23,7 +22,8 @@ from .lunavust import (ColoredCone, ColoredFan, Poset, QCone, color_point,
                        is_colored_fan, maximal_cones, neg_gamma_rays, orbit_poset,
                        valuation_cone)
 from .rootcore import (ParabolicSubset, Record, StructureError, double_coset_count,
-                       duality_involution, highest_root, parabolic_intersection)
+                       duality_involution, highest_root, label_cache,
+                       parabolic_intersection)
 from .symdata import (AdjointData, RestrictedRootDatum, adjoint_data, contact_node,
                       parse_label, restricted_datum, satake_of, supported_pair)
 
@@ -142,7 +142,7 @@ def _naming(label: str, work, *args):
         raise StructureError(f"{label}: {exc}") from exc
 
 
-@lru_cache(maxsize=None)
+@label_cache
 def build_entry(label: str) -> ConicAtlasEntry:
     """The atlas entry of one label; a StructureError on the way names the label."""
     return _naming(label, _build_entry, label)

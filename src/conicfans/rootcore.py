@@ -8,8 +8,9 @@ the short root first.  Reducible systems are a single datum with a
 block-diagonal Cartan matrix.
 
 A datum's derived data is `owned`: kept on the datum and freed with it.
-Only `build_root_datum`, keyed by (series, rank), caches across calls;
-`verify` releases it when a label's checks end.
+Only the entry points keyed by a label or by (series, rank) cache across
+calls, each as a `label_cache`; `verify` empties them all through
+`release_label_caches` when a label's checks end.
 """
 
 from __future__ import annotations
@@ -140,6 +141,26 @@ def owned(fn):
             memo[key] = fn(obj, *args)
         return memo[key]
     return cached
+
+
+_LABEL_CACHES = []
+
+
+def label_cache(fn):
+    """fn memoized by `lru_cache`, for an entry point keyed by a label or by
+    (series, rank).  The cache is registered here, where the layer defines
+    it, so that `release_label_caches` reaches it without importing the
+    layer, and still reaches it when a module name is rebound to a wrapper
+    that has no `cache_clear`."""
+    cache = lru_cache(maxsize=None)(fn)
+    _LABEL_CACHES.append(cache)
+    return cache
+
+
+def release_label_caches() -> None:
+    """Empty every `label_cache` of the layers imported so far."""
+    for cache in _LABEL_CACHES:
+        cache.cache_clear()
 
 
 _RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (4, None),
@@ -472,7 +493,7 @@ class ParabolicSubset(Record):
         return ParabolicSubset(frozenset(indices))
 
 
-@lru_cache(maxsize=None)
+@label_cache
 def build_root_datum(series: str, rank: int) -> RootDatum:
     rd = RootDatum(simple_cartan(series, rank))
     _validate_datum(rd, series, rank)

@@ -8,8 +8,8 @@ and the Satake diagram, the restricted root system, its numbering and the
 colors are read off it (`restricted_datum`); no table is kept per series.
 Every StructureError raised here starts with the algebra label.
 
-`satake_of` and `adjoint_data` cache by (series, rank) until `verify`
-releases them at the end of a label's checks.  What is derived from one
+`satake_of` and `adjoint_data` cache by (series, rank), as `label_cache`s,
+until `verify` releases them at the end of a label's checks.  What is derived from one
 object is `owned` by it: `contact_node` by its RootDatum, `_sigma_matrix`,
 `_nodes_by_character` and `restricted_datum` by their SatakeDiagram, and
 `color_table` by its RestrictedRootDatum.
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Q
-from functools import lru_cache
 from itertools import combinations, permutations
 from operator import mul, sub
 
 from .linalg import identity, int_inverse
 from .rootcore import (InvalidTypeError, ParabolicSubset, Record, RootDatum,
                        StructureError, UnsupportedAlgebraError, build_root_datum,
-                       highest_root, owned, subdatum)
+                       highest_root, label_cache, owned, subdatum)
 
 _LABEL_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -79,7 +78,7 @@ class SatakeDiagram(Record):
                      if any(char) for pair in combinations(nodes, 2))
 
 
-@lru_cache(maxsize=None)
+@label_cache
 def satake_of(series: str, rank: int) -> SatakeDiagram:
     """The Satake diagram of the involution (-1)^<alpha, theta^vee> of the
     contact grading, whose symmetric space is quaternionic (Wolf, 1965).
@@ -358,7 +357,7 @@ class AdjointData(Record):
     q_crossed: ParabolicSubset             # crossed nodes of Q inside pss
 
 
-@lru_cache(maxsize=None)
+@label_cache
 def adjoint_data(series: str, rank: int) -> AdjointData:
     """The highest root, contact node and contact grading of one algebra.
 

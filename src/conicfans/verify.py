@@ -3,6 +3,20 @@
 The golden files serialize the reference data in fixtures.py; the checks here
 recompute everything through the library pipeline and compare.  Each check
 returns a named result so a failure points at the value that moved.
+
+Two rules keep a command's start-up to what it runs:
+
+- Each layer is imported inside the functions that run it; the module level
+  holds only `rootcore` and `linalg`.  Loading the golden files compiles no
+  other layer, and `verify rootcore` never compiles the cone layer or the
+  Chevalley constants.  `run_checks` imports the layers of its scope before
+  the first label, so the workers that `--jobs` forks inherit them.
+- Each layer owns its label-keyed caches: they are `rootcore.label_cache`s,
+  registered where they are defined, and `rootcore.release_label_caches`
+  empties them when a label's checks end.  The release imports no layer, and
+  it holds the cache objects themselves, so a module name rebound to a
+  wrapper without `cache_clear` (perfbench/tracer.py rebinds them) leaves its
+  cache reachable.
 """
 
 from __future__ import annotations
@@ -13,11 +27,11 @@ import os
 from fractions import Fraction as Q
 from pathlib import Path
 
-from . import chevalley, conicatlas, fixtures, linalg, lunavust, symdata
+from . import linalg
 from .linalg import identity, primitive
 from .rootcore import (Record, StructureError, build_root_datum,
                        duality_involution, highest_root, longest_element,
-                       subdatum, weyl_apply)
+                       release_label_caches, subdatum, weyl_apply)
 
 GOLDEN_ENV = "CONICFANS_GOLDEN"
 
@@ -59,6 +73,7 @@ def load_golden(path: Path | None = None) -> dict[str, dict]:
 
 def _sym_rays_numeric(rtype: str, symbols) -> list[list[int]]:
     """Resolve ray symbols through the closed-form dual basis and primitivize."""
+    from . import fixtures
     gammas = fixtures.gamma_closed_form(rtype)
     m = len(gammas)
     out = []
@@ -74,13 +89,15 @@ def _sym_rays_numeric(rtype: str, symbols) -> list[list[int]]:
 
 def golden_payload(max_rank: int = 8) -> dict[str, dict]:
     """Reference payload derived from the transcription tables only."""
+    from . import fixtures
+    from .symdata import parse_label
     labels = fixtures.supported_labels(max_rank)
     satake, gamma, chow, hilb, planes = {}, {}, {}, {}, {}
     cosets, colors, faces, hasse, counts = {}, {}, {}, {}, {}
     for rtype in ("B3", "B4", "D4", "F4", "G2"):
         gamma[rtype] = [[str(x) for x in row] for row in fixtures.gamma_closed_form(rtype)]
     for label in labels:
-        series, rank = conicatlas.parse_label(label)
+        series, rank = parse_label(label)
         key = fixtures.family_key(series, rank)
         rtype = fixtures.family_kind(series, rank)
         satake[label] = {
@@ -119,6 +136,7 @@ def _golden_orbits(rtype: str) -> tuple[dict, dict, dict, dict]:
     keys is the face order.  The maximal keys are the closed orbits, and the
     faces are the other nonzero keys, grouped by the rank of their rays.
     """
+    from . import fixtures
     faces, counts, hasse = {}, {}, {}
     for scheme in ("chow", "hilb"):
         types = {frozenset(k): t for k, t in fixtures.ORBIT_LABELS[rtype][scheme].items()}
@@ -162,7 +180,8 @@ def _lines(label: str):
 
 
 def rootcore_checks(label: str) -> list[CheckResult]:
-    rd = build_root_datum(*conicatlas.parse_label(label))
+    from .symdata import parse_label
+    rd = build_root_datum(*parse_label(label))
     out, put = _lines(label)
     put(len(rd.positive_roots) * 2 == len(rd.roots), "rootcore.positive-half")
     put(all(rd.is_root(rd.reflect(g, i)) for g in rd.roots for i in range(1, rd.rank + 1)),
@@ -214,7 +233,8 @@ def _reference_sigma(rd, black, arrows) -> list[tuple[int, ...]]:
 def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
     """The `_SYMDATA_CHECKS` of one label, in that order.  A StructureError
     fails every check it leaves undecided, with its text as the detail."""
-    series, rank = conicatlas.parse_label(label)
+    from . import symdata
+    series, rank = symdata.parse_label(label)
     gold = golden["satake"][label]
     got, error = {}, ""
 
@@ -267,7 +287,9 @@ def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
 
 def atlas_names(label: str) -> list[str]:
     """The names of the `atlas_checks` lines of one label, in order."""
-    series, rank = conicatlas.parse_label(label)
+    from . import fixtures
+    from .symdata import parse_label
+    series, rank = parse_label(label)
     schemes = ("chow", "hilb")
     names = [f"conicatlas.{n}" for n in ("entry-build", "half-dimension", "line-stabilizer",
                                          "planes", "isotropy-twist", "double-cosets")]
@@ -288,6 +310,7 @@ def atlas_names(label: str) -> list[str]:
 def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
     """The `atlas_names` lines of one label.  If the entry does not build,
     every line fails, each pointing at the entry-build line."""
+    from . import conicatlas, fixtures, lunavust
     series, rank = conicatlas.parse_label(label)
     try:
         entry = conicatlas.build_entry(label)
@@ -362,6 +385,7 @@ def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
 
 
 def _face_payload(entry, fan) -> dict:
+    from . import lunavust
     rrd = entry.rrd
     maxkeys = {c.key() for c in lunavust.maximal_cones(fan, rrd)}
     by_dim: dict[str, list] = {}
@@ -375,6 +399,7 @@ def _face_payload(entry, fan) -> dict:
 
 
 def _hasse_payload(rep) -> dict:
+    from . import lunavust
     nodes = []
     for i, c in enumerate(rep.poset.nodes):
         nodes.append({"rays": sorted(list(r) for r in lunavust.extremal_rays(c.cone)),
@@ -391,6 +416,7 @@ def _hasse_payload(rep) -> dict:
 
 
 def _ruzzi_checks(put, entry) -> None:
+    from . import fixtures, lunavust
     rrd = entry.rrd
     reports = [lunavust.ruzzi_smooth(c, rrd)
                for c in lunavust.maximal_cones(entry.hilb_fan, rrd)]
@@ -410,6 +436,7 @@ def _verify_ruzzi_fixture(rrd, fx) -> tuple[bool, str]:
     Its duals are y_j in the doubled weight lattice: halving one must leave
     an integer vector, never a truncated one.
     """
+    from . import conicatlas, lunavust
     cc = conicatlas.resolve_cone(rrd, fx["cone"], fx["colors"])
     prim = lunavust.extremal_rays(cc.cone)
     if sorted(tuple(2 * Q(x) for x in b) for b in fx["basis"]) != sorted(prim):
@@ -440,6 +467,7 @@ def _verify_ruzzi_fixture(rrd, fx) -> tuple[bool, str]:
 
 
 def _anticanonical_checks(put, entry, golden) -> None:
+    from . import symdata
     rrd = entry.rrd
     gold_cols = {row["color"]: row["a"] for row in golden["colors"][entry.label]}
     for scheme, fan in (("chow", entry.chow_fan), ("hilb", entry.hilb_fan)):
@@ -453,7 +481,9 @@ def _anticanonical_checks(put, entry, golden) -> None:
 
 
 def chevalley_checks(label: str) -> list[CheckResult]:
-    series, rank = conicatlas.parse_label(label)
+    from . import chevalley
+    from .symdata import adjoint_data, parse_label
+    series, rank = parse_label(label)
     rd = build_root_datum(series, rank)
     try:
         sc = chevalley.build_structure_constants(rd, verify="full")
@@ -468,7 +498,7 @@ def chevalley_checks(label: str) -> list[CheckResult]:
     out, put = _lines(label)
     put(True, "chevalley.jacobi")
 
-    ad = conicatlas.adjoint_data(series, rank)
+    ad = adjoint_data(series, rank)
     rho = ad.rho
     # The sample at t = p/q is a binary quadratic form in (p : q) and never
     # zero (see `chevalley.twistor_conic_sample`).  It is extremal iff every
@@ -503,12 +533,6 @@ def chevalley_checks(label: str) -> list[CheckResult]:
     return out
 
 
-# The caches keyed by a label or (series, rank), held here so that rebinding
-# the module names (perfbench/tracer.py does) leaves them reachable.
-_LABEL_CACHES = (build_root_datum, symdata.satake_of, symdata.adjoint_data,
-                 conicatlas.build_entry)
-
-
 def checks_for_label(label: str, scope: str, golden: dict) -> list[CheckResult]:
     """The checks of one label.  When they end, the label's cached data is
     released, and a full collection frees its reference cycles and hands
@@ -532,17 +556,27 @@ def checks_for_label(label: str, scope: str, golden: dict) -> list[CheckResult]:
             out.extend(chevalley_checks(label))
         return out
     finally:
-        for cache in _LABEL_CACHES:
-            cache.cache_clear()
+        release_label_caches()
         gc.collect()
+
+
+# the layers each scope runs besides rootcore, linalg, symdata and fixtures;
+# conicatlas brings lunavust
+_SCOPE_LAYERS = {"all": ("conicatlas", "chevalley"), "rootcore": (), "symdata": (),
+                 "lunavust": ("conicatlas",), "conicatlas": ("conicatlas",),
+                 "chevalley": ("chevalley",)}
 
 
 def run_checks(scope: str = "all", max_rank: int = 8, golden: dict | None = None,
                jobs: int = 1) -> list[CheckResult]:
-    if scope not in ("all", "rootcore", "symdata", "lunavust", "conicatlas",
-                     "chevalley"):
+    if scope not in _SCOPE_LAYERS:
         raise ValueError(f"unknown scope {scope!r}")
     golden = golden or load_golden()
+    # once, before the first label and before the pool forks its workers
+    from importlib import import_module
+    from . import fixtures
+    for layer in ("symdata", *_SCOPE_LAYERS[scope]):
+        import_module(f"{__package__}.{layer}")
     labels = fixtures.supported_labels(max_rank)
     # what is alive now outlives the run: frozen, it is skipped by the
     # collections that end the labels

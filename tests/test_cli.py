@@ -466,6 +466,9 @@ CHEVALLEY_LAYER = ["conicfans", "conicfans.chevalley", "conicfans.cli", "conicfa
 CONE_LAYER = ["conicfans", "conicfans.cli", "conicfans.conicatlas", "conicfans.fixtures",
               "conicfans.linalg", "conicfans.lunavust", "conicfans.rootcore",
               "conicfans.symdata"]
+VERIFY_ROOTCORE = ["conicfans", "conicfans.cli", "conicfans.fixtures", "conicfans.linalg",
+                   "conicfans.rootcore", "conicfans.symdata", "conicfans.verify"]
+VERIFY_CHEVALLEY = sorted([*VERIFY_ROOTCORE, "conicfans.chevalley"])
 
 
 @pytest.mark.parametrize("argv,modules", [
@@ -473,7 +476,10 @@ CONE_LAYER = ["conicfans", "conicfans.cli", "conicfans.conicatlas", "conicfans.f
     (("export", "constants-csv", "G2"), CHEVALLEY_LAYER),
     (("export", "fan-json", "G2"), CONE_LAYER),
     (("table", "planes", "G2"), CONE_LAYER),
-], ids=["contact-eq", "constants-csv", "fan-json", "table"])
+    (("verify", "rootcore", "--jobs", "1"), VERIFY_ROOTCORE),
+    (("verify", "chevalley", "--jobs", "1"), VERIFY_CHEVALLEY),
+], ids=["contact-eq", "constants-csv", "fan-json", "table", "verify-rootcore",
+        "verify-chevalley"])
 def test_each_command_loads_only_the_layers_it_runs(argv, modules):
     # each command is a fresh process, which compiles every module it imports
     probe = ("import sys; from conicfans import cli; code = cli.main(sys.argv[1:]); "
@@ -482,6 +488,17 @@ def test_each_command_loads_only_the_layers_it_runs(argv, modules):
     out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1].split() == ["0", *modules]
+
+
+def test_loading_the_golden_files_compiles_no_other_layer():
+    # the benchmark's cold start: the checks import their layers when they run
+    probe = ("import sys; import conicfans.verify as v; v.load_golden(); "
+             "print(*sorted(m for m in sys.modules if m.startswith('conicfans')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["conicfans", "conicfans.linalg", "conicfans.rootcore",
+                           "conicfans.verify"]
 
 
 def test_golden_dir_sits_beside_the_package(monkeypatch):
@@ -566,6 +583,25 @@ def test_verify_pool_checks_the_callers_golden_data(pool_sizes):
                                                     jobs=jobs) if not r.ok]
         assert failed == ["symdata.satake-black.B3", "symdata.sigma-involution.B3"]
     assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("scope,checks,layers", [
+    ("rootcore", 128, []), ("symdata", 144, []), ("chevalley", 82, ["conicfans.chevalley"]),
+])
+def test_a_process_pool_reports_what_one_process_reports(scope, checks, layers):
+    # in a fresh interpreter the pool runs first, so its workers fork from a
+    # parent that has run no label: what it has imported, run_checks imported
+    probe = ("import sys; import conicfans.verify as v; "
+             "pool = v.run_checks(sys.argv[1], jobs=2); "
+             "mods = sorted(m for m in sys.modules if m.startswith('conicfans')); "
+             "print(pool == v.run_checks(sys.argv[1], jobs=1), len(pool), "
+             "all(r.ok for r in pool), *mods)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe, scope], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    modules = sorted(["conicfans", "conicfans.fixtures", "conicfans.linalg",
+                      "conicfans.rootcore", "conicfans.symdata", "conicfans.verify", *layers])
+    assert out.split() == ["True", str(checks), "True", *modules]
 
 
 def test_verify_output_does_not_depend_on_the_seed(capsys):

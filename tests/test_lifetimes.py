@@ -1,27 +1,26 @@
 """The data of one label lives only while that label's checks run.
 
-`verify.checks_for_label` releases the label-keyed caches when a label's
-checks end; everything derived from a datum is kept on the datum, so it goes
-with it.  The cone memos keyed by the restricted Cartan matrix stay.
+`verify.checks_for_label` releases the label-keyed caches
+(`rootcore.label_cache`) when a label's checks end; everything derived from a
+datum is kept on the datum, so it goes with it.  The cone memos keyed by the
+restricted Cartan matrix stay.
 """
 
+import functools
 import gc
 import types
 import weakref
 from collections import Counter
 
-from conicfans import conicatlas, fixtures, lunavust, rootcore, symdata, verify
+from conicfans import cli, conicatlas, fixtures, lunavust, rootcore, symdata, verify
 
 LABELS = fixtures.supported_labels(8)
-
-
-def _release_label_caches():
-    for cache in verify._LABEL_CACHES:
-        cache.cache_clear()
+LABEL_CACHES = (rootcore.build_root_datum, symdata.satake_of, symdata.adjoint_data,
+                conicatlas.build_entry)
 
 
 def test_a_labels_data_dies_with_its_checks(monkeypatch):
-    _release_label_caches()
+    rootcore.release_label_caches()
     made = []
 
     def track(self):   # (class, cartan or label, weak reference) of each new object
@@ -60,7 +59,7 @@ def test_no_label_builds_its_data_twice(monkeypatch):
                         counting("restricted", symdata._check_projected_roots))
     monkeypatch.setattr(conicatlas, "_build_entry", counting("entry", conicatlas._build_entry))
     golden = verify.load_golden()
-    _release_label_caches()
+    rootcore.release_label_caches()
     for label in LABELS:
         built.clear()
         assert all(r.ok for r in verify.checks_for_label(label, "all", golden))
@@ -68,6 +67,35 @@ def test_no_label_builds_its_data_twice(monkeypatch):
         assert built["datum", (series, rank)] == 1
         assert built["restricted", None] == built["entry", None] == 1
         assert set(built.values()) == {1}
+
+
+def test_the_release_reaches_a_cache_whose_names_are_rebound(monkeypatch):
+    """perfbench/tracer.py rebinds every module name of a traced function,
+    imports included, to a `functools.wraps` wrapper, which has no
+    `cache_clear`: the label's checks still empty the caches themselves."""
+    filled = {}
+
+    def rebound(cache):
+        @functools.wraps(cache)
+        def wrapper(*args):
+            out = cache(*args)
+            filled[cache.__name__] = cache.cache_info().currsize
+            return out
+        return wrapper
+
+    for cache in LABEL_CACHES:
+        wrapper = rebound(cache)
+        assert not hasattr(wrapper, "cache_clear")
+        for mod in (cli, conicatlas, rootcore, symdata, verify):
+            for name, obj in list(vars(mod).items()):
+                if obj is cache:
+                    monkeypatch.setattr(mod, name, wrapper)
+    golden = verify.load_golden()
+    rootcore.release_label_caches()
+    assert all(r.ok for r in verify.checks_for_label("G2", "all", golden))
+    assert sorted(filled) == ["adjoint_data", "build_entry", "build_root_datum", "satake_of"]
+    assert min(filled.values()) >= 1
+    assert [cache.cache_info().currsize for cache in LABEL_CACHES] == [0, 0, 0, 0]
 
 
 def test_the_ruzzi_search_leaves_no_reference_cycle():
