@@ -541,6 +541,14 @@ def contact_hyperplane_roots(rd: RootDatum, j0: int) -> tuple[Root, ...]:
     return tuple(g for g in rd.roots if g[j0 - 1] == -1)
 
 
+def contact_directions(rank: int, rho: Root, j0: int) -> tuple[LieElement, LieElement]:
+    """The line direction e_{-alpha_j0}, whose cubic and quadratic vanish, and
+    the general direction e_{-alpha_j0} + e_{alpha_j0 - rho}, whose cubic does not."""
+    mink = tuple(-1 if k == j0 - 1 else 0 for k in range(rank))
+    wit = tuple(-a - r for a, r in zip(mink, rho))
+    return LieElement.root_vector(rank, mink), LieElement.make(rank, None, {mink: 1, wit: 1})
+
+
 def contact_cubic(sc: StructureConstants, rho: Root, j0: int,
                   v: LieElement) -> LieElement:
     """[v, [v, [v, e_rho]]] for v on the contact hyperplane."""

@@ -257,22 +257,17 @@ def cmd_contact_eq(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     from . import chevalley
-    rd = ad.g
-    sc = chevalley.build_structure_constants(rd, verify="none")
+    sc = chevalley.build_structure_constants(ad.g, verify="none")
     rho, j0 = ad.rho, ad.j0
     rep = chevalley.contact_implication_check(sc, rho, j0, args.samples, args.seed)
-    mink = tuple(-1 if k == j0 - 1 else 0 for k in range(rd.rank))
-    wit = tuple(-a - r for a, r in zip(mink, rho))
-    line_cubic = chevalley.contact_cubic(
-        sc, rho, j0, chevalley.LieElement.root_vector(rd.rank, mink))
-    gen_cubic = chevalley.contact_cubic(
-        sc, rho, j0, chevalley.LieElement.make(rd.rank, None, {mink: 1, wit: 1}))
+    line, general = (chevalley.contact_cubic(sc, rho, j0, v).is_zero()
+                     for v in chevalley.contact_directions(sc.rank, rho, j0))
     report = {
         "g": args.g,
         "seed": args.seed,
         "witnesses": {
-            "line_direction_cubic_vanishes": line_cubic.is_zero(),
-            "general_direction_cubic_vanishes": gen_cubic.is_zero(),
+            "line_direction_cubic_vanishes": line,
+            "general_direction_cubic_vanishes": general,
         },
         "violations": list(rep.violations),
         "counts": {

@@ -173,12 +173,6 @@ def expected_double_cosets(series: str, rank: int) -> int:
             "E6": 4, "E7": 4, "E8": 4, "F4": 4, "G2": 2}[family_key(series, rank)]
 
 
-def expected_theta_twisted(series: str, rank: int) -> list[frozenset[int]]:
-    """Opposite w0-conjugates of the color stabilizers, one per color: the
-    restriction classes themselves, as the duality involution fixes each."""
-    return [frozenset(ws) for _, ws in sorted(expected_lambda_reps(series, rank).items())]
-
-
 # ---------------------------------------------------------------------------
 # colored-cone tables
 

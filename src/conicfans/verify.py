@@ -2,7 +2,10 @@
 
 The golden files serialize the reference data in fixtures.py; the checks here
 recompute everything through the library pipeline and compare.  Each check
-returns a named result so a failure points at the value that moved.
+returns a named result so a failure points at the value that moved.  One
+rule decides every line (`_decide`): each layer declares its lines in order,
+and a StructureError fails exactly the lines it leaves undecided, with its
+text as the detail; the lines decided before it keep their verdict.
 
 Two rules keep a command's start-up to what it runs:
 
@@ -172,17 +175,34 @@ def write_golden(payload: dict, path: Path) -> None:
 # ---------------------------------------------------------------------------
 # per-label checks
 
-def _lines(label: str):
-    """(out, put): a list of result lines, and put(ok, name, detail), which
-    appends the line name.label to it."""
-    out = []
-    return out, lambda ok, name, detail="": out.append(_res(ok, f"{name}.{label}", detail))
+def _decide(label: str, names, body, *args) -> list[CheckResult]:
+    """The lines `names` of one label, in order, each as `body(put, *args)`
+    decided it by put(ok, name, detail), name without the label, or failed."""
+    got, error = {}, "undecided"
+
+    def put(ok, name, detail=""):
+        got[f"{name}.{label}"] = _res(ok, f"{name}.{label}", detail)
+
+    try:
+        body(put, *args)
+    except StructureError as exc:
+        error = str(exc)
+    return [got.get(name) or _res(False, name, error) for name in names]
+
+
+_ROOTCORE_CHECKS = ("positive-half", "reflection-closure", "highest-root-dominates",
+                    "killing-cartan", "bond-counts", "longest-element-length",
+                    "longest-element-involutive", "duality-involution")
 
 
 def rootcore_checks(label: str) -> list[CheckResult]:
+    return _decide(label, [f"rootcore.{n}.{label}" for n in _ROOTCORE_CHECKS],
+                   _rootcore_lines, label)
+
+
+def _rootcore_lines(put, label: str) -> None:
     from .symdata import parse_label
     rd = build_root_datum(*parse_label(label))
-    out, put = _lines(label)
     put(len(rd.positive_roots) * 2 == len(rd.roots), "rootcore.positive-half")
     put(all(rd.is_root(rd.reflect(g, i)) for g in rd.roots for i in range(1, rd.rank + 1)),
         "rootcore.reflection-closure")
@@ -202,7 +222,6 @@ def rootcore_checks(label: str) -> list[CheckResult]:
         "rootcore.longest-element-involutive")
     theta = duality_involution(rd)
     put(all(theta[theta[i]] == i for i in theta), "rootcore.duality-involution")
-    return out
 
 
 _SYMDATA_CHECKS = ("satake-black", "satake-arrows", "restricted-type",
@@ -231,58 +250,51 @@ def _reference_sigma(rd, black, arrows) -> list[tuple[int, ...]]:
 
 
 def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
-    """The `_SYMDATA_CHECKS` of one label, in that order.  A StructureError
-    fails every check it leaves undecided, with its text as the detail."""
+    """The `_SYMDATA_CHECKS` of one label, in that order."""
+    return _decide(label, [f"symdata.{n}.{label}" for n in _SYMDATA_CHECKS],
+                   _symdata_lines, label, golden)
+
+
+def _symdata_lines(put, label: str, golden: dict) -> None:
     from . import symdata
     series, rank = symdata.parse_label(label)
     gold = golden["satake"][label]
-    got, error = {}, ""
+    gs = [f"{s}{r}" for s, r in symdata.g_fixed_subalgebra_components(series, rank)]
+    put(gs == gold["gsigma"], "symdata.fixed-subalgebra", f"{gs} vs {gold['gsigma']}")
+    sd = symdata.satake_of(series, rank)
+    put(sorted(sd.black) == gold["black"], "symdata.satake-black",
+        f"{sorted(sd.black)} vs {gold['black']}")
+    arrows = [list(p) for p in sd.arrows]
+    put(arrows == gold["arrows"], "symdata.satake-arrows", f"{arrows} vs {gold['arrows']}")
+    nodes = set(gold["black"]).union(*gold["arrows"])
+    if not nodes <= set(range(1, rank + 1)):
+        put(False, "symdata.sigma-involution", f"golden nodes {sorted(nodes)} outside 1..{rank}")
+    else:
+        images = [symdata.sigma_on_characters(sd, v) for v in identity(rank)]
+        want = _reference_sigma(sd.base, gold["black"], gold["arrows"])
+        put(images == want, "symdata.sigma-involution", ", ".join(
+            f"alpha{j} -> {list(g)} vs {list(w)}"
+            for j, (g, w) in enumerate(zip(images, want), start=1) if g != w))
 
-    def put(ok, name, detail=""):
-        got[name] = _res(ok, f"symdata.{name}.{label}", detail)
+    rrd = symdata.restricted_datum(sd)
+    put(rrd.restricted.label == gold["restricted"], "symdata.restricted-type",
+        f"{rrd.restricted.label} vs {gold['restricted']}")
+    lam = {str(i): list(rrd.reps_of(i)) for i in range(1, rrd.restricted.rank + 1)}
+    put(lam == gold["lambda"], "symdata.restriction-map", f"{lam} vs {gold['lambda']}")
+    # row i of A gamma: the pairings of the restricted simple root i with
+    # the gamma_j, 1 at j = i and 0 elsewhere
+    duality = [[str(linalg.vdot(row, g)) for g in rrd.gamma] for row in rrd.restricted.cartan]
+    eye = [[str(x) for x in row] for row in identity(len(duality))]
+    put(duality == eye, "symdata.gamma-duality", f"A gamma = {duality} vs {eye}")
+    gamma = [[str(x) for x in g] for g in rrd.gamma]
+    gold_gamma = golden["gamma"][gold["restricted"]]
+    put([list(g) for g in rrd.gamma] == [[Q(x) for x in row] for row in gold_gamma],
+        "symdata.gamma-closed-form", f"{gamma} vs {gold_gamma}")
 
-    try:
-        gs = [f"{s}{r}" for s, r in symdata.g_fixed_subalgebra_components(series, rank)]
-        put(gs == gold["gsigma"], "fixed-subalgebra", f"{gs} vs {gold['gsigma']}")
-        sd = symdata.satake_of(series, rank)
-        put(sorted(sd.black) == gold["black"], "satake-black",
-            f"{sorted(sd.black)} vs {gold['black']}")
-        arrows = [list(p) for p in sd.arrows]
-        put(arrows == gold["arrows"], "satake-arrows", f"{arrows} vs {gold['arrows']}")
-        nodes = set(gold["black"]).union(*gold["arrows"])
-        if not nodes <= set(range(1, rank + 1)):
-            put(False, "sigma-involution", f"golden nodes {sorted(nodes)} outside 1..{rank}")
-        else:
-            images = [symdata.sigma_on_characters(sd, v) for v in identity(rank)]
-            want = _reference_sigma(sd.base, gold["black"], gold["arrows"])
-            put(images == want, "sigma-involution", ", ".join(
-                f"alpha{j} -> {list(g)} vs {list(w)}"
-                for j, (g, w) in enumerate(zip(images, want), start=1) if g != w))
-
-        rrd = symdata.restricted_datum(sd)
-        put(rrd.restricted.label == gold["restricted"], "restricted-type",
-            f"{rrd.restricted.label} vs {gold['restricted']}")
-        lam = {str(i): list(rrd.reps_of(i))
-               for i in range(1, rrd.restricted.rank + 1)}
-        put(lam == gold["lambda"], "restriction-map", f"{lam} vs {gold['lambda']}")
-        # row i of A gamma: the pairings of the restricted simple root i with
-        # the gamma_j, 1 at j = i and 0 elsewhere
-        duality = [[str(linalg.vdot(row, g)) for g in rrd.gamma] for row in rrd.restricted.cartan]
-        eye = [[str(x) for x in row] for row in identity(len(duality))]
-        put(duality == eye, "gamma-duality", f"A gamma = {duality} vs {eye}")
-        gamma = [[str(x) for x in g] for g in rrd.gamma]
-        gold_gamma = golden["gamma"][gold["restricted"]]
-        put([list(g) for g in rrd.gamma] == [[Q(x) for x in row] for row in gold_gamma],
-            "gamma-closed-form", f"{gamma} vs {gold_gamma}")
-
-        colors = [{"color": c.index, "type": c.color_type, "a": c.a_coeff,
-                   "spherical": list(c.spherical_root)} for c in symdata.color_table(rrd)]
-        gold_cols = golden["colors"][label]
-        put(colors == gold_cols, "color-table", f"{colors} vs {gold_cols}")
-    except StructureError as exc:
-        error = str(exc)
-    return [got.get(name) or _res(False, f"symdata.{name}.{label}", error)
-            for name in _SYMDATA_CHECKS]
+    colors = [{"color": c.index, "type": c.color_type, "a": c.a_coeff,
+               "spherical": list(c.spherical_root)} for c in symdata.color_table(rrd)]
+    gold_cols = golden["colors"][label]
+    put(colors == gold_cols, "symdata.color-table", f"{colors} vs {gold_cols}")
 
 
 def atlas_names(label: str) -> list[str]:
@@ -308,17 +320,14 @@ def atlas_names(label: str) -> list[str]:
 
 
 def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
-    """The `atlas_names` lines of one label.  If the entry does not build,
-    every line fails, each pointing at the entry-build line."""
+    """The `atlas_names` lines of one label."""
+    return _decide(label, atlas_names(label), _atlas_lines, label, golden)
+
+
+def _atlas_lines(put, label: str, golden: dict) -> None:
     from . import conicatlas, fixtures, lunavust
     series, rank = conicatlas.parse_label(label)
-    try:
-        entry = conicatlas.build_entry(label)
-    except StructureError as exc:
-        build, *rest = atlas_names(label)
-        return [_res(False, build, str(exc)),
-                *(_res(False, name, f"no atlas entry, see {build}") for name in rest)]
-    out, put = _lines(label)
+    entry = conicatlas.build_entry(label)
     put(True, "conicatlas.entry-build")
     rrd = entry.rrd
     put(entry.ad.n == fixtures.expected_half_dimension(series, rank),
@@ -333,10 +342,10 @@ def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
         f"{planes} vs {golden['planes'][label]}")
 
     theta = duality_involution(entry.ad.g)
-    twisted = [sorted(frozenset(theta[w] for w in rrd.reps_of(i)))
-               for i in range(1, rrd.restricted.rank + 1)]
-    put(twisted == [sorted(s) for s in fixtures.expected_theta_twisted(series, rank)],
-        "conicatlas.isotropy-twist")
+    twisted = {str(i): sorted({theta[w] for w in rrd.reps_of(i)})
+               for i in range(1, rrd.restricted.rank + 1)}
+    lam = golden["satake"][label]["lambda"]
+    put(twisted == lam, "conicatlas.isotropy-twist", f"{twisted} vs {lam}")
     put(entry.double_cosets == golden["cosets"][label], "conicatlas.double-cosets",
         f"{entry.double_cosets} vs {golden['cosets'][label]}")
 
@@ -381,7 +390,6 @@ def atlas_checks(label: str, golden: dict) -> list[CheckResult]:
 
     _ruzzi_checks(put, entry)
     _anticanonical_checks(put, entry, golden)
-    return out
 
 
 def _face_payload(entry, fan) -> dict:
@@ -480,22 +488,21 @@ def _anticanonical_checks(put, entry, golden) -> None:
             f"{coeffs} vs {gold_cols}, stable rays {rays} vs {want}")
 
 
+_CHEVALLEY_CHECKS = ("jacobi", "twistor-extremal", "line-direction",
+                     "general-direction-witness", "contact-dimension")
+_CHEVALLEY_EXTRAS = {"G2": ("g2-implication",), "B3": ("b3-contact-witness",)}
+
+
 def chevalley_checks(label: str) -> list[CheckResult]:
+    names = (*_CHEVALLEY_CHECKS, *_CHEVALLEY_EXTRAS.get(label, ()))
+    return _decide(label, [f"chevalley.{n}.{label}" for n in names], _chevalley_lines, label)
+
+
+def _chevalley_lines(put, label: str) -> None:
     from . import chevalley
     from .symdata import adjoint_data, parse_label
     series, rank = parse_label(label)
-    rd = build_root_datum(series, rank)
-    try:
-        sc = chevalley.build_structure_constants(rd, verify="full")
-    except StructureError as exc:
-        # every line of the label fails in its place, pointing at the build
-        extra = {"G2": ("g2-implication",), "B3": ("b3-contact-witness",)}.get(label, ())
-        build, *rest = [f"chevalley.{n}.{label}" for n in (
-            "jacobi", "twistor-extremal", "line-direction", "general-direction-witness",
-            "contact-dimension", *extra)]
-        return [_res(False, build, str(exc)),
-                *(_res(False, name, f"no structure constants, see {build}") for name in rest)]
-    out, put = _lines(label)
+    sc = chevalley.build_structure_constants(build_root_datum(series, rank), verify="full")
     put(True, "chevalley.jacobi")
 
     ad = adjoint_data(series, rank)
@@ -511,16 +518,12 @@ def chevalley_checks(label: str) -> list[CheckResult]:
     put(bad is None, "chevalley.twistor-extremal",
         f"the twistor sample at t = {bad} is not extremal")
 
-    mink = tuple(-1 if k == ad.j0 - 1 else 0 for k in range(rank))
-    v_line = chevalley.LieElement.root_vector(rank, mink)
+    v_line, v_wit = chevalley.contact_directions(rank, rho, ad.j0)
     put(chevalley.contact_cubic(sc, rho, ad.j0, v_line).is_zero()
         and chevalley.contact_quadratic(sc, rho, v_line).is_zero(), "chevalley.line-direction")
-
-    witness_root = tuple(-a - r for a, r in zip(mink, rho))
-    v_wit = chevalley.LieElement.make(rank, None, {mink: 1, witness_root: 1})
     put(not chevalley.contact_cubic(sc, rho, ad.j0, v_wit).is_zero(),
         "chevalley.general-direction-witness")
-    put(len(chevalley.contact_hyperplane_roots(rd, ad.j0)) == 2 * ad.n,
+    put(len(chevalley.contact_hyperplane_roots(sc.rd, ad.j0)) == 2 * ad.n,
         "chevalley.contact-dimension")
 
     if label == "G2":
@@ -530,7 +533,6 @@ def chevalley_checks(label: str) -> list[CheckResult]:
     if label == "B3":
         put(chevalley.find_cubic_zero_quadratic_nonzero(sc, rho, ad.j0) is not None,
             "chevalley.b3-contact-witness", "no nonplanar contact direction found")
-    return out
 
 
 def checks_for_label(label: str, scope: str, golden: dict) -> list[CheckResult]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conicfans import chevalley, cli, conicatlas, fixtures, symdata, verify
+from conicfans import chevalley, cli, conicatlas, fixtures, lunavust, symdata, verify
 from conicfans.rootcore import StructureError
 
 
@@ -222,8 +222,9 @@ def test_a_wrong_satake_diagram_fails_by_name(capsys, monkeypatch):
     assert "FAIL symdata.restricted-type.E7  (C3 vs F4)" in failed
     assert ("FAIL conicatlas.entry-build.E7  (E7: isotropy equation unsolvable: "
             "union [] differs from target [5])") in failed
-    assert all(line.endswith("(no atlas entry, see conicatlas.entry-build.E7)")
-               for line in failed if line.split()[1] in atlas[1:])
+    # the entry build's error is the detail of every atlas line it leaves undecided
+    assert all(line.endswith("(E7: isotropy equation unsolvable: union [] differs from "
+                             "target [5])") for line in failed if line.split()[1] in atlas)
     assert captured.out.splitlines()[-1] == "845 checks, 36 failures"
     assert "Traceback" not in captured.out + captured.err
 
@@ -275,12 +276,76 @@ def test_every_failed_symdata_check_gives_its_reason(monkeypatch):
         "[['1', '1', '1/2'], ['1', '2', '1'], ['1', '2', '3/2']]")
 
 
-def test_atlas_names_are_the_lines_of_a_passing_label():
+def _layer_roster(layer, label):
+    """The names of one layer's lines on one label, in order."""
+    if layer == "atlas":
+        return verify.atlas_names(label)
+    checks = {"rootcore": verify._ROOTCORE_CHECKS, "symdata": verify._SYMDATA_CHECKS,
+              "chevalley": (*verify._CHEVALLEY_CHECKS,
+                            *verify._CHEVALLEY_EXTRAS.get(label, ()))}[layer]
+    return [f"{layer}.{n}.{label}" for n in checks]
+
+
+def test_atlas_names_are_the_lines_of_a_passing_label(monkeypatch):
+    # every layer puts each line of its roster once, and nothing else: a
+    # misspelt put would leave a roster line undecided and decide a line that
+    # is never reported
+    decide, put_names = verify._decide, []
+
+    def recording(label, names, body, *args):
+        def spy(put, *rest):
+            def put_and_record(ok, name, detail=""):
+                put_names.append(f"{name}.{label}")
+                put(ok, name, detail)
+            body(put_and_record, *rest)
+        return decide(label, names, spy, *args)
+
+    monkeypatch.setattr(verify, "_decide", recording)
     golden = verify.load_golden()
     for label in fixtures.supported_labels(8):
-        results = verify.atlas_checks(label, golden)
-        assert all(r.ok for r in results)
-        assert [r.name for r in results] == verify.atlas_names(label)
+        for layer, check, args in (("rootcore", verify.rootcore_checks, (label,)),
+                                   ("symdata", verify.symdata_checks, (label, golden)),
+                                   ("atlas", verify.atlas_checks, (label, golden)),
+                                   ("chevalley", verify.chevalley_checks, (label,))):
+            roster = _layer_roster(layer, label)
+            put_names.clear()
+            results = check(*args)
+            assert all(r.ok for r in results)
+            assert [r.name for r in results] == roster
+            assert sorted(put_names) == sorted(roster)
+
+
+_LAYER_FAULTS = {   # a fault inside each layer, and the first line it leaves undecided
+    "rootcore": (verify, "longest_element", "rootcore.longest-element-length"),
+    "atlas": (lunavust, "ruzzi_smooth", "lunavust.ruzzi-hilb-smooth"),
+    "chevalley": (chevalley, "is_extremal", "chevalley.twistor-extremal"),
+}
+
+
+@pytest.mark.parametrize("layer, jobs", [("rootcore", "1"), ("atlas", "1"),
+                                         ("chevalley", "1"), ("chevalley", "2")])
+def test_a_fault_inside_a_layer_fails_only_the_lines_it_leaves_undecided(
+        capsys, monkeypatch, layer, jobs):
+    module, name, first = _LAYER_FAULTS[layer]
+
+    def fault(*args, **kwargs):
+        raise StructureError(f"{name} is broken")
+
+    monkeypatch.setattr(module, name, fault)
+    code = cli.main(["verify", "all", "--jobs", jobs])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    verdicts = {line.split()[1]: line for line in lines[:-1]}
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert code == 1
+    assert lines[-1] == f"845 checks, {len(failed)} failures" and len(verdicts) == 845
+    assert "Traceback" not in captured.out + captured.err
+    assert all(line.endswith(f"({name} is broken)") for line in failed)
+    for label in fixtures.supported_labels(8):
+        roster = _layer_roster(layer, label)
+        cut = roster.index(f"{first}.{label}")
+        assert all(verdicts[n] == f"ok   {n}" for n in roster[:cut])
+        assert all(verdicts[n].startswith(f"FAIL {n}  (") for n in roster[cut:])
 
 
 @pytest.mark.parametrize("label", ["G2", "B3", "E6"])
@@ -296,8 +361,7 @@ def test_a_failed_chevalley_build_fails_every_chevalley_line(monkeypatch, label)
     build = f"chevalley.jacobi.{label}"
     assert [r.name for r in results] == names and names[0] == build
     assert not any(r.ok for r in results)
-    assert results[0].detail == f"{label}: the Jacobi certificate fails"
-    assert {r.detail for r in results[1:]} == {f"no structure constants, see {build}"}
+    assert {r.detail for r in results} == {f"{label}: the Jacobi certificate fails"}
 
 
 def test_the_anticanonical_check_compares_the_stable_rays(capsys, tmp_path, monkeypatch):
