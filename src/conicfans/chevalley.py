@@ -32,10 +32,11 @@ coefficient ever needs a denominator.
 
 Contact implication.  On the contact hyperplane the coordinates q_i of the
 quadratic [v, [v, e_rho]] and c_j of the cubic [v, [v, [v, e_rho]]] are
-integer polynomials in v.  `contact_certificate` proves that the cubic's zero
-locus lies in the quadratic's with identities D q_i^2 = sum_j a_ij c_j, the
-a_ij linear forms, each checked by exact expansion; `verify` runs it on G2.
-`contact_implication_check` is the sampled check that `contact-eq` reports.
+integer polynomials in v, built by `_contact_forms` for the sampler of
+`contact-eq`, the witness search and `contact_certificate`.  The certificate
+proves that the cubic's zero locus lies in the quadratic's with identities
+D q_i^2 = sum_j a_ij c_j, the a_ij linear forms, each checked by exact
+expansion; `verify` runs it on G2.
 """
 
 from __future__ import annotations
@@ -551,18 +552,19 @@ def contact_directions(rank: int, rho: Root, j0: int) -> tuple[LieElement, LieEl
 
 def contact_cubic(sc: StructureConstants, rho: Root, j0: int,
                   v: LieElement) -> LieElement:
-    """[v, [v, [v, e_rho]]] for v on the contact hyperplane."""
+    """[v, [v, [v, e_rho]]] = [v, `contact_quadratic`] for v on the contact hyperplane."""
     tab = sc.tables
     if any(v.h) or any(r[j0 - 1] != -1 or r not in tab.index for r, _ in v.e):
         raise ContactDomainError("vector is not supported on the contact hyperplane")
-    vi = _to_int(tab, v)
-    quad = _int_bracket(tab, vi, _int_bracket(tab, vi, _root_element(sc.rank, tab.index[rho])))
-    return _to_lie(tab, _int_bracket(tab, vi, quad))
+    quad = _to_int(tab, contact_quadratic(sc, rho, v))
+    return _to_lie(tab, _int_bracket(tab, _to_int(tab, v), quad))
 
 
 def contact_quadratic(sc: StructureConstants, rho: Root,
                       v: LieElement) -> LieElement:
-    """[v, [v, e_rho]]."""
+    """[v, [v, e_rho]], bracketed directly: `verify` evaluates one or two
+    vectors per label, where on E8 `_contact_forms` would take about m^3 = 56^3
+    brackets."""
     tab = sc.tables
     vi = _to_int(tab, v)
     return _to_lie(tab, _int_bracket(tab, vi, _int_bracket(
@@ -579,52 +581,55 @@ class ImplicationReport(Record):
         return not self.violations
 
 
-def _contact_forms(sc: StructureConstants, rho: Root, j0: int) -> tuple[list, list]:
-    """The quadratic and the cubic as integer forms on the contact hyperplane.
+def _contact_forms(sc: StructureConstants, rho: Root,
+                   j0: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+    """The nonzero coordinates of the quadratic and of the cubic as integer
+    polynomials on the contact hyperplane.
 
     For v = sum_a v_a e_a over the roots of `contact_hyperplane_roots`, the
     bilinear bracket expands [v, [v, e_rho]] into the sum over ordered pairs
     of v_a v_b [e_a, [e_b, e_rho]], and [v, [v, [v, e_rho]]] into the sum of
     v_c v_a v_b [e_c, [e_a, [e_b, e_rho]]].  Each form gathers these by
-    sorted monomial and lists, for each a, the nonzero terms
-    (coordinate, coefficient, b, c) of its monomials v_a v_b v_c, a <= b <= c;
-    a quadratic monomial takes as third factor the constant v_m = 1 that
-    `_vanishes` appends to v, m the hyperplane's dimension.
+    sorted monomial into one polynomial per basis coordinate of the algebra
+    that it reaches: the Cartan coordinates first, then the roots in index
+    order.  The sampler, the search and `contact_certificate` all read them.
     """
     tab = sc.tables
     e = [_root_element(sc.rank, tab.index[g]) for g in contact_hyperplane_roots(sc.rd, j0)]
-    m = len(e)
     first = [_int_bracket(tab, x, _root_element(sc.rank, tab.index[rho])) for x in e]
-    gathered: tuple[dict, dict] = ({}, {})   # {(monomial, coordinate): coefficient}
+    forms: tuple[dict, dict] = ({}, {})     # {coordinate: polynomial}
 
     def gather(form: dict, mono: tuple[int, ...], z: IntElement) -> None:
         mono = tuple(sorted(mono))
-        # the Cartan coordinate k is keyed ~k, apart from the root indices
+        # the Cartan coordinate k is keyed ~k, before the root indices
         for coord, x in it.chain(((~k, x) for k, x in enumerate(z[0]) if x), z[1].items()):
-            form[mono, coord] = form.get((mono, coord), 0) + x
+            poly = form.setdefault(coord, {})
+            poly[mono] = poly.get(mono, 0) + x
 
-    for a, b in it.product(range(m), repeat=2):
+    for a, b in it.product(range(len(e)), repeat=2):
         t = _int_bracket(tab, e[a], first[b])
         if t[1] or any(t[0]):
-            gather(gathered[0], (a, b, m), t)
+            gather(forms[0], (a, b), t)
             for c, x in enumerate(e):
-                gather(gathered[1], (a, b, c), _int_bracket(tab, x, t))
-    forms = ([[] for _ in e], [[] for _ in e])
-    for out, form in zip(forms, gathered):
-        for ((a, b, c), coord), x in form.items():
-            if x:
-                out[a].append((coord, x, b, c))
-    return forms
+                gather(forms[1], (a, b, c), _int_bracket(tab, x, t))
+    nonzero = ([{mono: x for mono, x in p.items() if x} for _, p in sorted(form.items())]
+               for form in forms)
+    return tuple(tuple(p for p in polys if p) for polys in nonzero)
 
 
-def _vanishes(form: list, w: dict[int, int]) -> bool:
-    """Whether the integer form is zero at v = sum_a w[a] e_a."""
-    v = {**w, len(form): 1}
-    acc: dict[int, int] = {}
-    for a, x in w.items():
-        for coord, c, b, d in form[a]:
-            acc[coord] = acc.get(coord, 0) + c * x * v.get(b, 0) * v.get(d, 0)
-    return not any(acc.values())
+def _vanishes(polys: tuple[Poly, ...], w: dict[int, int]) -> bool:
+    """Whether every polynomial is zero at v = sum_a w[a] e_a, up to the first that is not."""
+    for p in polys:
+        total = 0
+        for mono, x in p.items():
+            for a in mono:
+                x *= w.get(a, 0)
+                if not x:
+                    break
+            total += x
+        if total:
+            return False
+    return True
 
 
 def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
@@ -639,7 +644,7 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
     """
     rng = random.Random(seed)
     quad, cubic = _contact_forms(sc, rho, j0)
-    m = len(quad)
+    m = len(contact_hyperplane_roots(sc.rd, j0))
     violations: list[str] = []
     cubic_zero_hits = tested = 0
 
@@ -665,25 +670,6 @@ def contact_implication_check(sc: StructureConstants, rho: Root, j0: int,
     return ImplicationReport(tested, cubic_zero_hits, tuple(violations))
 
 
-def _contact_polynomials(sc: StructureConstants, rho: Root,
-                         j0: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    """The nonzero coordinates of the quadratic and of the cubic as polynomials.
-
-    They are read off the integer forms of `_contact_forms`, in the
-    coordinates v_a of `contact_hyperplane_roots`, one polynomial per basis
-    coordinate of the algebra that a form reaches.
-    """
-    forms = _contact_forms(sc, rho, j0)
-    m = len(forms[0])
-    out: tuple[dict, dict] = ({}, {})     # {coordinate: polynomial}
-    for polys, form in zip(out, forms):
-        for a, terms in enumerate(form):
-            for coord, x, b, c in terms:
-                # a quadratic monomial ends in the constant v_m = 1
-                polys.setdefault(coord, {})[(a, b) if c == m else (a, b, c)] = x
-    return tuple(tuple(p for _, p in sorted(polys.items())) for polys in out)
-
-
 def _poly_mul(f: Poly, g: Poly) -> Poly:
     out: Poly = {}
     for mf, x in f.items():
@@ -696,7 +682,7 @@ def _poly_mul(f: Poly, g: Poly) -> Poly:
 class ContactCertificate(Record):
     """Identities D_i q_i^2 = sum_j a_ij c_j of integer polynomials.
 
-    quadratics holds the q_i and cubics the c_j of `_contact_polynomials`;
+    quadratics holds the q_i and cubics the c_j of `_contact_forms`;
     multipliers[i] is (D_i, (a_i1, ..., a_in)), D_i > 0 and each a_ij a
     linear form.  The proof holds for any D_i != 0 and polynomials a_ij of any
     degree, so `_certificate_holds` asks D_i > 0 and nothing of the degrees.
@@ -741,9 +727,10 @@ def contact_certificate(sc: StructureConstants, rho: Root,
     Returns (certificate, "") or (None, the reason there is none).  A zero
     quadratic or cubic is a failure, since the implication would then hold
     vacuously or test nothing.  The system grows fast with the hyperplane:
-    E6 takes about 0.9 s on a 2-vCPU machine, so `verify` runs it on G2 only.
+    E6 takes about 0.5 s on a 2-vCPU machine (Python 3.11), so `verify` runs
+    it on G2 only.
     """
-    quads, cubics = _contact_polynomials(sc, rho, j0)
+    quads, cubics = _contact_forms(sc, rho, j0)
     if not quads:
         return None, "the contact quadratic is zero"
     if not cubics:

@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
         target = verify.golden_dir()
         try:
             old = verify.load_golden(target)
-        except FileNotFoundError:
+        except (FileNotFoundError, ValueError):
             old = {}
         status = {}
         for name in verify.GOLDEN_FILES:
@@ -167,6 +167,9 @@ def cmd_verify(args) -> int:
         golden = verify.load_golden()
     except FileNotFoundError as exc:
         print(f"missing golden data: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"malformed golden data: {exc}", file=sys.stderr)
         return 1
     jobs = args.jobs
     if jobs is None:

@@ -69,8 +69,12 @@ def load_golden(path: Path | None = None) -> dict[str, dict]:
     base = path or golden_dir()
     out = {}
     for name in GOLDEN_FILES:
-        with open(base / f"{name}.json", "r", encoding="utf-8") as fh:
-            out[name] = json.load(fh)
+        file = base / f"{name}.json"
+        with open(file, "r", encoding="utf-8") as fh:
+            try:
+                out[name] = json.load(fh)
+            except ValueError as exc:   # not JSON, or not UTF-8: name the file
+                raise ValueError(f"{file}: {exc}") from None
     return out
 
 
@@ -286,10 +290,14 @@ def _symdata_lines(put, label: str, golden: dict) -> None:
     duality = [[str(linalg.vdot(row, g)) for g in rrd.gamma] for row in rrd.restricted.cartan]
     eye = [[str(x) for x in row] for row in identity(len(duality))]
     put(duality == eye, "symdata.gamma-duality", f"A gamma = {duality} vs {eye}")
-    gamma = [[str(x) for x in g] for g in rrd.gamma]
-    gold_gamma = golden["gamma"][gold["restricted"]]
-    put([list(g) for g in rrd.gamma] == [[Q(x) for x in row] for row in gold_gamma],
-        "symdata.gamma-closed-form", f"{gamma} vs {gold_gamma}")
+    gold_gamma = golden["gamma"].get(gold["restricted"])
+    if gold_gamma is None:
+        put(False, "symdata.gamma-closed-form",
+            f"the golden gamma has no restricted type {gold['restricted']}")
+    else:
+        gamma = [[str(x) for x in g] for g in rrd.gamma]
+        put([list(g) for g in rrd.gamma] == [[Q(x) for x in row] for row in gold_gamma],
+            "symdata.gamma-closed-form", f"{gamma} vs {gold_gamma}")
 
     colors = [{"color": c.index, "type": c.color_type, "a": c.a_coeff,
                "spherical": list(c.spherical_root)} for c in symdata.color_table(rrd)]

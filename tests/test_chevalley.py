@@ -742,7 +742,8 @@ def _implication_by_brackets(sc, rho, j0, samples, seed):
     return ch.ImplicationReport(tested, hits, tuple(violations))
 
 
-@pytest.mark.parametrize("label,seed", [("G2", 0), ("G2", 4001), ("B3", 11), ("B3", 4001)])
+@pytest.mark.parametrize("label,seed", [("G2", 0), ("G2", 4001), ("B3", 11), ("B3", 4001),
+                                        ("D4", 5), ("F4", 5)])
 def test_implication_check_matches_the_bracket_loop(label, seed):
     series, rank = ca.parse_label(label)
     ad = ca.adjoint_data(series, rank)
@@ -753,12 +754,12 @@ def test_implication_check_matches_the_bracket_loop(label, seed):
     assert rep.clean == (label == "G2")
 
 
-def _contact_polynomials_of(label):
+def _contact_forms_of(label):
     series, rank = ca.parse_label(label)
     ad = ca.adjoint_data(series, rank)
     sc = sc_of(series, rank)
     m = len(ch.contact_hyperplane_roots(ad.g, ad.j0))
-    return sc, ad, m, ch._contact_polynomials(sc, ad.rho, ad.j0)
+    return sc, ad, m, ch._contact_forms(sc, ad.rho, ad.j0)
 
 
 @pytest.mark.parametrize("label,n_quads,outside", [("G2", 3, 0), ("B3", 6, 3)])
@@ -766,7 +767,7 @@ def test_quadratic_coordinates_against_a_groebner_radical_oracle(label, n_quads,
     # Rabinowitsch: q lies in the radical of (c_1, ..., c_n) iff the ideal
     # (c_1, ..., c_n, 1 - t q) is the unit ideal
     sympy = pytest.importorskip("sympy")
-    _, _, m, (quads, cubics) = _contact_polynomials_of(label)
+    _, _, m, (quads, cubics) = _contact_forms_of(label)
     v = sympy.symbols(f"v0:{m}")
     t = sympy.Symbol("t")
 
@@ -780,7 +781,7 @@ def test_quadratic_coordinates_against_a_groebner_radical_oracle(label, n_quads,
 
 
 def test_g2_contact_certificate_is_exact_and_every_change_breaks_it():
-    sc, ad, m, (quads, cubics) = _contact_polynomials_of("G2")
+    sc, ad, m, (quads, cubics) = _contact_forms_of("G2")
     cert, why = ch.contact_certificate(sc, ad.rho, ad.j0)
     assert why == ""
     assert (cert.quadratics, cert.cubics) == (quads, cubics)
@@ -801,7 +802,7 @@ def test_g2_contact_certificate_is_exact_and_every_change_breaks_it():
 
 
 def test_b3_has_no_contact_certificate():
-    sc, ad, _, _ = _contact_polynomials_of("B3")
+    sc, ad, _, _ = _contact_forms_of("B3")
     cert, why = ch.contact_certificate(sc, ad.rho, ad.j0)
     assert cert is None
     assert why == "quadratic coordinate 1 of 6 is no linear combination of the cubic's"
@@ -810,14 +811,14 @@ def test_b3_has_no_contact_certificate():
 @pytest.mark.parametrize("zero,detail", [(0, "the contact quadratic is zero"),
                                          (1, "the contact cubic is zero")])
 def test_a_zero_contact_form_is_a_named_failure(monkeypatch, zero, detail):
-    polys = ch._contact_polynomials
+    contact_forms = ch._contact_forms
 
     def emptied(sc, rho, j0):
-        forms = list(polys(sc, rho, j0))
+        forms = list(contact_forms(sc, rho, j0))
         forms[zero] = ()
         return tuple(forms)
 
-    monkeypatch.setattr(ch, "_contact_polynomials", emptied)
+    monkeypatch.setattr(ch, "_contact_forms", emptied)
     results = {r.name: r for r in verify.chevalley_checks("G2")}
     check = results["chevalley.g2-implication.G2"]
     assert not check.ok and check.detail == detail

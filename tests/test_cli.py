@@ -484,6 +484,37 @@ def _snapshot(path):
     return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
 
 
+def test_a_restricted_type_without_golden_gamma_fails_by_name(tmp_path, monkeypatch, capsys):
+    work = _golden_copy(tmp_path, monkeypatch)
+    satake = json.loads((work / "satake.json").read_text())
+    satake["B3"]["restricted"] = "C3"
+    (work / "satake.json").write_text(json.dumps(satake))
+    code = cli.main(["--max-rank", "3", "verify", "symdata", "--jobs", "1"])
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert [line.split()[1] for line in failed] == [
+        "symdata.restricted-type.B3", "symdata.gamma-closed-form.B3"]
+    assert failed[1].endswith("(the golden gamma has no restricted type C3)")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_malformed_golden_json_is_a_named_failure(tmp_path, monkeypatch, capsys):
+    work = _golden_copy(tmp_path, monkeypatch)
+    (work / "planes.json").write_text("{ not json\n")
+    code = cli.main(["verify", "rootcore", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed golden data: {work / 'planes.json'}: ")
+    assert len(captured.err.splitlines()) == 1
+    # --bless reads the unreadable file as missing and writes it afresh
+    code = cli.main(["verify", "--bless"])
+    capsys.readouterr()
+    assert code == 0
+    assert _snapshot(work) == _snapshot(Path(verify.__file__).with_name("golden"))
+
+
 @pytest.mark.parametrize("argv", [
     ["--max-rank", "4", "verify", "rootcore", "--bless"],
     ["--max-rank", "7", "verify", "all", "--bless"],
