@@ -145,23 +145,13 @@ def cmd_verify(args) -> int:
             print(f"verify --bless rewrites every pinned label: use scope all and "
                   f"--max-rank {PINNED_MAX_RANK} or more", file=sys.stderr)
             return 2
-        payload = verify.golden_payload(args.max_rank)
-        target = verify.golden_dir()
-        try:
-            old = verify.load_golden(target)
-        except (FileNotFoundError, ValueError):
-            old = {}
-        status = {}
-        for name in verify.GOLDEN_FILES:
-            before = json.dumps(old.get(name, {}), sort_keys=True)
-            after = json.dumps(payload[name], sort_keys=True)
-            status[name] = "unchanged" if before == after else "REWRITTEN"
+        changed = verify.write_golden(verify.golden_payload(args.max_rank), verify.golden_dir())
+        status = {name: "REWRITTEN" if c else "unchanged" for name, c in changed.items()}
         if args.format == "json":
             sys.stdout.write(json.dumps({"bless": status}, indent=1, sort_keys=True) + "\n")
         else:
             for name, st in status.items():
                 print(f"bless {name}.json: {st}")
-        verify.write_golden(payload, target)
         return 0
     try:
         golden = verify.load_golden()
@@ -198,10 +188,6 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def _adjoint_data(label: str) -> AdjointData:
-    return adjoint_data(*parse_label(label))
-
-
 def _fan_text(kind: str, label: str, which: str) -> str:
     """The fan JSON or Hasse DOT text of one label's `which` compactification."""
     from . import conicatlas, lunavust
@@ -233,7 +219,7 @@ def _constants_csv(ad: AdjointData):
 def cmd_export(args) -> int:
     try:
         if args.kind == "constants-csv":
-            chunks = _constants_csv(_adjoint_data(args.g))
+            chunks = _constants_csv(adjoint_data(*parse_label(args.g)))
         else:
             chunks = [_fan_text(args.kind, args.g, args.which)]
     except (UnsupportedAlgebraError, InvalidTypeError) as exc:
@@ -255,7 +241,7 @@ def cmd_export(args) -> int:
 
 def cmd_contact_eq(args) -> int:
     try:
-        ad = _adjoint_data(args.g)
+        ad = adjoint_data(*parse_label(args.g))
     except (UnsupportedAlgebraError, InvalidTypeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -14,12 +14,15 @@ rows.  A cone is its primitive integer generators (`QCone.generators`, stored
 by `QCone.of`) and a color point e_i / 2 is read through e_i: scaling a
 generator, a color point or a constraint row by a positive number changes
 neither the cone, nor its relative interior, nor any answer below.
+
+One decorator, `_per_datum`, memoizes the cone-layer answers per restricted
+Cartan matrix, so the labels of one restricted root system share them.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .linalg import (feasible, int_inverse, int_nullspace, is_zero, primitive, rank,
                      transpose, vdot)
@@ -230,32 +233,41 @@ class ConeCheck(Record):
 # color points are read off it) and on its cones only through their keys, so
 # labels sharing a restricted Cartan matrix share every answer.
 
-_faces_memo: dict = {}   # {restricted cartan: {(kind, cone keys...): answer}}
+_faces_memo: dict = {}   # {restricted cartan: {(function, cone keys): answer}}
 
 
-def _memo(rrd, key, compute):
-    cache = _faces_memo.setdefault(rrd.restricted.cartan, {})
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
+def _per_datum(key):
+    """Memoize fn(x, rrd) in `_faces_memo[rrd.restricted.cartan][fn, key(x)]`.
+
+    A key of None leaves that call unmemoized.  The memo is looked up by name
+    at each call, so rebinding `_faces_memo` starts an empty one, and
+    `__wrapped__` is the unmemoized function.
+    """
+    def decorate(fn):
+        @wraps(fn)
+        def memoized(x, rrd):
+            k = key(x)
+            if k is None:
+                return fn(x, rrd)
+            cache = _faces_memo.setdefault(rrd.restricted.cartan, {})
+            if (fn, k) not in cache:
+                cache[fn, k] = fn(x, rrd)
+            return cache[fn, k]
+        return memoized
+    return decorate
 
 
 def _fan_key(fan) -> tuple:
     return tuple(c.key() for c in fan)
 
 
+@_per_datum(lambda cc: cc.key() if is_pointed(cc.cone) else None)
 def is_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
     """Validity of (C, F): generated by colors plus V, relint meeting V, pointed.
 
     A cone holding a line has no extremal rays, so no memo key either; it is
     checked unmemoized and reported as not strictly convex.
     """
-    if not is_pointed(cc.cone):
-        return _check_colored_cone(cc, rrd)
-    return _memo(rrd, ("cone", cc.key()), lambda: _check_colored_cone(cc, rrd))
-
-
-def _check_colored_cone(cc: ColoredCone, rrd) -> ConeCheck:
     diags = []
     cone = cc.cone
     eps = {i: color_point(rrd, i) for i in sorted(cc.colors)}
@@ -294,15 +306,12 @@ def _generated_by_colors_and_valuations(rrd, cone: QCone, eps) -> bool:
                for g in cone.generators)
 
 
+@_per_datum(ColoredCone.key)
 def colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
-    """All colored faces of a colored cone, the cone itself and 0 included."""
-    return _memo(rrd, ("faces", cc.key()), lambda: _colored_faces(cc, rrd))
+    """All colored faces of a colored cone, the cone itself and 0 included.
 
-
-def _colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
-    """Faces read off the ray-facet incidence of the pointed cone.
-
-    A nonzero face is the set of extremal rays on which some set of facets
+    Faces are read off the ray-facet incidence of the pointed cone.  A
+    nonzero face is the set of extremal rays on which some set of facets
     vanishes, i.e. an intersection of the facets' ray sets; the cone itself
     is the empty intersection.  A color lies on a face when it lies in the
     cone and on every facet that vanishes on the whole face.
@@ -334,11 +343,8 @@ def _colored_faces(cc: ColoredCone, rrd) -> tuple[ColoredCone, ...]:
     return tuple(out[k] for k in sorted(out))
 
 
+@_per_datum(_fan_key)
 def is_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
-    return _memo(rrd, ("fan", _fan_key(fan)), lambda: _check_colored_fan(fan, rrd))
-
-
-def _check_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
     """Every colored face of a cone is in the fan; no two relative interiors meet in V.
 
     Pairs of distinct colored faces of one fan cone need no test.  A point of
@@ -370,16 +376,15 @@ def _check_colored_fan(fan: ColoredFan, rrd) -> ConeCheck:
     return ConeCheck(not diags, tuple(diags))
 
 
+@_per_datum(_fan_key)
 def _face_order(fan: ColoredFan, rrd) -> frozenset[tuple[int, int]]:
     """Pairs (i, j) of fan positions: cone i is a proper colored face of cone j."""
-    def compute():
-        keys = [c.key() for c in fan]
-        less = set()
-        for j, c in enumerate(fan):
-            below = {f.key() for f in colored_faces(c, rrd)} - {keys[j]}
-            less.update((i, j) for i, k in enumerate(keys) if k in below)
-        return frozenset(less)
-    return _memo(rrd, ("order", _fan_key(fan)), compute)
+    keys = [c.key() for c in fan]
+    less = set()
+    for j, c in enumerate(fan):
+        below = {f.key() for f in colored_faces(c, rrd)} - {keys[j]}
+        less.update((i, j) for i, k in enumerate(keys) if k in below)
+    return frozenset(less)
 
 
 def maximal_cones(fan: ColoredFan, rrd) -> tuple[ColoredCone, ...]:
@@ -387,12 +392,9 @@ def maximal_cones(fan: ColoredFan, rrd) -> tuple[ColoredCone, ...]:
     return tuple(c for i, c in enumerate(fan) if i not in below)
 
 
+@_per_datum(_fan_key)
 def is_complete(fan: ColoredFan, rrd) -> bool:
     """Exact covering test: V contained in the union of the fan's cones."""
-    return _memo(rrd, ("complete", _fan_key(fan)), lambda: _covers_valuation(fan, rrd))
-
-
-def _covers_valuation(fan: ColoredFan, rrd) -> bool:
     maxc = [c for c in maximal_cones(fan, rrd) if c.cone.generators]
     if not maxc:
         return False

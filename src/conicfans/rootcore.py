@@ -441,12 +441,6 @@ class RootDatum(Record):
         return Q(total, d) if isinstance(total, int) else total / d
 
     @cached_property
-    def killing(self) -> tuple[tuple[Q, ...], ...]:
-        """Killing pairings of the simple roots."""
-        k, d = self.root_table.killing
-        return tuple(tuple(Q(x, d) for x in row) for row in k)
-
-    @cached_property
     def _component_max_norm(self) -> tuple[tuple[frozenset[int], int], ...]:
         """(0-based node set, largest scaled root norm) for each irreducible component."""
         tab = self.root_table

@@ -155,10 +155,6 @@ class RestrictedRootDatum(Record):
     characters: tuple[tuple[int, ...], ...]   # 2 lambda_i = w - sigma(w) for w in group i
     gamma: tuple[tuple[Q, ...], ...]          # dual basis, coroot coords
 
-    @property
-    def base(self) -> RootDatum:
-        return self.satake.base
-
     def reps_of(self, i: int) -> tuple[int, ...]:
         return self.groups[i - 1]
 

@@ -5,7 +5,9 @@ recompute everything through the library pipeline and compare.  Each check
 returns a named result so a failure points at the value that moved.  One
 rule decides every line (`_decide`): each layer declares its lines in order,
 and a StructureError fails exactly the lines it leaves undecided, with its
-text as the detail; the lines decided before it keep their verdict.
+text as the detail; the lines decided before it keep their verdict.  A
+golden satake.json entry that lacks a key the checks read is one such error.
+`write_golden` reports, per file, whether the bless changed its bytes.
 
 Two rules keep a command's start-up to what it runs:
 
@@ -168,12 +170,16 @@ def _golden_orbits(rtype: str) -> tuple[dict, dict, dict, dict]:
     return chow, faces, counts, hasse
 
 
-def write_golden(payload: dict, path: Path) -> None:
+def write_golden(payload: dict, path: Path) -> dict[str, bool]:
+    """Write the golden files; return, per file, whether its bytes changed."""
     path.mkdir(parents=True, exist_ok=True)
+    changed = {}
     for name in GOLDEN_FILES:
-        with open(path / f"{name}.json", "w", encoding="utf-8") as fh:
-            json.dump(payload[name], fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        file = path / f"{name}.json"
+        data = (json.dumps(payload[name], indent=1, sort_keys=True) + "\n").encode()
+        changed[name] = not file.is_file() or file.read_bytes() != data
+        file.write_bytes(data)
+    return changed
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +219,8 @@ def _rootcore_lines(put, label: str) -> None:
     rho = highest_root(rd)
     put(all(all(rho[k] >= h[k] for k in range(rd.rank)) for h in rd.roots),
         "rootcore.highest-root-dominates")
-    k = rd.killing
-    put(all(2 * k[i][j] / k[j][j] == rd.cartan[i][j]
+    k = rd.root_table.killing[0]   # D times the Killing pairings of the simple roots
+    put(all(2 * k[i][j] == rd.cartan[i][j] * k[j][j]
             for i in range(rd.rank) for j in range(rd.rank)), "rootcore.killing-cartan")
     put(all(rd.cartan[i][j] * rd.cartan[j][i] in (0, 1, 2, 3)
             for i in range(rd.rank) for j in range(rd.rank) if i != j), "rootcore.bond-counts")
@@ -253,6 +259,16 @@ def _reference_sigma(rd, black, arrows) -> list[tuple[int, ...]]:
             for j in range(1, rd.rank + 1)]
 
 
+def _satake_entry(golden: dict, label: str, *keys: str) -> dict:
+    """The label's satake.json entry, or a StructureError naming the keys it lacks."""
+    gold = golden["satake"][label]
+    missing = [key for key in keys if key not in gold]
+    if missing:
+        raise StructureError(f"golden satake.json: the entry {label} has no "
+                             + ", ".join(map(repr, missing)))
+    return gold
+
+
 def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
     """The `_SYMDATA_CHECKS` of one label, in that order."""
     return _decide(label, [f"symdata.{n}.{label}" for n in _SYMDATA_CHECKS],
@@ -262,7 +278,7 @@ def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
 def _symdata_lines(put, label: str, golden: dict) -> None:
     from . import symdata
     series, rank = symdata.parse_label(label)
-    gold = golden["satake"][label]
+    gold = _satake_entry(golden, label, "gsigma", "black", "arrows", "restricted", "lambda")
     gs = [f"{s}{r}" for s, r in symdata.g_fixed_subalgebra_components(series, rank)]
     put(gs == gold["gsigma"], "symdata.fixed-subalgebra", f"{gs} vs {gold['gsigma']}")
     sd = symdata.satake_of(series, rank)
@@ -352,7 +368,7 @@ def _atlas_lines(put, label: str, golden: dict) -> None:
     theta = duality_involution(entry.ad.g)
     twisted = {str(i): sorted({theta[w] for w in rrd.reps_of(i)})
                for i in range(1, rrd.restricted.rank + 1)}
-    lam = golden["satake"][label]["lambda"]
+    lam = _satake_entry(golden, label, "lambda")["lambda"]
     put(twisted == lam, "conicatlas.isotropy-twist", f"{twisted} vs {lam}")
     put(entry.double_cosets == golden["cosets"][label], "conicatlas.double-cosets",
         f"{entry.double_cosets} vs {golden['cosets'][label]}")

@@ -499,6 +499,28 @@ def test_a_restricted_type_without_golden_gamma_fails_by_name(tmp_path, monkeypa
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("key, scope, first", [
+    ("restricted", "symdata", "symdata.satake-black.B3"),
+    ("lambda", "conicatlas", "conicatlas.isotropy-twist.B3"),
+])
+def test_a_satake_entry_without_a_key_fails_by_name(tmp_path, monkeypatch, capsys,
+                                                    key, scope, first):
+    # each reader of satake.json fails the label's lines from the one that
+    # reads the entry on, with a detail naming the file, the label and the key
+    work = _golden_copy(tmp_path, monkeypatch)
+    satake = json.loads((work / "satake.json").read_text())
+    del satake["B3"][key]
+    (work / "satake.json").write_text(json.dumps(satake))
+    code = cli.main(["--max-rank", "3", "verify", scope, "--jobs", "1"])
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert failed and failed[0].split()[1] == first
+    assert all(line.split()[1].endswith(".B3") and line.endswith(
+        f"(golden satake.json: the entry B3 has no '{key}')") for line in failed)
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_malformed_golden_json_is_a_named_failure(tmp_path, monkeypatch, capsys):
     work = _golden_copy(tmp_path, monkeypatch)
     (work / "planes.json").write_text("{ not json\n")
@@ -508,7 +530,7 @@ def test_malformed_golden_json_is_a_named_failure(tmp_path, monkeypatch, capsys)
     assert captured.out == ""
     assert captured.err.startswith(f"malformed golden data: {work / 'planes.json'}: ")
     assert len(captured.err.splitlines()) == 1
-    # --bless reads the unreadable file as missing and writes it afresh
+    # --bless compares bytes, not JSON, and writes the unreadable file afresh
     code = cli.main(["verify", "--bless"])
     capsys.readouterr()
     assert code == 0
@@ -541,6 +563,22 @@ def test_bless_writes_one_json_object(tmp_path, monkeypatch, capsys):
     status["cosets"] = "REWRITTEN"
     assert json.loads(out) == {"bless": status}
     assert _snapshot(work) == _snapshot(Path(verify.__file__).with_name("golden"))
+
+
+def test_bless_reports_only_the_file_whose_bytes_change(tmp_path, monkeypatch, capsys):
+    # one unreadable file is rewritten; the other nine keep their bytes and
+    # are reported unchanged
+    work = _golden_copy(tmp_path, monkeypatch)
+    (work / "planes.json").write_text("{ not json")
+    before = _snapshot(work)
+    code, out = run(capsys, "verify", "--bless")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.endswith("REWRITTEN")] == [
+        "bless planes.json: REWRITTEN"]
+    assert out.count(": unchanged") == len(verify.GOLDEN_FILES) - 1
+    after = _snapshot(work)
+    assert {name for name in before if after[name] != before[name]} == {"planes.json"}
+    assert after == _snapshot(Path(verify.__file__).with_name("golden"))
 
 
 def test_import_generates_no_code_and_loads_no_resources():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 from collections import Counter
 
@@ -9,7 +10,8 @@ from conicfans import fixtures
 from conicfans import lunavust as lv
 from conicfans import verify
 from conicfans.rootcore import (ParabolicSubset, StructureError,
-                                UnsupportedAlgebraError, duality_involution)
+                                UnsupportedAlgebraError, duality_involution,
+                                release_label_caches)
 
 
 def test_parse_and_reject():
@@ -171,6 +173,50 @@ def test_build_entry_names_the_label_in_cone_layer_errors(monkeypatch):
     with pytest.raises(StructureError) as info:
         ca.build_entry.__wrapped__("G2")
     assert str(info.value) == "G2: already named"
+
+
+def _d4_plane_cones():
+    """{beta: (rays, colors)} of the Hilbert cone of each plane of D4."""
+    entry = ca.build_entry("D4")
+    return {p.beta: (sorted(lv.extremal_rays(cc.cone)), sorted(cc.colors))
+            for p, cc in zip(entry.planes, entry.hilb_cones, strict=True)}
+
+
+def _triality_equivariant(cones) -> bool:
+    """Whether every permutation tau of the nodes 1, 3, 4 takes the cone of
+    plane beta to the cone of plane tau(beta), rays and colors both."""
+    for image in itertools.permutations((1, 3, 4)):
+        tau = {2: 2, **dict(zip((1, 3, 4), image))}
+        inverse = {t: i for i, t in tau.items()}
+        for beta, (rays, colors) in cones.items():
+            # coordinate tau(i) of the moved ray is coordinate i of the ray
+            moved = sorted(tuple(ray[inverse[j] - 1] for j in range(1, 5)) for ray in rays)
+            if cones[tau[beta]] != (moved, sorted(tau[c] for c in colors)):
+                return False
+    return True
+
+
+def test_d4_planes_get_their_hilbert_cones_by_triality(monkeypatch):
+    # the three planes of D4 share the closed-orbit target {1, 3, 4}, and
+    # the tabulated cones are given to them in table order: only the
+    # triality of the diagram tells which cone is whose
+    entry = ca.build_entry("D4")
+    assert [p.beta for p in entry.planes] == [1, 3, 4]
+    # restricted node i is node i, so triality permutes restricted coordinates
+    assert all(entry.rrd.reps_of(i) == (i,) for i in range(1, 5))
+    assert _triality_equivariant(_d4_plane_cones())
+    table = fixtures.HILB_CONES["D4"]
+    passing = []
+    try:
+        with monkeypatch.context() as m:
+            for order in itertools.permutations(table):
+                m.setitem(fixtures.HILB_CONES, "D4", list(order))
+                release_label_caches()
+                if _triality_equivariant(_d4_plane_cones()):
+                    passing.append(list(order))
+    finally:
+        release_label_caches()   # no entry of a reordered table outlives the test
+    assert passing == [table]
 
 
 def test_planes_are_computed_once_per_label(monkeypatch):

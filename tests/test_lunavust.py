@@ -145,7 +145,7 @@ def test_fan_check_skips_only_pairs_of_faces_of_one_cone():
     # two overlapping maximal cones, each with all its faces
     overlap = lv.ColoredFan.of(
         list(lv.colored_faces(chow, rrd)) + list(lv.colored_faces(c1, rrd)))
-    check = lv._check_colored_fan(overlap, rrd)
+    check = lv.is_colored_fan.__wrapped__(overlap, rrd)
     assert check.diagnostics == _fan_diagnostics_over_all_pairs(overlap, rrd)
     assert any(d.startswith(f"relative interiors of cones {c1.key()} and {chow.key()}")
                or d.startswith(f"relative interiors of cones {chow.key()} and {c1.key()}")
@@ -158,7 +158,7 @@ def test_fan_check_skips_only_pairs_of_faces_of_one_cone():
             key = (entry.rrd.restricted.cartan, lv._fan_key(fan))
             if key not in seen:
                 seen.add(key)
-                got = lv._check_colored_fan(fan, entry.rrd)
+                got = lv.is_colored_fan.__wrapped__(fan, entry.rrd)
                 assert got.ok and got.diagnostics == _fan_diagnostics_over_all_pairs(
                     fan, entry.rrd)
 
@@ -663,7 +663,7 @@ def _hand_made_cones():
 
 def test_cone_checks_match_hrep_references_on_hand_made_cones():
     for rrd, cc, expected in _hand_made_cones():
-        got = lv._check_colored_cone(cc, rrd).diagnostics
+        got = lv.is_colored_cone.__wrapped__(cc, rrd).diagnostics
         assert got == expected == _colored_cone_diagnostics_by_hrep(cc, rrd)
         assert lv.is_pointed(cc.cone) == _is_pointed_by_hrep(cc.cone)
 
@@ -679,7 +679,7 @@ def test_cone_checks_match_hrep_references_on_random_cones():
             gens = rng.sample(pool, rng.randint(1, rank + 1))
             colors = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.4)
             cc = lv.ColoredCone(lv.QCone.of(gens), colors)
-            got = lv._check_colored_cone(cc, rrd).diagnostics
+            got = lv.is_colored_cone.__wrapped__(cc, rrd).diagnostics
             assert got == _colored_cone_diagnostics_by_hrep(cc, rrd)
             assert lv.is_pointed(cc.cone) == _is_pointed_by_hrep(cc.cone)
             nonpointed += not _is_pointed_by_hrep(cc.cone)

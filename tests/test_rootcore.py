@@ -48,10 +48,10 @@ def test_reflection_closure_and_killing():
         for g in rd.roots:
             for i in range(1, rd.rank + 1):
                 assert rd.is_root(rd.reflect(g, i))
-        k = rd.killing
+        k = rd.root_table.killing[0]
         for i in range(rd.rank):
             for j in range(rd.rank):
-                assert 2 * k[i][j] / k[j][j] == rd.cartan[i][j]
+                assert 2 * k[i][j] == rd.cartan[i][j] * k[j][j]
                 prod = rd.cartan[i][j] * rd.cartan[j][i]
                 if i != j:
                     assert prod in (0, 1, 2, 3)
