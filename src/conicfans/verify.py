@@ -5,8 +5,7 @@ recompute everything through the library pipeline and compare.  Each check
 returns a named result so a failure points at the value that moved.  One
 rule decides every line (`_decide`): each layer declares its lines in order,
 and a StructureError fails exactly the lines it leaves undecided, with its
-text as the detail; the lines decided before it keep their verdict.  A
-golden satake.json entry that lacks a key the checks read is one such error.
+text as the detail; the lines decided before it keep their verdict.
 `write_golden` reports, per file, whether the bless changed its bytes.
 
 Two rules keep a command's start-up to what it runs:
@@ -57,6 +56,12 @@ def _res(ok, name, detail="") -> CheckResult:
     return CheckResult(name, bool(ok), "" if ok else detail)
 
 
+def _same(put, got, want, name: str) -> None:
+    """Decide the line `name` by got == want, with `got vs want` as its detail."""
+    ok = got == want
+    put(ok, name, "" if ok else f"{got} vs {want}")
+
+
 # ---------------------------------------------------------------------------
 # golden data
 
@@ -67,16 +72,41 @@ def golden_dir() -> Path:
     return Path(__file__).with_name("golden")
 
 
+_GOLDEN_KEYS = {"satake": {"gsigma", "black", "arrows", "restricted", "lambda"},
+                "colors": {"color", "a"}, "faces": {"chow", "hilb"},
+                "hasse": {"chow", "hilb"}, "orbitcounts": {"chow", "hilb"}}
+
+
 def load_golden(path: Path | None = None) -> dict[str, dict]:
+    """The golden files under `path` (default `golden_dir()`), by name, in the shape
+    the checks index unguarded: each file a JSON object, each label's entry (each row,
+    in colors) with the keys of `_GOLDEN_KEYS`, each satake restricted type a key of
+    gamma; else a ValueError names the file, the label and the key."""
     base = path or golden_dir()
     out = {}
-    for name in GOLDEN_FILES:
+    # satake last, for its restricted types are keys of gamma
+    for name in sorted(GOLDEN_FILES, key=lambda name: name == "satake"):
         file = base / f"{name}.json"
-        with open(file, "r", encoding="utf-8") as fh:
-            try:
-                out[name] = json.load(fh)
-            except ValueError as exc:   # not JSON, or not UTF-8: name the file
-                raise ValueError(f"{file}: {exc}") from None
+        try:
+            with open(file, "r", encoding="utf-8") as fh:
+                out[name] = data = json.load(fh)   # not JSON, or not UTF-8: a ValueError
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            for label, entry in data.items():
+                rows = entry if name == "colors" else [entry]
+                lacking = {key for row in (rows if isinstance(rows, list) else [None])
+                           for key in _GOLDEN_KEYS.get(name, ())
+                           if not isinstance(row, dict) or key not in row}
+                if lacking:
+                    raise ValueError(f"the entry {label} has no {sorted(lacking)}")
+                if name == "satake" and not (isinstance(entry["restricted"], str)
+                                             and entry["restricted"] in out["gamma"]):
+                    raise ValueError(f"the entry {label} has a restricted type, "
+                                     f"{entry['restricted']!r}, that gamma.json has not")
+        except OSError as exc:
+            raise ValueError(f"{file}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{file}: {exc}") from None
     return out
 
 
@@ -259,16 +289,6 @@ def _reference_sigma(rd, black, arrows) -> list[tuple[int, ...]]:
             for j in range(1, rd.rank + 1)]
 
 
-def _satake_entry(golden: dict, label: str, *keys: str) -> dict:
-    """The label's satake.json entry, or a StructureError naming the keys it lacks."""
-    gold = golden["satake"][label]
-    missing = [key for key in keys if key not in gold]
-    if missing:
-        raise StructureError(f"golden satake.json: the entry {label} has no "
-                             + ", ".join(map(repr, missing)))
-    return gold
-
-
 def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
     """The `_SYMDATA_CHECKS` of one label, in that order."""
     return _decide(label, [f"symdata.{n}.{label}" for n in _SYMDATA_CHECKS],
@@ -278,14 +298,12 @@ def symdata_checks(label: str, golden: dict) -> list[CheckResult]:
 def _symdata_lines(put, label: str, golden: dict) -> None:
     from . import symdata
     series, rank = symdata.parse_label(label)
-    gold = _satake_entry(golden, label, "gsigma", "black", "arrows", "restricted", "lambda")
-    gs = [f"{s}{r}" for s, r in symdata.g_fixed_subalgebra_components(series, rank)]
-    put(gs == gold["gsigma"], "symdata.fixed-subalgebra", f"{gs} vs {gold['gsigma']}")
+    gold = golden["satake"][label]
+    _same(put, [f"{s}{r}" for s, r in symdata.g_fixed_subalgebra_components(series, rank)],
+          gold["gsigma"], "symdata.fixed-subalgebra")
     sd = symdata.satake_of(series, rank)
-    put(sorted(sd.black) == gold["black"], "symdata.satake-black",
-        f"{sorted(sd.black)} vs {gold['black']}")
-    arrows = [list(p) for p in sd.arrows]
-    put(arrows == gold["arrows"], "symdata.satake-arrows", f"{arrows} vs {gold['arrows']}")
+    _same(put, sorted(sd.black), gold["black"], "symdata.satake-black")
+    _same(put, [list(p) for p in sd.arrows], gold["arrows"], "symdata.satake-arrows")
     nodes = set(gold["black"]).union(*gold["arrows"])
     if not nodes <= set(range(1, rank + 1)):
         put(False, "symdata.sigma-involution", f"golden nodes {sorted(nodes)} outside 1..{rank}")
@@ -297,28 +315,20 @@ def _symdata_lines(put, label: str, golden: dict) -> None:
             for j, (g, w) in enumerate(zip(images, want), start=1) if g != w))
 
     rrd = symdata.restricted_datum(sd)
-    put(rrd.restricted.label == gold["restricted"], "symdata.restricted-type",
-        f"{rrd.restricted.label} vs {gold['restricted']}")
-    lam = {str(i): list(rrd.reps_of(i)) for i in range(1, rrd.restricted.rank + 1)}
-    put(lam == gold["lambda"], "symdata.restriction-map", f"{lam} vs {gold['lambda']}")
+    _same(put, rrd.restricted.label, gold["restricted"], "symdata.restricted-type")
+    _same(put, {str(i): list(rrd.reps_of(i)) for i in range(1, rrd.restricted.rank + 1)},
+          gold["lambda"], "symdata.restriction-map")
     # row i of A gamma: the pairings of the restricted simple root i with
     # the gamma_j, 1 at j = i and 0 elsewhere
     duality = [[str(linalg.vdot(row, g)) for g in rrd.gamma] for row in rrd.restricted.cartan]
     eye = [[str(x) for x in row] for row in identity(len(duality))]
     put(duality == eye, "symdata.gamma-duality", f"A gamma = {duality} vs {eye}")
-    gold_gamma = golden["gamma"].get(gold["restricted"])
-    if gold_gamma is None:
-        put(False, "symdata.gamma-closed-form",
-            f"the golden gamma has no restricted type {gold['restricted']}")
-    else:
-        gamma = [[str(x) for x in g] for g in rrd.gamma]
-        put([list(g) for g in rrd.gamma] == [[Q(x) for x in row] for row in gold_gamma],
-            "symdata.gamma-closed-form", f"{gamma} vs {gold_gamma}")
+    _same(put, [[str(x) for x in g] for g in rrd.gamma], golden["gamma"][gold["restricted"]],
+          "symdata.gamma-closed-form")
 
     colors = [{"color": c.index, "type": c.color_type, "a": c.a_coeff,
                "spherical": list(c.spherical_root)} for c in symdata.color_table(rrd)]
-    gold_cols = golden["colors"][label]
-    put(colors == gold_cols, "symdata.color-table", f"{colors} vs {gold_cols}")
+    _same(put, colors, golden["colors"][label], "symdata.color-table")
 
 
 def atlas_names(label: str) -> list[str]:
@@ -362,16 +372,13 @@ def _atlas_lines(put, label: str, golden: dict) -> None:
     planes = [{"beta": p.beta, "in_z": p.in_z,
                "stabilizer": sorted(p.stabilizer.missing)}
               for p in entry.planes]
-    put(planes == golden["planes"][label], "conicatlas.planes",
-        f"{planes} vs {golden['planes'][label]}")
+    _same(put, planes, golden["planes"][label], "conicatlas.planes")
 
     theta = duality_involution(entry.ad.g)
     twisted = {str(i): sorted({theta[w] for w in rrd.reps_of(i)})
                for i in range(1, rrd.restricted.rank + 1)}
-    lam = _satake_entry(golden, label, "lambda")["lambda"]
-    put(twisted == lam, "conicatlas.isotropy-twist", f"{twisted} vs {lam}")
-    put(entry.double_cosets == golden["cosets"][label], "conicatlas.double-cosets",
-        f"{entry.double_cosets} vs {golden['cosets'][label]}")
+    _same(put, twisted, golden["satake"][label]["lambda"], "conicatlas.isotropy-twist")
+    _same(put, entry.double_cosets, golden["cosets"][label], "conicatlas.double-cosets")
 
     # fan tables
     def cone_payload(cc):
@@ -380,12 +387,12 @@ def _atlas_lines(put, label: str, golden: dict) -> None:
 
     chow_max = lunavust.maximal_cones(entry.chow_fan, rrd)
     put(len(chow_max) == 1, "lunavust.chow-simple")
-    put(cone_payload(chow_max[0]) == golden["chow_cones"][label], "conicatlas.chow-cone-table",
-        f"{cone_payload(chow_max[0])} vs {golden['chow_cones'][label]}")
+    _same(put, cone_payload(chow_max[0]), golden["chow_cones"][label],
+          "conicatlas.chow-cone-table")
     hilb_max = sorted((cone_payload(c) for c in
                        lunavust.maximal_cones(entry.hilb_fan, rrd)),
                       key=lambda d: (d["rays"], d["colors"]))
-    put(hilb_max == golden["hilb_cones"][label], "conicatlas.hilb-cone-table")
+    _same(put, hilb_max, golden["hilb_cones"][label], "conicatlas.hilb-cone-table")
     put((len(hilb_max) == 1) == (series in ("E", "F", "G")),
         "conicatlas.hilb-simple-iff-exceptional")
 
@@ -394,23 +401,23 @@ def _atlas_lines(put, label: str, golden: dict) -> None:
         put(check.ok, f"lunavust.fan-axioms.{scheme}", "; ".join(check.diagnostics))
         put(all(lunavust.is_pointed(c.cone) for c in fan), f"lunavust.strict-convexity.{scheme}")
         put(lunavust.is_complete(fan, rrd), f"lunavust.completeness.{scheme}")
-        got_faces = _face_payload(entry, fan)
-        put(got_faces == golden["faces"][label][scheme], f"lunavust.face-lists.{scheme}",
-            f"{got_faces} vs {golden['faces'][label][scheme]}")
-        counts = golden["orbitcounts"][label][scheme]
-        put(len(fan) == counts, f"conicatlas.orbit-count.{scheme}", f"{len(fan)} vs {counts}")
+        _same(put, _face_payload(entry, fan), golden["faces"][label][scheme],
+              f"lunavust.face-lists.{scheme}")
+        _same(put, len(fan), golden["orbitcounts"][label][scheme],
+              f"conicatlas.orbit-count.{scheme}")
     fans_equal = {c.key() for c in entry.chow_fan} == {c.key() for c in entry.hilb_fan}
     put(fans_equal == (series == "G"), "conicatlas.fans-coincide-iff-g2")
 
     for scheme in ("chow", "hilb"):
-        labels = f"conicatlas.orbit-labels.{scheme}"
+        labels, hasse = f"conicatlas.orbit-labels.{scheme}", f"conicatlas.hasse.{scheme}"
         try:
-            got, detail = _hasse_payload(conicatlas.orbit_report(entry, scheme)), ""
-            put(True, labels)
+            got = _hasse_payload(conicatlas.orbit_report(entry, scheme))
         except StructureError as exc:
-            got, detail = None, f"no orbit report, see {labels}.{label}"
             put(False, labels, str(exc))
-        put(got == golden["hasse"][label][scheme], f"conicatlas.hasse.{scheme}", detail)
+            put(False, hasse, f"no orbit report, see {labels}.{label}")
+        else:
+            put(True, labels)
+            _same(put, got, golden["hasse"][label][scheme], hasse)
 
     _ruzzi_checks(put, entry)
     _anticanonical_checks(put, entry, golden)

@@ -276,6 +276,22 @@ def test_every_failed_symdata_check_gives_its_reason(monkeypatch):
         "[['1', '1', '1/2'], ['1', '2', '1'], ['1', '2', '3/2']]")
 
 
+def test_every_failed_golden_comparison_gives_its_reason():
+    # other colors on a B3 Hilbert cone, another type on a node of its Hasse
+    # diagram: each line fails with `got vs want` as its detail
+    golden = verify.load_golden()
+    first, *rest = golden["hilb_cones"]["B3"]
+    hilb = [{**first, "colors": [9]}, *rest]
+    hasse = json.loads(json.dumps(golden["hasse"]["B3"]))
+    hasse["hilb"]["nodes"][0]["type"] = "XX"
+    golden["hilb_cones"] = {**golden["hilb_cones"], "B3": hilb}
+    golden["hasse"] = {**golden["hasse"], "B3": hasse}
+    failed = {r.name: r.detail for r in verify.atlas_checks("B3", golden) if not r.ok}
+    assert set(failed) == {"conicatlas.hilb-cone-table.B3", "conicatlas.hasse.hilb.B3"}
+    assert failed["conicatlas.hilb-cone-table.B3"].endswith(f" vs {hilb}")
+    assert failed["conicatlas.hasse.hilb.B3"].endswith(f" vs {hasse['hilb']}")
+
+
 def _layer_roster(layer, label):
     """The names of one layer's lines on one label, in order."""
     if layer == "atlas":
@@ -484,41 +500,82 @@ def _snapshot(path):
     return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
 
 
-def test_a_restricted_type_without_golden_gamma_fails_by_name(tmp_path, monkeypatch, capsys):
-    work = _golden_copy(tmp_path, monkeypatch)
-    satake = json.loads((work / "satake.json").read_text())
-    satake["B3"]["restricted"] = "C3"
-    (work / "satake.json").write_text(json.dumps(satake))
-    code = cli.main(["--max-rank", "3", "verify", "symdata", "--jobs", "1"])
-    captured = capsys.readouterr()
-    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
-    assert code == 1
-    assert [line.split()[1] for line in failed] == [
-        "symdata.restricted-type.B3", "symdata.gamma-closed-form.B3"]
-    assert failed[1].endswith("(the golden gamma has no restricted type C3)")
-    assert "Traceback" not in captured.out + captured.err
+def _json_edit(name, edit):
+    """A mutation of a golden copy: `edit` the data of the file `name` in place."""
+    def mutate(work):
+        data = json.loads((work / name).read_text())
+        edit(data)
+        (work / name).write_text(json.dumps(data))
+    return mutate
 
 
-@pytest.mark.parametrize("key, scope, first", [
-    ("restricted", "symdata", "symdata.satake-black.B3"),
-    ("lambda", "conicatlas", "conicatlas.isotropy-twist.B3"),
-])
-def test_a_satake_entry_without_a_key_fails_by_name(tmp_path, monkeypatch, capsys,
-                                                    key, scope, first):
-    # each reader of satake.json fails the label's lines from the one that
-    # reads the entry on, with a detail naming the file, the label and the key
+def _a_directory(name):
+    """A mutation of a golden copy: the file `name` becomes a directory."""
+    def mutate(work):
+        (work / name).unlink()
+        (work / name).mkdir()
+    return mutate
+
+
+def _a_regular_file(work):
+    shutil.rmtree(work)
+    work.write_text("")
+
+
+@pytest.mark.parametrize("named, says, mutate", [
+    ("faces.json", "the entry B3 has no ['chow']",
+     _json_edit("faces.json", lambda d: d["B3"].pop("chow"))),
+    ("hasse.json", "the entry D4 has no ['hilb']",
+     _json_edit("hasse.json", lambda d: d["D4"].pop("hilb"))),
+    ("orbitcounts.json", "the entry B3 has no ['hilb']",
+     _json_edit("orbitcounts.json", lambda d: d["B3"].pop("hilb"))),
+    ("colors.json", "the entry B3 has no ['a']",
+     _json_edit("colors.json", lambda d: d["B3"][0].pop("a"))),
+    ("satake.json", "the entry B3 has no ['lambda']",
+     _json_edit("satake.json", lambda d: d["B3"].pop("lambda"))),
+    ("satake.json", "the entry B3 has no ['restricted']",
+     _json_edit("satake.json", lambda d: d["B3"].pop("restricted"))),
+    ("satake.json", "the entry B3 has a restricted type, 'C3', that gamma.json has not",
+     _json_edit("satake.json", lambda d: d["B3"].update(restricted="C3"))),
+    ("cosets.json", "not a JSON object",
+     lambda work: (work / "cosets.json").write_text("[]\n")),
+    (None, "", _a_regular_file),
+    ("planes.json", "", _a_directory("planes.json")),
+], ids=["faces-without-chow", "hasse-without-hilb", "orbitcounts-without-hilb",
+        "colors-row-without-a", "satake-without-lambda", "satake-without-restricted",
+        "restricted-type-C3", "cosets-a-list", "golden-a-regular-file", "planes-a-directory"])
+def test_a_malformed_golden_copy_is_refused_by_name(tmp_path, monkeypatch, capsys,
+                                                    named, says, mutate):
+    # the load checks the shape that the checks read, so a malformed copy
+    # stops the run before any check with one line naming the file (None:
+    # whichever file is read first), and never in a traceback
     work = _golden_copy(tmp_path, monkeypatch)
-    satake = json.loads((work / "satake.json").read_text())
-    del satake["B3"][key]
-    (work / "satake.json").write_text(json.dumps(satake))
-    code = cli.main(["--max-rank", "3", "verify", scope, "--jobs", "1"])
+    mutate(work)
+    code = cli.main(["--max-rank", "3", "verify", "all", "--jobs", "1"])
     captured = capsys.readouterr()
-    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
     assert code == 1
-    assert failed and failed[0].split()[1] == first
-    assert all(line.split()[1].endswith(".B3") and line.endswith(
-        f"(golden satake.json: the entry B3 has no '{key}')") for line in failed)
-    assert "Traceback" not in captured.out + captured.err
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    file, _, reason = line.removeprefix(f"malformed golden data: {work}/").partition(": ")
+    assert file in ({named} if named else {f"{name}.json" for name in verify.GOLDEN_FILES})
+    assert says in reason
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("mutate, failing", [(_a_regular_file, None),
+                                             (_a_directory("planes.json"), "planes.json")],
+                         ids=["golden-a-regular-file", "planes-a-directory"])
+def test_a_bless_that_cannot_write_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                    mutate, failing):
+    work = _golden_copy(tmp_path, monkeypatch)
+    mutate(work)
+    code = cli.main(["verify", "--bless"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("cannot write golden data: ")
+    assert str(work / failing if failing else work) in line
 
 
 def test_malformed_golden_json_is_a_named_failure(tmp_path, monkeypatch, capsys):
